@@ -12,7 +12,7 @@ all the other items and adds profits unweighted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .exceptions import ParameterError, StructuralError
 from .model import Instance, PolicyNode, TransitionRow, subtree_values
@@ -117,31 +117,77 @@ def batch_masses_approx(instance: Instance, node: BlockNode) -> tuple[dict[int, 
     return up, before[n], profit
 
 
-def _profit(instance: Instance, tree: BlockNode, masses) -> float:
-    def value(node: BlockNode) -> float:
+def block_edges(instance: Instance, node: BlockNode, masses: Callable
+                ) -> tuple[float, list[tuple[float, BlockNode]]]:
+    """The batch profit of an internal block and its (mass, child) edges
+    under ``masses`` (``batch_masses_exact`` or ``batch_masses_approx``):
+    the up-children by ascending level, then the flat child.
+
+    This is where block trees are checked: every outcome of positive mass
+    needs a child whose entry level equals its key.  Children no outcome
+    reaches are allowed, since materialized topologies keep them.
+    """
+    up, flat, profit = masses(instance, node)
+    outcomes = sorted(up.items())
+    if flat > 0.0:
+        outcomes.append((node.level, flat))
+    edges = []
+    for j, mass in outcomes:
+        if mass == 0.0:
+            continue
+        child = node.children.get(j)
+        if child is None:
+            raise StructuralError(f"block at level {node.level} lacks a child for level {j}")
+        if child.level != j:
+            raise StructuralError(f"block child keyed {j} carries entry level {child.level}")
+        edges.append((mass, child))
+    return profit, edges
+
+
+def walk_blocks(instance: Instance, tree: BlockNode, masses: Callable, state: object = None,
+                step: Callable | None = None
+                ) -> Iterator[tuple[BlockNode, float | None, list[tuple[float, BlockNode]], object]]:
+    """Checked preorder walk of a block tree, without recursion.
+
+    Yields (node, profit, edges, state) for every node the walk reaches,
+    with ``profit`` and ``edges`` as ``block_edges`` gives them; a leaf has
+    profit None and no edges.  ``state`` and ``step`` work as in
+    ``model.walk_policy``, except that ``step(node, profit, edges, state)``
+    may also return the node itself, which is then visited again with the
+    same edges.
+    """
+    stack: list = [(tree, state, None)]
+    push = stack.append
+    while stack:
+        node, state, known = stack.pop()
         if node.is_leaf:
             if node.items:
                 raise StructuralError("batch node without children")
-            return instance.terminal[node.level]
-        up, flat, profit = masses(instance, node)
-        total = profit
-        for j, mass in sorted(up.items()):
-            if mass == 0.0:
-                continue
-            child = node.children.get(j)
-            if child is None:
-                raise StructuralError(f"block at level {node.level} lacks a child for level {j}")
-            if child.level != j:
-                raise StructuralError(f"block child keyed {j} carries entry level {child.level}")
-            total += mass * value(child)
-        if flat > 0.0:
-            child = node.children.get(node.level)
-            if child is None:
-                raise StructuralError(f"block at level {node.level} lacks its flat child")
-            total += flat * value(child)
-        return total
+            yield node, None, (), state
+            continue
+        profit, edges = known or block_edges(instance, node, masses)
+        yield node, profit, edges, state
+        if step is None:
+            for _, child in reversed(edges):
+                push((child, None, None))
+        else:
+            for child, child_state in reversed(step(node, profit, edges, state)):
+                push((child, child_state, (profit, edges) if child is node else None))
 
-    return value(tree)
+
+def _profit(instance: Instance, tree: BlockNode, masses: Callable) -> float:
+    """Fold the walk backwards: every child comes before its parent and a
+    block's first edge last, so the child values pop off in edge order."""
+    terminal = instance.terminal
+    values: list[float] = []
+    for node, profit, edges, _ in reversed(list(walk_blocks(instance, tree, masses))):
+        if profit is None:
+            values.append(terminal[node.level])
+            continue
+        for mass, _ in edges:
+            profit += mass * values.pop()
+        values.append(profit)
+    return values[0]
 
 
 def block_profit_exact(instance: Instance, tree: BlockNode) -> float:

@@ -4,7 +4,9 @@ Subcommands cover the full workflow: generate a spec, compile and solve
 it exactly, run the approximation pipeline, score baselines, replay a
 policy by sampling, run an acceptance suite, and validate a document.
 Exit codes: 0 success, 1 failed assertion or non-compliant input, 2
-usage or malformed input, 3 capacity overrun.  The environment variable
+usage or malformed input, 3 capacity overrun, including input nested
+deeper than Python's recursion limit (a RecursionError, say from JSON
+decoding or the exact solver).  The environment variable
 STOCHPROBE_STATE_CAP overrides the configuration-DP state cap.
 """
 
@@ -250,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CapacityError as exc:
+    except (CapacityError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ParseError, ParameterError, StructuralError,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..block import BlockNode
-from ..exceptions import ParameterError, StructuralError
-from ..model import Instance, PolicyNode, TransitionRow
+from ..block import BlockNode, batch_masses_exact, walk_blocks
+from ..exceptions import ParameterError
+from ..model import Instance, PolicyNode, walk_policy
 from .gen import stream
 
 __all__ = ["SimResult", "Z99", "simulate"]
@@ -33,13 +33,6 @@ class SimResult:
     trials: int
 
 
-def _row_at(instance: Instance, action_id: str, level: int) -> TransitionRow:
-    row = instance.action(action_id).rows.get(level)
-    if row is None:
-        raise StructuralError(f"action {action_id!r} has no row at level {level}")
-    return row
-
-
 def _split(g: np.random.Generator, count: int, probs: list[float]) -> list[int]:
     if len(probs) == 1:
         return [count]
@@ -48,61 +41,45 @@ def _split(g: np.random.Generator, count: int, probs: list[float]) -> list[int]:
     return [int(c) for c in g.multinomial(count, pvals)]
 
 
-def _descend_policy(instance: Instance, node: PolicyNode, count: int, acc: float,
-                    g: np.random.Generator, out: list[tuple[float, int]]) -> None:
-    if count == 0:
-        return
-    if node.is_leaf:
-        out.append((acc + instance.terminal[node.level], count))
-        return
-    row = _row_at(instance, node.action, node.level)
-    acc += row.profit
-    entries = [(j, p) for j, p in row.probs if p > 0.0]
-    counts = _split(g, count, [p for _, p in entries])
-    for (j, _p), c in zip(entries, counts):
-        child = node.children.get(j)
-        if child is None:
-            raise StructuralError(
-                f"node probing {node.action!r} at level {node.level} lacks a child for level {j}")
-        _descend_policy(instance, child, c, acc, g, out)
+def _descend_policy(instance: Instance, tree: PolicyNode, trials: int,
+                    g: np.random.Generator) -> list[tuple[float, int]]:
+    """(payoff, count) of every leaf the trials reach; the splits are drawn
+    in preorder, and a child no trial reaches is not visited."""
+
+    def step(node, row, children, state):
+        count, acc = state
+        acc += row.profit
+        counts = _split(g, count, [p for _, p in row.support])
+        return [(child, (c, acc)) for child, c in zip(children, counts) if c > 0]
+
+    return [(acc + instance.terminal[node.level], count)
+            for node, row, _children, (count, acc)
+            in walk_policy(instance, tree, (trials, 0.0), step) if row is None]
 
 
-def _descend_block(instance: Instance, node: BlockNode, item_idx: int, count: int,
-                   acc: float, g: np.random.Generator,
-                   out: list[tuple[float, int]]) -> None:
+def _descend_block(instance: Instance, tree: BlockNode, trials: int,
+                   g: np.random.Generator) -> list[tuple[float, int]]:
     """Batch semantics: items probed in order, stopping at the first one
     that leaves the entry level; each probed item contributes its row
-    profit.  Mirrors the exact batch mass accounting."""
-    if count == 0:
-        return
-    if node.is_leaf:
-        if node.items:
-            raise StructuralError("batch node without children")
-        out.append((acc + instance.terminal[node.level], count))
-        return
-    if item_idx == len(node.items):
-        child = node.children.get(node.level)
-        if child is None:
-            raise StructuralError(
-                f"block at level {node.level} lacks its flat child")
-        _descend_block(instance, child, 0, count, acc, g, out)
-        return
-    row = _row_at(instance, node.items[item_idx], node.level)
-    acc += row.profit
-    entries = [(j, p) for j, p in row.probs if p > 0.0]
-    counts = _split(g, count, [p for _, p in entries])
-    for (j, _p), c in zip(entries, counts):
-        if j == node.level:
-            _descend_block(instance, node, item_idx + 1, c, acc, g, out)
-            continue
-        child = node.children.get(j)
-        if child is None:
-            raise StructuralError(
-                f"block at level {node.level} lacks a child for level {j}")
-        if child.level != j:
-            raise StructuralError(
-                f"block child keyed {j} carries entry level {child.level}")
-        _descend_block(instance, child, 0, c, acc, g, out)
+    profit.  Mirrors the exact batch mass accounting.  The walk visits a
+    block once per item it probes, carrying the item index in its state;
+    every child a trial can reach has positive exact mass, so the walk has
+    checked it before the step looks it up."""
+
+    def step(node, profit, edges, state):
+        item, count, acc = state
+        if item == len(node.items):
+            return [(node.children[node.level], (0, count, acc))]
+        row = instance.action(node.items[item]).rows[node.level]
+        acc += row.profit
+        counts = _split(g, count, [p for _, p in row.support])
+        return [(node, (item + 1, c, acc)) if j == node.level else (node.children[j], (0, c, acc))
+                for (j, _), c in zip(row.support, counts) if c > 0]
+
+    return [(acc + instance.terminal[node.level], count)
+            for node, profit, _edges, (_item, count, acc)
+            in walk_blocks(instance, tree, batch_masses_exact, (0, trials, 0.0), step)
+            if profit is None]
 
 
 def simulate(instance: Instance, policy: PolicyNode | BlockNode, seed: int = 0,
@@ -111,11 +88,10 @@ def simulate(instance: Instance, policy: PolicyNode | BlockNode, seed: int = 0,
     if trials < 1:
         raise ParameterError("trials must be at least 1")
     g = stream(seed, "sim")
-    out: list[tuple[float, int]] = []
     if isinstance(policy, BlockNode):
-        _descend_block(instance, policy, 0, trials, 0.0, g, out)
+        out = _descend_block(instance, policy, trials, g)
     else:
-        _descend_policy(instance, policy, trials, 0.0, g, out)
+        out = _descend_policy(instance, policy, trials, g)
     payoffs = {x for x, c in out if c > 0}
     if len(payoffs) == 1:
         return SimResult(payoffs.pop(), 0.0, trials)

@@ -10,9 +10,9 @@ the realized levels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exceptions import ParameterError, StructuralError, UnknownActionError
 
@@ -88,11 +88,21 @@ class TransitionRow:
 
     def flat_mass(self, level: int) -> float:
         """Probability of staying at ``level``."""
-        return sum(p for j, p in self.probs if j == level)
+        return self.mass_at.get(level, 0.0)
 
     def risk_mass(self, level: int) -> float:
         """Probability of leaving ``level``; the per-node risk budget unit."""
         return 1.0 - self.flat_mass(level)
+
+    @cached_property
+    def mass_at(self) -> dict[int, float]:
+        """Transition mass by target level."""
+        return dict(self.probs)
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, float], ...]:
+        """The (level, mass) pairs of positive mass, in row order."""
+        return tuple((j, p) for j, p in self.probs if p > 0.0)
 
 
 @dataclass(frozen=True)
@@ -230,66 +240,116 @@ def validate_instance(instance: Instance) -> ComplianceReport:
     return ComplianceReport(tuple(found), not found)
 
 
-def _row_for(instance: Instance, node: PolicyNode) -> TransitionRow:
-    spec = instance.action(node.action)
-    row = spec.rows.get(node.level)
+def policy_edges(instance: Instance, node: PolicyNode) -> tuple[TransitionRow, list[PolicyNode]]:
+    """The row of an internal node and the children it reaches:
+    ``children[i]`` follows the outcome ``row.support[i]``.
+
+    This is where policy trees are checked: the row must exist, every
+    positive-mass outcome needs a child whose entry level equals its key,
+    and no child may sit at a level outside the row.  Children at
+    zero-mass outcomes of the row are allowed and never visited.
+    """
+    row = instance.action(node.action).rows.get(node.level)
     if row is None:
         raise StructuralError(f"action {node.action!r} has no row at level {node.level}")
-    return row
+    children = node.children
+    reached = []
+    for j, _ in row.support:
+        child = children.get(j)
+        if child is None:
+            raise StructuralError(
+                f"node probing {node.action!r} at level {node.level} lacks a child for level {j}")
+        if child.level != j:
+            raise StructuralError(f"child keyed {j} carries entry level {child.level}")
+        reached.append(child)
+    if len(children) > len(reached):
+        for j in children:
+            if j not in row.mass_at:
+                raise StructuralError(
+                    f"node probing {node.action!r} at level {node.level} has a stray child at level {j}")
+    return row, reached
+
+
+def walk_policy(instance: Instance, tree: PolicyNode, state: object = None,
+                step: Callable | None = None
+                ) -> Iterator[tuple[PolicyNode, TransitionRow | None, Sequence[PolicyNode], object]]:
+    """Checked preorder walk of a policy tree, without recursion.
+
+    Yields (node, row, children, state) for every node the walk reaches,
+    with ``row`` and ``children`` as ``policy_edges`` gives them; a leaf
+    has row None and no children.  By default every child is visited, in
+    row order, and the state stays None.  ``step(node, row, children,
+    state)`` instead returns the (child, state) pairs to visit next, in
+    visiting order; a child it leaves out is not visited.
+    """
+    stack = [(tree, state)]
+    push = stack.append
+    while stack:
+        node, state = stack.pop()
+        if node.action is None:
+            yield node, None, (), state
+            continue
+        row, children = policy_edges(instance, node)
+        yield node, row, children, state
+        if step is None:
+            for child in reversed(children):
+                push((child, None))
+        else:
+            stack.extend(reversed(step(node, row, children, state)))
+
+
+def walk_policy_reversed(instance: Instance, tree: PolicyNode, state: object = None,
+                         step: Callable | None = None
+                         ) -> Iterator[tuple[PolicyNode, TransitionRow | None, object]]:
+    """``walk_policy`` read backwards, as (node, row, state).
+
+    Every child comes before its parent and a node's first child last, so
+    a fold that pushes each node's value on a stack pops the values of a
+    node's children in row order.  Only references are kept between the
+    two passes, which spares the garbage collector.
+    """
+    nodes, rows, states = [], [], []
+    for node, row, _children, node_state in walk_policy(instance, tree, state, step):
+        nodes.append(node)
+        rows.append(row)
+        states.append(node_state)
+    return zip(reversed(nodes), reversed(rows), reversed(states))
 
 
 def evaluate_policy(instance: Instance, tree: PolicyNode) -> float:
     """Expected total profit of the policy: profits along the way plus the
     terminal payoff of the level reached when the tree bottoms out."""
-
-    def value(node: PolicyNode) -> float:
-        if node.is_leaf:
+    terminal = instance.terminal
+    values: list[float] = []
+    for node, row, _ in walk_policy_reversed(instance, tree):
+        if row is None:
             if node.t > instance.horizon + 1:
                 raise StructuralError("leaf sits past the end of the horizon")
-            return instance.terminal[node.level]
+            values.append(terminal[node.level])
+            continue
         if node.t > instance.horizon:
             raise StructuralError(f"internal node at t={node.t} exceeds horizon {instance.horizon}")
-        row = _row_for(instance, node)
-        outcomes = dict(row.probs)
         total = row.profit
-        for j, p in row.probs:
-            if p == 0.0:
-                continue
-            child = node.children.get(j)
-            if child is None:
-                raise StructuralError(
-                    f"node probing {node.action!r} at level {node.level} lacks a child for level {j}")
-            if child.level != j:
-                raise StructuralError(f"child keyed {j} carries entry level {child.level}")
-            total += p * value(child)
-        for j in node.children:
-            if j not in outcomes:
-                raise StructuralError(
-                    f"node probing {node.action!r} at level {node.level} has a stray child at level {j}")
-        return total
-
-    return value(tree)
+        for _, p in row.support:
+            total += p * values.pop()
+        values.append(total)
+    return values[0]
 
 
 def walk_reach(instance: Instance, tree: PolicyNode) -> Iterator[tuple[PolicyNode, float, float, float]]:
-    """Preorder walk yielding (node, reach probability, prefix risk mass,
-    prefix expected profit), prefixes excluding the node itself."""
-    stack: list[tuple[PolicyNode, float, float, float]] = [(tree, 1.0, 0.0, 0.0)]
-    while stack:
-        node, phi, mu, acc = stack.pop()
+    """Preorder walk, children by ascending level, yielding (node, reach
+    probability, prefix risk mass, prefix expected profit), prefixes
+    excluding the node itself."""
+
+    def step(node, row, children, state):
+        phi, mu, acc = state
+        mu += row.risk_mass(node.level)
+        acc += row.profit
+        return [(child, (phi * p, mu, acc))
+                for (_, p), child in sorted(zip(row.support, children))]
+
+    for node, _row, _children, (phi, mu, acc) in walk_policy(instance, tree, (1.0, 0.0, 0.0), step):
         yield node, phi, mu, acc
-        if node.is_leaf:
-            continue
-        row = _row_for(instance, node)
-        mu_v = row.risk_mass(node.level)
-        for j, p in sorted(row.probs, reverse=True):
-            if p == 0.0:
-                continue
-            child = node.children.get(j)
-            if child is None:
-                raise StructuralError(
-                    f"node probing {node.action!r} at level {node.level} lacks a child for level {j}")
-            stack.append((child, phi * p, mu + mu_v, acc + row.profit))
 
 
 def node_sum_profit(instance: Instance, tree: PolicyNode) -> float:
@@ -303,32 +363,24 @@ def node_sum_profit(instance: Instance, tree: PolicyNode) -> float:
         if node.is_leaf:
             total += phi * instance.terminal[node.level]
         else:
-            total += phi * _row_for(instance, node).profit
+            total += phi * instance.action(node.action).rows[node.level].profit
     return total
 
 
 def subtree_values(instance: Instance, tree: PolicyNode) -> dict[int, float]:
     """Map id(node) to the expected value of the subtree hanging at that node."""
+    terminal = instance.terminal
     out: dict[int, float] = {}
-
-    def value(node: PolicyNode) -> float:
-        if node.is_leaf:
-            v = instance.terminal[node.level]
+    values: list[float] = []
+    for node, row, _ in walk_policy_reversed(instance, tree):
+        if row is None:
+            v = terminal[node.level]
         else:
-            row = _row_for(instance, node)
             v = row.profit
-            for j, p in row.probs:
-                if p == 0.0:
-                    continue
-                child = node.children.get(j)
-                if child is None:
-                    raise StructuralError(
-                        f"node probing {node.action!r} at level {node.level} lacks a child for level {j}")
-                v += p * value(child)
+            for _, p in row.support:
+                v += p * values.pop()
+        values.append(v)
         out[id(node)] = v
-        return v
-
-    value(tree)
     return out
 
 
@@ -346,8 +398,8 @@ def path_stats(instance: Instance, tree: PolicyNode, node_path: Sequence[int]) -
     for j in node_path:
         if node.is_leaf:
             raise StructuralError("path descends through a leaf")
-        row = _row_for(instance, node)
-        edge = dict(row.probs).get(j)
+        row, _ = policy_edges(instance, node)
+        edge = row.mass_at.get(j)
         child = node.children.get(j)
         if edge is None or child is None:
             raise StructuralError(f"path step to level {j} is not in the tree")
@@ -366,25 +418,47 @@ def truncation_cut_set(instance: Instance, tree: PolicyNode, eps: float) -> list
     budget = 1.0 / eps
     cut: list[tuple[PolicyNode, float, float]] = []
 
-    def walk(node: PolicyNode, phi: float, mu: float) -> None:
-        if mu >= budget:
-            cut.append((node, phi, mu))
-            return
-        if node.is_leaf:
-            return
-        row = _row_for(instance, node)
-        mu_v = row.risk_mass(node.level)
-        for j, p in row.probs:
-            if p == 0.0:
-                continue
-            child = node.children.get(j)
-            if child is None:
-                raise StructuralError(
-                    f"node probing {node.action!r} at level {node.level} lacks a child for level {j}")
-            walk(child, phi * p, mu + mu_v)
+    def step(node, row, children, state):
+        phi, mu = state
+        mu += row.risk_mass(node.level)
+        reached = zip(row.support, children)
+        if mu < budget:
+            return [(child, (phi * p, mu)) for (_, p), child in reached]
+        cut.extend((child, phi * p, mu) for (_, p), child in reached)
+        return []
 
-    walk(tree, 1.0, 0.0)
+    for _ in walk_policy(instance, tree, (1.0, 0.0), step):
+        pass
     return cut
+
+
+def cut_policy(instance: Instance, tree: PolicyNode, cost: Callable[[PolicyNode, TransitionRow], float],
+               limit: float) -> PolicyNode:
+    """Replace by a dummy leaf every subtree whose path has spent ``limit``
+    or more before reaching it, summing ``cost(node, row)`` over the
+    actions taken strictly before the subtree's root (ties are cut)."""
+    if 0.0 >= limit:
+        return leaf_node(tree.level, tree.t)
+    stopped: set[int] = set()
+
+    def step(node, row, children, spent):
+        spent += cost(node, row)
+        if spent >= limit:
+            stopped.add(id(node))
+            return []
+        return [(child, spent) for child in children]
+
+    built: list[PolicyNode] = []
+    for node, row, _ in walk_policy_reversed(instance, tree, 0.0, step):
+        if row is None:
+            built.append(node)
+            continue
+        cut = id(node) in stopped
+        kept = {}
+        for j, _ in row.support:
+            kept[j] = leaf_node(j, node.children[j].t) if cut else built.pop()
+        built.append(PolicyNode(node.action, node.level, node.t, kept))
+    return built[0]
 
 
 def truncate_policy(instance: Instance, tree: PolicyNode, eps: float) -> PolicyNode:
@@ -392,32 +466,11 @@ def truncate_policy(instance: Instance, tree: PolicyNode, eps: float) -> PolicyN
     1/eps, replacing the remaining subtree by a dummy leaf.
 
     The prefix is measured over the actions already taken, so the root is
-    never cut unless the budget is zero-crossing at eps <= 0 (rejected) and
-    ties at exactly 1/eps are cut.
+    never cut, and ties at exactly 1/eps are cut.
     """
     if not (0.0 < eps <= 1.0):
         raise ParameterError("eps must lie in (0, 1]")
-    budget = 1.0 / eps
-
-    def rebuild(node: PolicyNode, mu: float) -> PolicyNode:
-        if mu >= budget:
-            return leaf_node(node.level, node.t)
-        if node.is_leaf:
-            return node
-        row = _row_for(instance, node)
-        mu_v = row.risk_mass(node.level)
-        children = {}
-        for j, p in row.probs:
-            if p == 0.0:
-                continue
-            child = node.children.get(j)
-            if child is None:
-                raise StructuralError(
-                    f"node probing {node.action!r} at level {node.level} lacks a child for level {j}")
-            children[j] = rebuild(child, mu + mu_v)
-        return PolicyNode(node.action, node.level, node.t, children)
-
-    return rebuild(tree, 0.0)
+    return cut_policy(instance, tree, lambda node, row: row.risk_mass(node.level), 1.0 / eps)
 
 
 def validate_policy_tree(instance: Instance, tree: PolicyNode) -> None:
@@ -430,37 +483,33 @@ def validate_policy_tree(instance: Instance, tree: PolicyNode) -> None:
         raise StructuralError(f"root entry level {tree.level} differs from start level {instance.start_level}")
     if tree.t != 1:
         raise StructuralError("root must sit at t=1")
-
-    def walk(node: PolicyNode, used_actions: frozenset[str], used_groups: frozenset[str]) -> None:
-        if node.is_leaf:
+    # (action, group) of the internal nodes above the current one.  A node's
+    # time index was checked against its parent's before the walk reaches
+    # it, so it gives the node's depth.
+    path: list[tuple[str, str]] = []
+    used_actions: set[str] = set()
+    used_groups: set[str] = set()
+    for node, row, children, _ in walk_policy(instance, tree):
+        while len(path) >= node.t:
+            action, group = path.pop()
+            used_actions.remove(action)
+            used_groups.remove(group)
+        if row is None:
             if node.children:
                 raise StructuralError("leaf carries children")
             if node.t > instance.horizon + 1:
                 raise StructuralError("leaf sits past the end of the horizon")
-            return
+            continue
         if node.t > instance.horizon:
             raise StructuralError(f"internal node at t={node.t} exceeds horizon {instance.horizon}")
         if node.action in used_actions:
             raise StructuralError(f"action {node.action!r} repeats along a path")
-        spec = instance.action(node.action)
-        if spec.group in used_groups:
-            raise StructuralError(f"group {spec.group!r} repeats along a path")
-        row = spec.rows.get(node.level)
-        if row is None:
-            raise StructuralError(f"action {node.action!r} has no row at level {node.level}")
-        outcomes = dict(row.probs)
-        for j, p in row.probs:
-            if p == 0.0:
-                continue
-            if j not in node.children:
-                raise StructuralError(f"missing child for realizable level {j}")
-        for j, child in node.children.items():
-            if j not in outcomes:
-                raise StructuralError(f"stray child at level {j}")
-            if child.level != j:
-                raise StructuralError(f"child keyed {j} carries entry level {child.level}")
+        group = instance.action(node.action).group
+        if group in used_groups:
+            raise StructuralError(f"group {group!r} repeats along a path")
+        for child in children:
             if child.t != node.t + 1:
                 raise StructuralError("child time index must increase by one")
-            walk(child, used_actions | {node.action}, used_groups | {spec.group})
-
-    walk(tree, frozenset(), frozenset())
+        path.append((node.action, group))
+        used_actions.add(node.action)
+        used_groups.add(group)

@@ -23,9 +23,12 @@ from .model import (
     Pmf,
     TransitionRow,
     ValueSpace,
+    cut_policy,
     evaluate_policy,
     leaf_node,
     subtree_values,
+    walk_policy,
+    walk_policy_reversed,
 )
 
 KINDS = ("probemax", "probetopk", "committed_probetopk", "committed_pandora",
@@ -797,19 +800,8 @@ def truncate_by_profit(instance: Instance, tree: PolicyNode,
                        theta: float) -> PolicyNode:
     """Cut every subtree whose path has already banked profit >= theta
     (prefix excludes the node's own action; ties cut)."""
-
-    def rebuild(node: PolicyNode, acc: float) -> PolicyNode:
-        if acc >= theta - 1e-12:
-            return leaf_node(node.level, node.t)
-        if node.is_leaf:
-            return node
-        assert node.action is not None
-        profit = _action_profit(instance, node.action)
-        children = {j: rebuild(child, acc + profit)
-                    for j, child in node.children.items()}
-        return PolicyNode(node.action, node.level, node.t, children)
-
-    return rebuild(tree, 0.0)
+    return cut_policy(instance, tree, lambda node, row: _action_profit(instance, node.action),
+                      theta - 1e-12)
 
 
 def sbk_value_of(instance: Instance, tree: PolicyNode) -> float:
@@ -817,26 +809,21 @@ def sbk_value_of(instance: Instance, tree: PolicyNode) -> float:
     profits, forfeited entirely if the path ends past the fit level."""
     fit_level = instance.meta.get("fit_level", instance.values.level_count - 1)
 
-    def walk(node: PolicyNode, banked: float) -> float:
-        if node.is_leaf:
-            return banked if node.level <= fit_level else 0.0
-        assert node.action is not None
+    def step(node, row, children, banked):
         profit = _action_profit(instance, node.action)
-        row = instance.action(node.action).rows[node.level]
-        total = 0.0
-        for j, p in row.probs:
-            if p <= 0.0:
-                continue
-            child = node.children.get(j)
-            if child is None:
-                raise StructuralError(
-                    f"missing child for realized level {j} under action "
-                    f"{node.action!r}")
-            fits = j <= fit_level
-            total += p * walk(child, banked + (profit if fits else 0.0))
-        return total
+        return [(child, banked + (profit if child.level <= fit_level else 0.0))
+                for child in children]
 
-    return walk(tree, 0.0)
+    values: list[float] = []
+    for node, row, banked in walk_policy_reversed(instance, tree, 0.0, step):
+        if row is None:
+            values.append(banked if node.level <= fit_level else 0.0)
+            continue
+        total = 0.0
+        for _, p in row.support:
+            total += p * values.pop()
+        values.append(total)
+    return values[0]
 
 
 def sbk_from_skp(instance: Instance, tree: PolicyNode) -> tuple[PolicyNode, float]:
@@ -853,16 +840,10 @@ def sbk_from_skp(instance: Instance, tree: PolicyNode) -> tuple[PolicyNode, floa
     best_tree = tree
     best_value = evaluate_policy(instance, tree)
     values = subtree_values(instance, tree)
-
-    def scan(node: PolicyNode) -> None:
-        nonlocal best_tree, best_value
+    for node, _row, _children, _ in walk_policy(instance, tree):
         if values[id(node)] > best_value + 1e-12:
             best_tree = node
             best_value = values[id(node)]
-        for child in node.children.values():
-            scan(child)
-
-    scan(tree)
     if best_value <= 0.0:
         cut = leaf_node(best_tree.level, best_tree.t)
         return cut, sbk_value_of(instance, cut)

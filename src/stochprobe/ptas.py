@@ -42,12 +42,6 @@ class Signature:
     grid: float
     profit_grid: float
 
-    def __add__(self, other: "Signature") -> "Signature":
-        if (self.grid, self.profit_grid) != (other.grid, other.profit_grid):
-            raise ParameterError("signatures on different grids cannot be summed")
-        return Signature(tuple(a + b for a, b in zip(self.units, other.units)),
-                         self.grid, self.profit_grid)
-
     def mass_units(self) -> tuple[int, ...]:
         return self.units[:-1]
 
@@ -79,10 +73,11 @@ def block_signature(instance: Instance, action_ids: Sequence[str], level: int,
                     grid: float, max_ref: float) -> Signature:
     """Entrywise sum of the batch's action signatures."""
     K = instance.values.level_count
-    sig = Signature(tuple([0] * (K + 1)), grid, grid * max_ref)
+    units = [0] * (K + 1)
     for action_id in action_ids:
-        sig = sig + action_signature(instance, action_id, level, grid, max_ref)
-    return sig
+        for i, u in enumerate(action_signature(instance, action_id, level, grid, max_ref).units):
+            units[i] += u
+    return Signature(tuple(units), grid, grid * max_ref)
 
 
 @dataclass(frozen=True)
@@ -400,43 +395,15 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
 # --- reconstruction and scoring ---------------------------------------------
 
 
-def _surrogate_value(instance: Instance, topology: Topology,
-                     sigs: tuple[tuple[int, ...], ...], grid: float,
-                     profit_grid: float) -> float:
-    """Rank configurations without materializing them.
-
-    Per node: profit is the rounded sum, upward masses are the rounded sums
-    clipped to 1, and the flat mass is whatever is left; transitions without
-    a topology child fall to a terminal leaf.  Children are evaluated in
-    tuple order so the node counter tracks preorder exactly.
-    """
-    K = instance.values.level_count
-    terminal = instance.terminal
-    counter = iter(range(len(sigs)))
-
-    def value(node: Topology) -> float:
-        idx = next(counter)
-        units = sigs[idx]
-        child_vals = {j: value(child) for j, child in node.children}
-        total = units[K] * profit_grid
-        up_total = 0.0
-        for j in range(node.level + 1, K):
-            pj = min(1.0, units[j] * grid)
-            if pj == 0.0:
-                continue
-            up_total += pj
-            total += pj * child_vals.get(j, terminal[j])
-        flat = max(0.0, 1.0 - up_total)
-        total += flat * child_vals.get(node.level, terminal[node.level])
-        return total
-
-    return value(topology)
-
-
 def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
                        profit_grid: float):
     """Flatten the topology into a postorder program so many configurations
-    can be scored without recursion; agrees with _surrogate_value exactly."""
+    can be scored without recursion.
+
+    Per node: profit is the rounded sum, upward masses are the rounded sums
+    clipped to 1, and the flat mass is whatever is left; transitions without
+    a topology child fall to a terminal leaf.
+    """
     K = instance.values.level_count
     terminal = instance.terminal
     prog: list[tuple[int, int, tuple[tuple[int, int | None], ...], int | None]] = []
@@ -543,17 +510,10 @@ def _check_signature_sums(instance: Instance, topology: Topology,
 
 def reconstruct_and_score(instance: Instance, topology: Topology,
                           result: ConfigDpResult, grid: float, max_ref: float,
-                          top_k: int = 32) -> tuple[BlockNode, float]:
+                          top_k: int = 32) -> tuple[BlockNode, float, float | None]:
     """Materialize the top-k surrogate-ranked configurations and return the
-    exactly-rescored best; with no candidates, the do-nothing policy."""
-    tree, value, _surrogate = _reconstruct_best(instance, topology, result,
-                                                grid, max_ref, top_k)
-    return tree, value
-
-
-def _reconstruct_best(instance: Instance, topology: Topology,
-                      result: ConfigDpResult, grid: float, max_ref: float,
-                      top_k: int) -> tuple[BlockNode, float, float | None]:
+    exactly-rescored best as (tree, value, its surrogate value); with no
+    candidates, the do-nothing policy and no surrogate."""
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
     start = instance.start_level
@@ -603,8 +563,9 @@ def estimate_max(instance: Instance, hint: str) -> float:
 
 @dataclass
 class PtasKnobs:
-    """Tuning knobs.  The theory couples them all to eps; they are exposed
-    independently so desk-scale runs stay tractable (see faithful_knobs)."""
+    """Tuning knobs.  The theory couples them all to eps (grid eps^4 over the
+    action count, budgets exponential in 1/eps^3); they are exposed
+    independently so desk-scale runs stay tractable."""
 
     eps: float = 0.3
     grid: float = 0.05
@@ -634,22 +595,6 @@ class PtasResult:
     tree: BlockNode
     value: float
     diagnostics: PtasDiagnostics
-
-
-def faithful_knobs(instance: Instance, eps: float) -> PtasKnobs:
-    """The literal eps-coupled parameterization.
-
-    Provided for reference: the grid is eps^4 over the action count and the
-    budgets are exponential in 1/eps^3, which is far outside desk scale for
-    any eps of practical interest.
-    """
-    if not (0.0 < eps < 1.0):
-        raise ParameterError("eps must lie in (0, 1)")
-    n = max(1, len(instance.actions))
-    depth = math.ceil(eps ** -3)
-    K = instance.values.level_count
-    return PtasKnobs(eps=eps, grid=eps ** 4 / n, block_budget=K ** depth,
-                     depth_limit=depth)
 
 
 def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
@@ -701,7 +646,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
             diag.partial = True
             continue
         diag.states_explored += result.states_explored
-        tree, value, surrogate = _reconstruct_best(
+        tree, value, surrogate = reconstruct_and_score(
             instance, topo, result, knobs.grid, max_ref, knobs.top_k)
         diag.completed += 1
         if value > best_value:

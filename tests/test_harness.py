@@ -391,6 +391,18 @@ def test_cli_capacity_overrun_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_deep_policy_document_exits_3(tmp_path, capsys):
+    _inst, path = small_kernel_doc(tmp_path)
+    depth = 5000
+    text = ('{"action": "b0", "level": 0, "t": 1, "children": {"0": ' * depth
+            + '{"action": null, "level": 0, "t": 2, "children": {}}' + "}}" * depth)
+    policy_path = tmp_path / "deep.json"
+    policy_path.write_text(text)
+    assert main(["simulate", "--in", str(path), "--policy", str(policy_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_cli_suite_round_trip(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     assert main(["suite", "--name", "oracle", "--seed", "5",

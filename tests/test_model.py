@@ -6,26 +6,34 @@ import pytest
 
 from stochprobe import (
     ActionSpec,
+    BlockNode,
     Instance,
     PolicyNode,
     StructuralError,
     TransitionRow,
     UnknownActionError,
     ValueSpace,
+    block_leaf,
+    block_profit_approx,
+    block_profit_exact,
+    blockify,
     evaluate_policy,
     leaf_node,
     node_sum_profit,
     optimal_policy,
     optimal_value,
     path_stats,
+    sbk_from_skp,
+    sbk_value_of,
     subtree_values,
+    truncate_by_profit,
     truncate_policy,
     truncation_cut_set,
     validate_instance,
     validate_policy_tree,
     walk_reach,
 )
-from stochprobe.harness import GenParams, gen_random_kernel, gen_random_policy
+from stochprobe.harness import GenParams, gen_random_kernel, gen_random_policy, simulate
 
 from conftest import act, kernel
 
@@ -249,3 +257,107 @@ def test_group_discipline_on_generated_trees():
 def test_optimal_policy_paths_respect_groups():
     inst = gen_random_kernel(11, GenParams(n=5, levels=3, horizon=5))
     validate_policy_tree(inst, optimal_policy(inst))
+
+
+# --- one checked walk per tree kind -------------------------------------------
+
+#: Every walker over policy trees, applied to (instance, tree).  The
+#: knapsack walkers read the ``profit`` annotation the kernels below carry.
+POLICY_WALKERS = {
+    "evaluate_policy": evaluate_policy,
+    "walk_reach": lambda inst, tree: list(walk_reach(inst, tree)),
+    "node_sum_profit": node_sum_profit,
+    "subtree_values": subtree_values,
+    "truncation_cut_set": lambda inst, tree: truncation_cut_set(inst, tree, 0.3),
+    "truncate_policy": lambda inst, tree: truncate_policy(inst, tree, 0.3),
+    "validate_policy_tree": validate_policy_tree,
+    "simulate": lambda inst, tree: simulate(inst, tree, trials=1000),
+    "sbk_value_of": sbk_value_of,
+    "truncate_by_profit": lambda inst, tree: truncate_by_profit(inst, tree, 100.0),
+    "sbk_from_skp": sbk_from_skp,
+}
+
+BLOCK_WALKERS = {
+    "block_profit_exact": block_profit_exact,
+    "block_profit_approx": block_profit_approx,
+    "simulate": lambda inst, tree: simulate(inst, tree, trials=1000),
+}
+
+
+def annotated_act(aid, group, rows, profit):
+    spec = act(aid, group, rows, profit=profit)
+    return ActionSpec(spec.id, spec.group, spec.rows, {"profit": profit})
+
+
+def coin_kernel():
+    """One coin from level 0 to levels 0 and 1, zero terminal payoffs."""
+    return kernel([annotated_act("a", "ga", {0: ((0, 0.5), (1, 0.5))}, 1.0)],
+                  [0.0, 0.0, 0.0], 1)
+
+
+POLICY_DEFECTS = {
+    "missing child": {0: leaf_node(0, 2)},
+    "wrong entry level": {0: leaf_node(0, 2), 1: leaf_node(0, 2)},
+    "stray key": {0: leaf_node(0, 2), 1: leaf_node(1, 2), 2: leaf_node(2, 2)},
+}
+
+BLOCK_DEFECTS = {
+    "missing up-child": {0: block_leaf(0)},
+    "missing flat child": {1: block_leaf(1)},
+    "wrong entry level": {0: block_leaf(0), 1: block_leaf(0)},
+}
+
+
+@pytest.mark.parametrize("walker", POLICY_WALKERS)
+def test_policy_walkers_accept_the_sound_tree(walker):
+    tree = PolicyNode("a", 0, 1, {0: leaf_node(0, 2), 1: leaf_node(1, 2)})
+    POLICY_WALKERS[walker](coin_kernel(), tree)
+
+
+@pytest.mark.parametrize("defect", POLICY_DEFECTS)
+@pytest.mark.parametrize("walker", POLICY_WALKERS)
+def test_policy_walkers_reject_malformed_children(walker, defect):
+    tree = PolicyNode("a", 0, 1, POLICY_DEFECTS[defect])
+    with pytest.raises(StructuralError):
+        POLICY_WALKERS[walker](coin_kernel(), tree)
+
+
+@pytest.mark.parametrize("walker", BLOCK_WALKERS)
+def test_block_walkers_accept_the_sound_tree(walker):
+    tree = BlockNode(("a",), 0, {0: block_leaf(0), 1: block_leaf(1)})
+    BLOCK_WALKERS[walker](coin_kernel(), tree)
+
+
+@pytest.mark.parametrize("defect", BLOCK_DEFECTS)
+@pytest.mark.parametrize("walker", BLOCK_WALKERS)
+def test_block_walkers_reject_malformed_children(walker, defect):
+    tree = BlockNode(("a",), 0, BLOCK_DEFECTS[defect])
+    with pytest.raises(StructuralError):
+        BLOCK_WALKERS[walker](coin_kernel(), tree)
+
+
+def deep_chain(depth):
+    """A two-level kernel of ``depth`` single-action groups and the flat
+    chain probing them in order, built bottom-up without recursion."""
+    actions = []
+    for j in range(depth):
+        risk = (1 + j % 4) / 64
+        actions.append(annotated_act(f"c{j}", f"g{j}", {0: ((0, 1.0 - risk), (1, risk))},
+                                     (j % 9) / 8))
+    inst = kernel(actions, [0.0, 0.0], depth)
+    tree = leaf_node(0, depth + 1)
+    for j in reversed(range(depth)):
+        tree = PolicyNode(f"c{j}", 0, j + 1, {0: tree, 1: leaf_node(1, j + 2)})
+    return inst, tree
+
+
+def test_walkers_have_no_depth_limit():
+    inst, tree = deep_chain(5000)
+    for walker in POLICY_WALKERS.values():
+        walker(inst, tree)
+    block_tree = blockify(inst, tree, 0.3, 1.0)
+    for walker in BLOCK_WALKERS.values():
+        walker(inst, block_tree)
+    value = evaluate_policy(inst, tree)
+    assert value == subtree_values(inst, tree)[id(tree)]
+    assert value == pytest.approx(node_sum_profit(inst, tree), abs=1e-9)

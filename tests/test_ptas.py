@@ -177,7 +177,7 @@ def _preorder_levels(topology):
 def test_reconstruct_single_candidate(two_probe_kernel):
     top = enumerate_topologies(2, 1, 1, 0)[0]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=0)
-    tree, value = reconstruct_and_score(
+    tree, value, _surrogate = reconstruct_and_score(
         two_probe_kernel, top, result, 0.25, 1.0)
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -185,7 +185,7 @@ def test_reconstruct_single_candidate(two_probe_kernel):
 def test_reconstruct_empty_candidates_is_noop(two_probe_kernel):
     empty = ConfigDpResult((), 0, ("g1", "g2"))
     top = enumerate_topologies(2, 1, 1, 0)[0]
-    tree, value = reconstruct_and_score(two_probe_kernel, top, empty, 0.25, 1.0)
+    tree, value, _surrogate = reconstruct_and_score(two_probe_kernel, top, empty, 0.25, 1.0)
     assert value == pytest.approx(two_probe_kernel.terminal[0], abs=1e-12)
 
 
@@ -199,10 +199,10 @@ def test_reconstruct_exact_rescoring_beats_surrogate_order():
         [0.0, 1.0], 1)
     top = enumerate_topologies(2, 1, 1, 0)[0]
     result = config_dp(inst, top, 0.0625, 1.0, caps=1)
-    tree1, value1 = reconstruct_and_score(inst, top, result, 0.0625, 1.0, top_k=1)
+    tree1, value1, _surrogate1 = reconstruct_and_score(inst, top, result, 0.0625, 1.0, top_k=1)
     assert tree1.items == ("b",)
     assert value1 == pytest.approx(0.4375, abs=1e-12)
-    tree2, value2 = reconstruct_and_score(inst, top, result, 0.0625, 1.0, top_k=2)
+    tree2, value2, _surrogate2 = reconstruct_and_score(inst, top, result, 0.0625, 1.0, top_k=2)
     assert tree2.items == ("a",)
     assert value2 == pytest.approx(0.4998, abs=1e-12)
 
