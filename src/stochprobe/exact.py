@@ -1,14 +1,42 @@
-"""Exact solver: backward induction over (time, level, remaining groups).
+"""Exact solver: a bottom-up sweep over (groups used, level).
 
-The remaining action set is tracked as a bitmask over groups, so the state
-space is horizon x levels x 2^groups and the group count is capped.  A
-built-in no-op (stay at the level, profit zero) pads policies that stop
-early, which makes the value of an empty action set the terminal payoff of
-the current level.  The solver is assumption-free: negative profits and
-non-monotone terminal payoffs are handled as-is.
+A state is the set of groups already used, kept as a bitmask, and the
+current level.  A policy that never idles has used ``u`` groups after
+``u`` steps, so the steps left, ``horizon - u``, follow from the mask and
+time is not a state coordinate.  Layer ``u`` holds the ``C(G, u)`` masks
+with ``u`` of the ``G`` groups used, for ``u = 0..min(horizon, G)``, and
+the value table ``W`` is filled one layer at a time from the bottom::
+
+    W(mask, l) = max(terminal[l],
+                     max over actions a of unused groups with a row at l of
+                         profit_a(l) + sum_j p_a(l, j) * W(mask + bit_a, j))
+
+The bottom layer, with no steps or no groups left, is ``terminal``.
+
+Why idling can be dropped.  Backward induction over (t, level, mask) with
+a no-op step that keeps the level and pays nothing gives, with ``s`` steps
+left, ``V_s = max(V_{s-1}, Q(V_{s-1}))`` and ``V_0 = terminal``, where
+``Q(X)`` is the best action value against continuation values ``X``.  So
+``V_s >= V_{s-1}``, and because every transition mass is nonnegative and
+float rounding is monotone, ``Q`` is monotone too: ``Q(V_{s-1}) >=
+Q(V_{s-2})``.  Unrolling the no-op once, ``V_s = max(terminal,
+Q(V_{s-2}), Q(V_{s-1})) = max(terminal, Q(V_{s-1}))``, which is the
+recurrence above.  ``W`` at layer ``u`` therefore equals the old
+``V(t = u + 1)`` as floats, from the same IEEE operations in the same
+order, with no assumption on the signs of profits or terminal payoffs.
+
+The sweep gathers, per layer and group, the child rows of every mask that
+can still use the group and adds ``p * W`` one outcome at a time in row
+order with elementwise numpy operations; a matrix product would reorder
+the sums.  The table is capped in groups and in cells, and the cell cap
+is checked before anything is allocated.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .exceptions import CapacityError
 from .model import ActionSpec, Instance, PolicyNode, leaf_node
@@ -16,105 +44,180 @@ from .model import ActionSpec, Instance, PolicyNode, leaf_node
 #: Hard default on the number of distinct groups the bitmask may carry.
 GROUP_CAP = 24
 
+#: Hard cap on the (mask, level) cells of all layers together, the sum over
+#: ``u`` of ``C(groups, u) * levels``; 2^25 cells are 256 MiB of floats.
+CELL_CAP = 1 << 25
 
-class _Solver:
+
+class _Kernel:
+    """The instance as the sweep sees it: group bits, members and layers."""
+
     def __init__(self, instance: Instance, group_cap: int):
         groups = instance.groups()
-        if len(groups) > group_cap:
+        G = len(groups)
+        # Masks are 64-bit signed words.
+        cap = min(group_cap, 63)
+        if G > cap:
+            raise CapacityError(f"{G} groups exceed the solver cap of {cap}")
+        K = instance.values.level_count
+        self.depth = min(instance.horizon, G)
+        cells = sum(math.comb(G, u) for u in range(self.depth + 1)) * K
+        if cells > CELL_CAP:
             raise CapacityError(
-                f"{len(groups)} groups exceed the solver cap of {group_cap}")
-        self.instance = instance
-        self.bit_of = {g: 1 << i for i, g in enumerate(groups)}
+                f"{cells} table cells ({G} groups, horizon {instance.horizon}, "
+                f"{K} levels) exceed the solver cap of {CELL_CAP}")
         by_group: dict[str, list[ActionSpec]] = {g: [] for g in groups}
         for spec in instance.actions:
             by_group[spec.group].append(spec)
         for members in by_group.values():
             members.sort(key=lambda s: s.id)
-        self.group_actions = [(self.bit_of[g], by_group[g]) for g in groups]
-        self.full_mask = (1 << len(groups)) - 1
-        self.memo: dict[tuple[int, int, int], float] = {}
+        #: (bit, members by id) per group, groups in action-list order.
+        self.groups = [(1 << i, by_group[g]) for i, g in enumerate(groups)]
+        self.terminal = instance.terminal
+        self.layers = _mask_layers(G, self.depth)
 
-    def value(self, t: int, level: int, mask: int) -> float:
-        if t == self.instance.horizon + 1:
-            return self.instance.terminal[level]
-        key = (t, level, mask)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        best = self.value(t + 1, level, mask)  # no-op filler step
-        for bit, members in self.group_actions:
-            if not (mask & bit):
-                continue
-            rest = mask & ~bit
-            for spec in members:
-                row = spec.rows.get(level)
-                if row is None:
-                    continue
-                q = row.profit
-                for j, p in row.probs:
-                    if p > 0.0:
-                        q += p * self.value(t + 1, j, rest)
-                if q > best:
-                    best = q
-        self.memo[key] = best
-        return best
 
-    def best_action(self, t: int, level: int, mask: int) -> tuple[ActionSpec | None, float]:
-        """Best real action and its value; ties resolved toward the lowest id."""
-        best_spec: ActionSpec | None = None
-        best_q = float("-inf")
-        for bit, members in self.group_actions:
-            if not (mask & bit):
+def _mask_layers(groups: int, depth: int) -> list[np.ndarray]:
+    """Layer ``u`` for ``u = 0..depth``: the masks with ``u`` bits, ascending.
+
+    Layer ``u + 1`` extends every mask of layer ``u`` by each bit above its
+    highest.  Ascending masks of one size have nondecreasing highest bits,
+    so the masks extended by bit ``b`` form a prefix, and concatenating the
+    extensions by ``b = 0, 1, ...`` yields the next layer already sorted.
+    """
+    layer = np.zeros(1, dtype=np.int64)
+    top = np.full(1, -1)
+    layers = [layer]
+    for _ in range(depth):
+        counts = np.searchsorted(top, np.arange(groups))
+        layer = np.concatenate([layer[:n] | (1 << b) for b, n in enumerate(counts)])
+        top = np.repeat(np.arange(groups), counts)
+        layers.append(layer)
+    return layers
+
+
+class _Rows:
+    """One action's rows, term-major for the sweep.
+
+    Rows are ordered by support size, largest first, so the rows that have
+    a ``k``-th positive-mass outcome are a prefix; ``terms[k]`` holds its
+    length and those outcomes' levels and masses.
+    """
+
+    def __init__(self, spec: ActionSpec):
+        rows = sorted(spec.rows.items(), key=lambda item: -len(item[1].support))
+        self.levels = np.array([level for level, _ in rows], dtype=np.intp)
+        self.profit = np.array([row.profit for _, row in rows], dtype=float)[:, None]
+        self.terms = []
+        for k in range(len(rows[0][1].support) if rows else 0):
+            live = [row.support[k] for _, row in rows if len(row.support) > k]
+            self.terms.append((len(live), np.array([j for j, _ in live], dtype=np.intp),
+                               np.array([p for _, p in live], dtype=float)[:, None]))
+
+    def improve(self, best: np.ndarray, child: np.ndarray) -> None:
+        """Raise ``best`` (levels x masks) to this action's values where they
+        are strictly larger, given the child rows (levels x masks, or levels
+        x 1 when every mask has the same child row)."""
+        if not len(self.levels):
+            return
+        q = np.repeat(self.profit, child.shape[1], axis=1)
+        for m, targets, probs in self.terms:
+            term = child[targets]
+            term *= probs
+            q[:m] += term
+        old = best[self.levels]
+        best[self.levels] = np.where(q > old, q, old)
+
+
+def _sweep(kernel: _Kernel):
+    """Yield the value table of every layer, bottom layer first, as a
+    (levels x masks) array whose columns follow the layer's masks."""
+    terminal = np.array(kernel.terminal, dtype=float)[:, None]
+    groups = [(bit, [_Rows(spec) for spec in members]) for bit, members in kernel.groups]
+    layers, depth = kernel.layers, kernel.depth
+    # The bottom layer, the widest, is terminal in every column: it is kept
+    # as a read-only broadcast and never gathered from.
+    table = np.broadcast_to(terminal, (len(terminal), len(layers[depth])))
+    yield table
+    for u in range(depth - 1, -1, -1):
+        child = table
+        used = layers[u]
+        table = np.repeat(terminal, len(used), axis=1)
+        for bit, members in groups:
+            sel = np.flatnonzero((used & bit) == 0)
+            if not len(sel):
                 continue
-            rest = mask & ~bit
-            for spec in members:
-                row = spec.rows.get(level)
-                if row is None:
-                    continue
-                q = row.profit
-                for j, p in row.probs:
-                    if p > 0.0:
-                        q += p * self.value(t + 1, j, rest)
-                if best_spec is None or q > best_q:
-                    best_spec, best_q = spec, q
-        return best_spec, best_q
+            if u + 1 == depth:
+                rows = terminal
+            else:
+                rows = child[:, np.searchsorted(layers[u + 1], used[sel] | bit)]
+            best = table[:, sel]
+            for member in members:
+                member.improve(best, rows)
+            table[:, sel] = best
+        yield table
+
+
+def _root(instance: Instance, group_cap: int) -> list[float]:
+    """Optimal value from every start level with all groups unused."""
+    for table in _sweep(_Kernel(instance, group_cap)):
+        pass
+    return table[:, 0].tolist()
 
 
 def optimal_value(instance: Instance, start_level: int | None = None, *,
                   group_cap: int = GROUP_CAP) -> float:
     """Optimal expected profit from (start_level, t=1) with all actions available."""
-    solver = _Solver(instance, group_cap)
     start = instance.start_level if start_level is None else start_level
-    return solver.value(1, start, solver.full_mask)
+    return _root(instance, group_cap)[start]
 
 
 def max_over_starts(instance: Instance, *, group_cap: int = GROUP_CAP) -> float:
     """Largest optimal value over all possible start levels; the global
     reference scale for loss bounds and signature grids."""
-    solver = _Solver(instance, group_cap)
-    return max(solver.value(1, level, solver.full_mask)
-               for level in range(instance.values.level_count))
+    return max(_root(instance, group_cap))
 
 
 def optimal_policy(instance: Instance, *, group_cap: int = GROUP_CAP) -> PolicyNode:
     """An optimal decision tree.
 
-    At each state the best real action is kept when it at least matches the
-    value of idling; otherwise the policy stops with a dummy leaf.  Argmax
-    ties go to the lowest action id, and zero-probability branches are
-    omitted.
+    At each state the best real action is kept when it at least matches
+    the terminal payoff of the current level, which is what stopping earns;
+    otherwise the policy stops with a dummy leaf.  Argmax ties go to the
+    first group in action-list order, then to the lowest action id within
+    the group, and zero-probability branches are omitted.
     """
-    solver = _Solver(instance, group_cap)
-
-    def build(t: int, level: int, mask: int) -> PolicyNode:
-        if t == instance.horizon + 1:
-            return leaf_node(level, t)
-        spec, q = solver.best_action(t, level, mask)
-        if spec is None or q < solver.value(t + 1, level, mask):
-            return leaf_node(level, t)
-        rest = mask & ~solver.bit_of[spec.group]
-        row = spec.rows[level]
-        children = {j: build(t + 1, j, rest) for j, p in row.probs if p > 0.0}
-        return PolicyNode(spec.id, level, t, children)
-
-    return build(1, instance.start_level, solver.full_mask)
+    kernel = _Kernel(instance, group_cap)
+    tables = list(_sweep(kernel))[::-1]
+    layers, terminal = kernel.layers, instance.terminal
+    holder: dict[None, PolicyNode] = {}
+    # (children dict, key, groups used, level, used mask); a parent's dict is
+    # keyed in row order before its children are built, so filling it in
+    # any order keeps that order.
+    stack: list[tuple[dict, object, int, int, int]] = [
+        (holder, None, 0, instance.start_level, 0)]
+    while stack:
+        parent, key, u, level, used = stack.pop()
+        node = None
+        if u < kernel.depth:
+            best, best_q, best_used = None, 0.0, 0
+            for bit, members in kernel.groups:
+                if used & bit:
+                    continue
+                nxt = used | bit
+                col = tables[u + 1][:, np.searchsorted(layers[u + 1], nxt)].tolist()
+                for spec in members:
+                    row = spec.rows.get(level)
+                    if row is None:
+                        continue
+                    q = row.profit
+                    for j, p in row.support:
+                        q += p * col[j]
+                    if best is None or q > best_q:
+                        best, best_q, best_used = spec, q, nxt
+            if best is not None and not best_q < terminal[level]:
+                children = dict.fromkeys(j for j, _ in best.rows[level].support)
+                node = PolicyNode(best.id, level, u + 1, children)
+                stack.extend((children, j, u + 1, j, best_used) for j in children)
+        parent[key] = leaf_node(level, u + 1) if node is None else node
+    return holder[None]

@@ -1,11 +1,17 @@
 """Exact finite-horizon solver: oracle identities and state-space limits."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from stochprobe import (
+    ActionSpec,
     CapacityError,
     Pmf,
+    PolicyNode,
     ProblemSpec,
+    TransitionRow,
     build_probemax,
     evaluate_policy,
     expected_max,
@@ -15,7 +21,9 @@ from stochprobe import (
     subtree_values,
     walk_reach,
 )
+from stochprobe.exact import CELL_CAP
 from stochprobe.harness import GenParams, gen_random_kernel
+from stochprobe.model import leaf_node
 
 from conftest import act, kernel
 
@@ -70,6 +78,12 @@ def test_ties_break_to_lowest_action_id():
     assert optimal_policy(inst).action == "i0"
 
 
+def test_ties_break_to_first_group_in_action_list_order():
+    row = {0: ((0, 0.5), (1, 0.5))}
+    inst = kernel([act("b", "gb", row), act("a", "ga", row)], [0.0, 4.0], 1)
+    assert optimal_policy(inst).action == "b"
+
+
 def test_identical_items_swap_invariant():
     spec = ProblemSpec("probemax", (COIN_10, COIN_10), m=1)
     inst, _ = build_probemax(spec, step=1.0, theta=10.0)
@@ -121,3 +135,122 @@ def test_group_cap_overflow_raises():
     inst = kernel(acts, [0.0], 4)
     with pytest.raises(CapacityError):
         optimal_value(inst, group_cap=3)
+
+
+def test_horizon_far_beyond_recursion_limit():
+    inst = kernel([act("a", "g", {0: ((1, 1.0),)}, profit=0.5)], [0.0, 2.0], 10_000)
+    assert optimal_value(inst) == 2.5
+    assert max_over_starts(inst) == 2.5
+    tree = optimal_policy(inst)
+    assert tree == PolicyNode("a", 0, 1, {1: leaf_node(1, 2)})
+
+
+def test_table_cap_raises_before_allocating():
+    acts = [act(f"a{i}", f"g{i}", {lvl: ((min(lvl + 1, 12), 1.0),) for lvl in range(13)})
+            for i in range(24)]
+    inst = kernel(acts, [float(h) for h in range(13)], 24)
+    assert 13 * 2 ** 24 > CELL_CAP
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        for solve in (optimal_value, max_over_starts, optimal_policy):
+            with pytest.raises(CapacityError):
+                solve(inst)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+
+
+class _Reference:
+    """Memoised backward induction over (t, level, mask) with a no-op filler
+    step, the way the solver was first written; the sweep must match it."""
+
+    def __init__(self, inst):
+        groups = inst.groups()
+        self.inst = inst
+        self.full = (1 << len(groups)) - 1
+        self.order = [(1 << i, sorted((s for s in inst.actions if s.group == g),
+                                      key=lambda s: s.id))
+                      for i, g in enumerate(groups)]
+        self.memo = {}
+
+    def q_values(self, t, level, mask):
+        for bit, members in self.order:
+            if mask & bit:
+                for spec in members:
+                    row = spec.rows.get(level)
+                    if row is not None:
+                        q = row.profit
+                        for j, p in row.probs:
+                            if p > 0.0:
+                                q += p * self.value(t + 1, j, mask & ~bit)
+                        yield spec, bit, q
+
+    def value(self, t, level, mask):
+        if t == self.inst.horizon + 1:
+            return self.inst.terminal[level]
+        key = (t, level, mask)
+        if key not in self.memo:
+            best = self.value(t + 1, level, mask)
+            for _spec, _bit, q in self.q_values(t, level, mask):
+                if q > best:
+                    best = q
+            self.memo[key] = best
+        return self.memo[key]
+
+    def policy(self, t, level, mask):
+        if t == self.inst.horizon + 1:
+            return leaf_node(level, t)
+        best = None
+        for choice in self.q_values(t, level, mask):
+            if best is None or choice[2] > best[2]:
+                best = choice
+        if best is None or best[2] < self.value(t + 1, level, mask):
+            return leaf_node(level, t)
+        spec, bit, _ = best
+        return PolicyNode(spec.id, level, t,
+                          {j: self.policy(t + 1, j, mask & ~bit)
+                           for j, p in spec.rows[level].probs if p > 0.0})
+
+
+def _shape(node):
+    """A tree as nested tuples, children in dict order."""
+    return (node.action, node.level, node.t,
+            tuple((j, _shape(child)) for j, child in node.children.items()))
+
+
+def _flipped(inst):
+    """Negated profits and a reversed terminal vector."""
+    acts = [ActionSpec(s.id, s.group, {lvl: TransitionRow(row.probs, -row.profit)
+                                       for lvl, row in s.rows.items()})
+            for s in inst.actions]
+    return kernel(acts, inst.terminal[::-1], inst.horizon, inst.start_level)
+
+
+def test_sweep_matches_reference_recursion_exactly():
+    seen = set()
+    count = 0
+    for seed in range(40):
+        # Masses k/q with q not a power of two round, so reordered sums show.
+        base = gen_random_kernel(seed, GenParams(n=5 + seed % 3, levels=3 + seed % 3,
+                                                 q=7 + seed % 4))
+        groups = len(base.groups())
+        if groups < len(base.actions):
+            seen.add("shared group")
+        if any(len(s.rows) < len(base.terminal) for s in base.actions):
+            seen.add("missing row")
+        for horizon in (groups - 2, groups, groups + 1):
+            inst = kernel(base.actions, base.terminal, max(horizon, 0))
+            for variant in (inst, _flipped(inst)):
+                ref = _Reference(variant)
+                assert optimal_value(variant) == ref.value(1, 0, ref.full)
+                assert max_over_starts(variant) == max(
+                    ref.value(1, level, ref.full) for level in range(len(variant.terminal)))
+                assert _shape(optimal_policy(variant)) == _shape(ref.policy(1, 0, ref.full))
+                seen.add((horizon > groups) - (horizon < groups))
+                count += 1
+    assert count >= 200
+    assert seen == {-1, 0, 1, "shared group", "missing row"}
