@@ -36,13 +36,10 @@ class UsageError(StochprobeError):
 
 
 class CapacityError(StochprobeError):
-    """A configured combinatorial cap was exceeded.
+    """A configured combinatorial cap was exceeded; raised as soon as it
+    is, with ``states_explored`` the number of states (or topologies)
+    touched by then."""
 
-    ``partial`` optionally carries whatever was enumerated before the cap hit,
-    and ``states_explored`` the number of states touched.
-    """
-
-    def __init__(self, message: str, *, states_explored: int = 0, partial=None):
+    def __init__(self, message: str, *, states_explored: int = 0):
         super().__init__(message)
         self.states_explored = states_explored
-        self.partial = partial

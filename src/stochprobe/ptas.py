@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .block import BlockNode, block_leaf, block_profit_exact
+from .block import BlockNode, batch_masses_exact, block_leaf, block_profit_exact
 from .exact import max_over_starts
 from .exceptions import CapacityError, HintError, ParameterError, StructuralError
 from .model import Instance, validate_instance
@@ -41,9 +42,6 @@ class Signature:
     units: tuple[int, ...]
     grid: float
     profit_grid: float
-
-    def mass_units(self) -> tuple[int, ...]:
-        return self.units[:-1]
 
     def profit_value(self) -> float:
         return self.units[-1] * self.profit_grid
@@ -88,11 +86,22 @@ class Topology:
     level: int
     children: tuple[tuple[int, "Topology"], ...] = ()
 
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for _, c in self.children)
+    @cached_property
+    def nodes(self) -> tuple[tuple[int, int, int], ...]:
+        """Preorder table of (level, parent index, key) rows; the root is
+        row 0 with parent -1 and key -1.  Every child comes after its
+        parent, and siblings keep their order."""
+        table: list[tuple[int, int, int]] = []
+        stack = [(self, -1, -1)]
+        while stack:
+            node, parent, key = stack.pop()
+            idx = len(table)
+            table.append((node.level, parent, key))
+            stack.extend((child, idx, j) for j, child in reversed(node.children))
+        return tuple(table)
 
-    def depth(self) -> int:
-        return 1 + max((c.depth() for _, c in self.children), default=0)
+    def node_count(self) -> int:
+        return len(self.nodes)
 
 
 def enumerate_topologies(level_count: int, block_budget: int, depth_limit: int,
@@ -101,8 +110,7 @@ def enumerate_topologies(level_count: int, block_budget: int, depth_limit: int,
     nodes and at most ``depth_limit`` blocks on any path, in a fixed order.
 
     Entry levels never decrease along a path and each node holds at most one
-    child per level.  Exceeding ``count_cap`` raises a capacity error whose
-    ``partial`` attribute carries everything enumerated so far.
+    child per level.  Exceeding ``count_cap`` raises a capacity error.
     """
     if block_budget < 1 or depth_limit < 1:
         raise ParameterError("block_budget and depth_limit must be at least 1")
@@ -142,7 +150,7 @@ def enumerate_topologies(level_count: int, block_budget: int, depth_limit: int,
             if len(result) > count_cap:
                 raise CapacityError(
                     f"topology enumeration exceeded the cap of {count_cap}",
-                    states_explored=len(result), partial=tuple(result))
+                    states_explored=len(result))
     return tuple(result)
 
 
@@ -166,27 +174,6 @@ class ConfigDpResult:
     group_order: tuple[str, ...]
 
 
-def _topology_nodes(topology: Topology) -> tuple[list[int], list[tuple[int, ...]], list[list[int]]]:
-    """Preorder levels, per-node ancestor tuples, and root-to-leaf paths."""
-    levels: list[int] = []
-    ancestors: list[tuple[int, ...]] = []
-    paths: list[list[int]] = []
-
-    def walk(node: Topology, anc: tuple[int, ...]) -> None:
-        idx = len(levels)
-        levels.append(node.level)
-        ancestors.append(anc)
-        here = anc + (idx,)
-        if not node.children:
-            paths.append(list(here))
-            return
-        for _, child in node.children:
-            walk(child, here)
-
-    walk(topology, ())
-    return levels, ancestors, paths
-
-
 def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     comparable = [set(anc) for anc in ancestors]
     for i, anc in enumerate(ancestors):
@@ -207,39 +194,35 @@ def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...
 
 
 def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: float,
-              caps: Sequence[int] | int | None = None, *,
+              caps: int | None = None, *,
               state_cap: int | None = None) -> ConfigDpResult:
     """Forward reachability over configurations.
 
     Groups are folded in one at a time (ordered by their smallest action
     id); each may be skipped or placed on any antichain of topology nodes,
     choosing one member action per placed node.  Every placement consumes
-    one cap unit on each root-to-leaf path through the antichain.  States
-    are per-node signature sums plus residual caps; each surviving
-    configuration keeps its first-found traceback.
+    one cap unit on each root-to-leaf path through the antichain (``caps``
+    per path, at most the horizon).  States are per-node signature sums
+    plus residual caps.  A state reached by skipping a group keeps that
+    skip as its traceback; otherwise the first placement to reach it wins.
     """
     if grid <= 0.0:
         raise ParameterError("grid must be positive")
     cap_limit = state_cap
     if cap_limit is None:
         cap_limit = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
-    levels, ancestors, paths = _topology_nodes(topology)
+    cap = instance.horizon if caps is None else min(caps, instance.horizon)
+    if cap < 0:
+        raise ParameterError("caps must be nonnegative")
+    levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
+    ancestors: list[tuple[int, ...]] = []
+    for _level, parent, _key in topology.nodes:
+        ancestors.append(() if parent < 0 else ancestors[parent] + (parent,))
+    inner = {parent for _, parent, _ in topology.nodes}
+    paths = [ancestors[i] + (i,) for i in range(n_nodes) if i not in inner]
     K = instance.values.level_count
     width = K + 1
-
-    horizon = instance.horizon
-    if caps is None:
-        caps_vec = tuple(horizon for _ in paths)
-    elif isinstance(caps, int):
-        caps_vec = tuple(min(caps, horizon) for _ in paths)
-    else:
-        if len(caps) != len(paths):
-            raise ParameterError(
-                f"caps vector has {len(caps)} entries for {len(paths)} paths")
-        caps_vec = tuple(min(int(c), horizon) for c in caps)
-    if any(c < 0 for c in caps_vec):
-        raise ParameterError("caps must be nonnegative")
 
     node_paths = [frozenset(j for j, path in enumerate(paths) if i in path)
                   for i in range(n_nodes)]
@@ -289,20 +272,17 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     # caps (one guarded slot per path, so an underflowing placement is caught
     # by its guard bit), the high bits the per-node unit sums (slots sized so
     # no reachable sum can carry between them).
-    max_cap = max(caps_vec, default=0)
-    cb = max_cap.bit_length() + 2
-    caps_bits = len(caps_vec) * cb
+    cb = cap.bit_length() + 2
+    caps_bits = len(paths) * cb
     caps_all = (1 << caps_bits) - 1
     guard = 0
-    for j in range(len(caps_vec)):
-        guard |= 1 << (j * cb + cb - 1)
-    unit_max = max((max(u) for u in sig_cache.values() if u), default=0)
-    sb = max(1, (max_cap * unit_max).bit_length())
-    slot_mask = (1 << sb) - 1
-
     init_key = 0
-    for j, c in enumerate(caps_vec):
-        init_key |= c << (j * cb)
+    for j in range(len(paths)):
+        guard |= 1 << (j * cb + cb - 1)
+        init_key |= cap << (j * cb)
+    unit_max = max((max(u) for u in sig_cache.values() if u), default=0)
+    sb = max(1, (cap * unit_max).bit_length())
+    slot_mask = (1 << sb) - 1
 
     # Per group: (packed delta, placement tuple).  The delta adds the unit
     # sums and subtracts the covered caps in one integer add.
@@ -320,33 +300,34 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
             deltas.append((d, tuple((i, a) for i, a, _ in combo)))
         deltas_by_group.append(deltas)
 
-    stages: list[dict[int, tuple[int, tuple[tuple[int, str], ...] | None]]]
-    stages = [{init_key: (init_key, None)}]
-    frozen: dict[int, int] = {}  # key -> last stage index it appears in
+    # Each state maps to its traceback chain: None at the start, else
+    # (group index, placement, the chain it extends).  A skip reuses its
+    # state's chain, so only placements add links.
+    prev: dict[int, tuple | None] = {init_key: None}
+    frozen: dict[int, tuple | None] = {}  # parked key -> its chain
     explored = 1
     for g, deltas in enumerate(deltas_by_group):
-        prev = stages[-1]
-        nxt: dict[int, tuple[int, tuple[tuple[int, str], ...] | None]] = {}
-        for key in prev:
+        nxt: dict[int, tuple | None] = {}
+        for key, chain in prev.items():
             if key & caps_all == 0:
                 # No placement can ever fit again; park the state and stop
                 # carrying it through the remaining stages.
                 if key not in frozen:
-                    frozen[key] = g
+                    frozen[key] = chain
                 continue
-            nxt[key] = (key, None)  # skip the group
+            nxt[key] = chain  # skip the group; this overrides a placement
             for d, placement in deltas:
                 new_key = key + d
                 if new_key & guard:
                     continue
                 if new_key not in nxt:
-                    nxt[new_key] = (key, placement)
+                    nxt[new_key] = (g, placement, chain)
             if len(nxt) + len(frozen) > cap_limit:
                 raise CapacityError(
                     f"configuration DP exceeded the state cap of {cap_limit}",
                     states_explored=explored + len(nxt))
         explored += len(nxt)
-        stages.append(nxt)
+        prev = nxt
 
     def decode(key: int) -> tuple[tuple[int, ...], ...]:
         sums = key >> caps_bits
@@ -360,15 +341,11 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
             out.append(tuple(row))
         return tuple(out)
 
-    def traceback(key: int, upto: int) -> tuple[tuple[tuple[int, str], ...] | None, ...]:
-        trace: list[tuple[tuple[int, str], ...] | None] = \
-            [None] * (len(stages) - 1 - upto)
-        cur = key
-        for stage in range(upto, 0, -1):
-            prev_key, placement = stages[stage][cur]
-            trace.append(placement)
-            cur = prev_key
-        trace.reverse()
+    def traceback(chain: tuple | None) -> tuple[tuple[tuple[int, str], ...] | None, ...]:
+        trace: list[tuple[tuple[int, str], ...] | None] = [None] * len(group_order)
+        while chain is not None:
+            g, placement, chain = chain
+            trace[g] = placement
         return tuple(trace)
 
     # Collapse to configurations, first found winning; parked states come
@@ -376,19 +353,13 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     # order.
     candidates: list[Candidate] = []
     seen_sums: set[int] = set()
-    for key, upto in frozen.items():
-        sums = key >> caps_bits
-        if sums in seen_sums:
-            continue
-        seen_sums.add(sums)
-        candidates.append(Candidate(decode(key), traceback(key, upto)))
-    last = len(stages) - 1
-    for key in stages[-1]:
-        sums = key >> caps_bits
-        if sums in seen_sums:
-            continue
-        seen_sums.add(sums)
-        candidates.append(Candidate(decode(key), traceback(key, last)))
+    for states in (frozen, prev):
+        for key, chain in states.items():
+            sums = key >> caps_bits
+            if sums in seen_sums:
+                continue
+            seen_sums.add(sums)
+            candidates.append(Candidate(decode(key), traceback(chain)))
     return ConfigDpResult(tuple(candidates), explored, group_order)
 
 
@@ -397,8 +368,8 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
 
 def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
                        profit_grid: float):
-    """Flatten the topology into a postorder program so many configurations
-    can be scored without recursion.
+    """Flatten the topology into a children-first program over its reversed
+    preorder table, so many configurations can be scored without recursion.
 
     Per node: profit is the rounded sum, upward masses are the rounded sums
     clipped to 1, and the flat mass is whatever is left; transitions without
@@ -406,18 +377,18 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
     """
     K = instance.values.level_count
     terminal = instance.terminal
+    nodes = topology.nodes
+    n = len(nodes)
+    child_at: list[dict[int, int]] = [{} for _ in nodes]
+    for idx, (_level, parent, key) in enumerate(nodes):
+        if parent >= 0:
+            child_at[parent][key] = idx
     prog: list[tuple[int, int, tuple[tuple[int, int | None], ...], int | None]] = []
-    counter = iter(range(1 << 30))
-
-    def walk(node: Topology) -> int:
-        idx = next(counter)
-        child_idx = {j: walk(child) for j, child in node.children}
-        ups = tuple((j, child_idx.get(j)) for j in range(node.level + 1, K))
-        prog.append((idx, node.level, ups, child_idx.get(node.level)))
-        return idx
-
-    walk(topology)
-    n = len(prog)
+    for idx in range(n - 1, -1, -1):
+        level = nodes[idx][0]
+        kids = child_at[idx]
+        ups = tuple((j, kids.get(j)) for j in range(level + 1, K))
+        prog.append((idx, level, ups, kids.get(level)))
 
     def score(sigs: tuple[tuple[int, ...], ...]) -> float:
         vals = [0.0] * n
@@ -443,55 +414,45 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
     return score
 
 
-def materialize(instance: Instance, topology: Topology, candidate: Candidate,
-                group_order: Sequence[str]) -> BlockNode:
-    """Build the concrete block tree a traceback describes.
+def materialize(instance: Instance, topology: Topology, candidate: Candidate) -> BlockNode:
+    """Build the concrete block tree a traceback describes, children first
+    over the reversed preorder table.
 
     Items land on their nodes in group-processing order; transitions the
     items can realize but the topology does not cover become terminal
     leaves, and a node that can stay flat keeps a flat child.
     """
-    levels, _ancestors, _paths = _topology_nodes(topology)
-    items_at: list[list[str]] = [[] for _ in levels]
+    nodes = topology.nodes
+    items_at: list[list[str]] = [[] for _ in nodes]
     for placement in candidate.placements:
         if placement is None:
             continue
         for node_idx, action_id in placement:
             items_at[node_idx].append(action_id)
 
-    counter = iter(range(len(levels)))
-
-    def build(node: Topology) -> BlockNode:
-        idx = next(counter)
+    # Reversed preorder reaches siblings last to first, so each list of
+    # (key, child) pairs is reversed back into topology order.
+    built: list[list[tuple[int, BlockNode]]] = [[] for _ in nodes]
+    for idx in range(len(nodes) - 1, -1, -1):
+        level, parent, key = nodes[idx]
         items = tuple(items_at[idx])
-        children: dict[int, BlockNode] = {}
-        for j, child in node.children:
-            children[j] = build(child)
-        flat = 1.0
-        reachable: set[int] = set()
-        for action_id in items:
-            row = instance.action(action_id).rows.get(node.level)
-            if row is None:
-                raise StructuralError(
-                    f"action {action_id!r} has no row at level {node.level}")
-            flat *= row.flat_mass(node.level)
-            for j, p in row.probs:
-                if j != node.level and p > 0.0:
-                    reachable.add(j)
-        for j in sorted(reachable):
+        children = dict(reversed(built[idx]))
+        node = BlockNode(items, level, children)
+        up, flat, _profit = batch_masses_exact(instance, node)
+        for j in sorted(up):
             if j not in children:
                 children[j] = block_leaf(j)
-        if (flat > 0.0 or not items) and node.level not in children:
-            children[node.level] = block_leaf(node.level)
-        return BlockNode(items, node.level, children)
-
-    return build(topology)
+        if (flat > 0.0 or not items) and level not in children:
+            children[level] = block_leaf(level)
+        if parent >= 0:
+            built[parent].append((key, node))
+    return node
 
 
 def _check_signature_sums(instance: Instance, topology: Topology,
                           candidate: Candidate, grid: float, max_ref: float) -> None:
     """The traceback must reproduce the configuration in exact units."""
-    levels, _ancestors, _paths = _topology_nodes(topology)
+    levels = [level for level, _, _ in topology.nodes]
     width = instance.values.level_count + 1
     sums = [[0] * width for _ in levels]
     for placement in candidate.placements:
@@ -529,7 +490,7 @@ def reconstruct_and_score(instance: Instance, topology: Topology,
     for i in ranked[:top_k]:
         cand = result.candidates[i]
         _check_signature_sums(instance, topology, cand, grid, max_ref)
-        tree = materialize(instance, topology, cand, result.group_order)
+        tree = materialize(instance, topology, cand)
         value = block_profit_exact(instance, tree)
         if value > best_value:
             best_tree, best_value = tree, value
@@ -604,7 +565,8 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     surrogate overestimates fat multi-item blocks, and small topologies
     whose rankings are free of them are where clean configurations survive
     into the exactly-scored top_k.  Per-topology capacity failures are
-    recorded and skipped; the result is then flagged partial.  The
+    recorded and skipped; the result is then flagged partial.  Topology
+    enumeration past ``topology_cap`` raises instead.  The
     do-nothing policy is always a candidate, so the returned value is at
     least the start level's terminal payoff.
     """
@@ -626,13 +588,9 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         return PtasResult(block_leaf(start), instance.terminal[start], diag)
     depth_eff = min(knobs.depth_limit, instance.horizon)
     K = instance.values.level_count
-    try:
-        topologies = enumerate_topologies(K, knobs.block_budget, depth_eff,
-                                          instance.start_level,
-                                          count_cap=knobs.topology_cap)
-    except CapacityError as err:
-        topologies = err.partial or ()
-        diag.partial = True
+    topologies = enumerate_topologies(K, knobs.block_budget, depth_eff,
+                                      instance.start_level,
+                                      count_cap=knobs.topology_cap)
     diag.topologies = len(topologies)
     best_tree: BlockNode = block_leaf(start)
     best_value = instance.terminal[start]

@@ -1,5 +1,7 @@
 """Approximation pipeline: signatures, topologies, the placement DP, search."""
 
+import time
+
 import pytest
 
 from stochprobe import (
@@ -9,6 +11,7 @@ from stochprobe import (
     HintError,
     ParameterError,
     PtasKnobs,
+    Topology,
     action_signature,
     block_leaf,
     block_profit_approx,
@@ -148,7 +151,7 @@ def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
     # Regrouping the per-group placements by node and re-summing the action
     # signatures must land exactly on the unit tuples the DP recorded.
     top = enumerate_topologies(2, 2, 2, 0)[0]
-    levels = _preorder_levels(top)
+    levels = [level for level, _, _ in top.nodes]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2)
     for cand in result.candidates:
         per_node: dict[int, list[str]] = {}
@@ -162,16 +165,38 @@ def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
             assert rebuilt.units == sig_units
 
 
-def _preorder_levels(topology):
-    levels = []
+def test_config_dp_skip_keeps_its_traceback():
+    # Skipping gb from {a} and placing b on the empty start reach the same
+    # state; the skip comes later but wins, so the traceback names a.
+    row = {0: ((0, 0.75), (1, 0.25))}
+    inst = kernel([act("a", "ga", row, profit=0.25), act("b", "gb", row, profit=0.25)],
+                  [0.0, 1.0], 2)
+    result = config_dp(inst, Topology(0), 0.25, 1.0, caps=2)
+    one_item = [cand.placements for cand in result.candidates
+                if sum(len(p) for p in cand.placements if p) == 1]
+    assert one_item == [(((0, "a"),), None)]
 
-    def walk(node):
-        levels.append(node.level)
-        for _key, child in node.children:
-            walk(child)
 
-    walk(topology)
-    return levels
+def test_topology_preorder_table():
+    top = Topology(0, ((0, Topology(0)),
+                       (1, Topology(1, ((1, Topology(1)),)))))
+    assert top.nodes == ((0, -1, -1), (0, 0, 0), (1, 0, 1), (1, 2, 1))
+    assert top.node_count() == 4
+
+
+def test_deep_flat_chain_topology():
+    # 1100 flat nodes nest deeper than Python's recursion limit.
+    inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))})], [0.0, 1.0], 1)
+    top = Topology(0)
+    for _ in range(1099):
+        top = Topology(0, ((0, top),))
+    started = time.perf_counter()
+    result = config_dp(inst, top, 0.25, 1.0)
+    tree, value, _surrogate = reconstruct_and_score(inst, top, result, 0.25, 1.0)
+    assert time.perf_counter() - started < 5.0
+    assert len(result.candidates) == 1101
+    assert tree.items == ("a",)
+    assert value == pytest.approx(optimal_value(inst), abs=1e-12)
 
 
 def test_reconstruct_single_candidate(two_probe_kernel):
@@ -256,6 +281,14 @@ def test_solve_witness_with_lossless_grid(witness_spec):
     assert res.value == pytest.approx(3.8, abs=1e-9)
 
 
+def test_solve_topology_cap_raises(witness_spec):
+    inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
+    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4,
+                      topology_cap=10)
+    with pytest.raises(CapacityError):
+        solve_ptas(inst, knobs)
+
+
 def test_solve_zero_caps_is_noop(witness_spec):
     inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
     knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4, caps=0)
@@ -291,5 +324,5 @@ def test_materialized_trees_validate(two_probe_kernel):
     top = enumerate_topologies(2, 2, 2, 0)[0]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2)
     for cand in result.candidates:
-        tree = materialize(two_probe_kernel, top, cand, result.group_order)
+        tree = materialize(two_probe_kernel, top, cand)
         assert block_profit_exact(two_probe_kernel, tree) >= -1e-12
