@@ -101,7 +101,8 @@ def _cmd_ptas(args: argparse.Namespace) -> int:
     _emit({"value": result.value, "max_ref": diag.max_ref,
            "topologies": diag.topologies, "completed": diag.completed,
            "capacity_errors": diag.capacity_errors,
-           "states_explored": diag.states_explored, "partial": diag.partial})
+           "states_explored": diag.states_explored, "candidates": diag.candidates,
+           "materialized": diag.materialized, "partial": diag.partial})
     if args.out:
         _write_out(serialize_block_tree(result.tree), args.out)
     return 0

@@ -3,19 +3,24 @@
 Blocks are summarized by signatures: transition masses and expected profit
 floored onto a grid and stored in integer grid units, so block signatures
 are entrywise sums of action signatures.  The solver enumerates small block
-topologies, runs a forward reachability DP over per-node signature sums
-under per-path placement caps, then rebuilds the most promising
-configurations into concrete block trees and rescores them exactly.
+topologies over the levels the instance's rows can reach, runs a forward
+reachability DP over per-node signature sums under per-path placement
+caps, ranks all resulting configurations by a batched surrogate, then
+rebuilds only the most promising into concrete block trees and rescores
+them exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from .block import BlockNode, batch_masses_exact, block_leaf, block_profit_exact
 from .exact import max_over_starts
@@ -104,13 +109,30 @@ class Topology:
         return len(self.nodes)
 
 
-def enumerate_topologies(level_count: int, block_budget: int, depth_limit: int,
-                         start_level: int, *, count_cap: int = 200_000) -> tuple[Topology, ...]:
+def level_reach(instance: Instance) -> tuple[tuple[int, ...], ...]:
+    """Per level ``L``, the child keys ``j >= L`` that some action's row at
+    ``L`` gives positive mass, ascending.  A block entered at ``L`` that
+    holds items moves on to no other key, so a topology child anywhere else
+    is entered only below an item-less block."""
+    keys: list[set[int]] = [set() for _ in range(instance.values.level_count)]
+    for spec in instance.actions:
+        for level, row in spec.rows.items():
+            keys[level].update(j for j, _p in row.support if j >= level)
+    return tuple(tuple(sorted(js)) for js in keys)
+
+
+def enumerate_topologies(reach: Sequence[Sequence[int]], block_budget: int,
+                         depth_limit: int, start_level: int, *,
+                         count_cap: int = 200_000) -> tuple[Topology, ...]:
     """All topologies rooted at ``start_level`` with at most ``block_budget``
     nodes and at most ``depth_limit`` blocks on any path, in a fixed order.
 
-    Entry levels never decrease along a path and each node holds at most one
-    child per level.  Exceeding ``count_cap`` raises a capacity error.
+    A node at level ``L`` holds at most one child per key in ``reach[L]``
+    (ascending keys, each at least ``L``; see ``level_reach``).  With every
+    ``reach[L] = range(L, K)`` this is the full level enumeration; a
+    narrower table yields the same topologies in the same order, minus
+    those with a child at a key outside the table.  Exceeding ``count_cap``
+    raises a capacity error.
     """
     if block_budget < 1 or depth_limit < 1:
         raise ParameterError("block_budget and depth_limit must be at least 1")
@@ -125,7 +147,7 @@ def enumerate_topologies(level_count: int, block_budget: int, depth_limit: int,
             return hit
         out: list[Topology] = []
         if nodes >= 1 and depth >= 1:
-            keys = list(range(level, level_count))
+            keys = reach[level]
 
             def assign(i: int, remaining: int, acc: list[tuple[int, Topology]]) -> None:
                 if i == len(keys):
@@ -167,9 +189,41 @@ class Candidate:
     placements: tuple[tuple[tuple[int, str], ...] | None, ...]
 
 
+class CandidateTable(Sequence[Candidate]):
+    """The configurations a configuration DP kept, in order, held lazily.
+
+    ``units`` is an ``(N, nodes, K+1)`` integer array of every candidate's
+    per-node unit sums, ``chains`` its traceback chains (None, or (group
+    index, placement, rest)).  Indexing builds one ``Candidate``, and only
+    then is its chain unwound into per-group placements.
+    """
+
+    def __init__(self, units: np.ndarray, chains: Sequence[tuple | None],
+                 group_count: int):
+        self.units = units
+        self.chains = chains
+        self.group_count = group_count
+
+    def __len__(self) -> int:
+        return len(self.chains)
+
+    def __getitem__(self, i: int) -> Candidate:
+        i = operator.index(i)
+        chain = self.chains[i]
+        trace: list[tuple[tuple[int, str], ...] | None] = [None] * self.group_count
+        while chain is not None:
+            g, placement, chain = chain
+            trace[g] = placement
+        signatures = tuple(tuple(row) for row in self.units[i].tolist())
+        return Candidate(signatures, tuple(trace))
+
+
 @dataclass(frozen=True)
 class ConfigDpResult:
-    candidates: tuple[Candidate, ...]
+    """Kept configurations, states explored over all stages, and the group
+    processing order that placement tuples are indexed by."""
+
+    candidates: CandidateTable
     states_explored: int
     group_order: tuple[str, ...]
 
@@ -205,6 +259,12 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     per path, at most the horizon).  States are per-node signature sums
     plus residual caps.  A state reached by skipping a group keeps that
     skip as its traceback; otherwise the first placement to reach it wins.
+
+    Final states with equal unit sums collapse to the first found (parked
+    states first, then the last stage in insertion order).  The result's
+    ``CandidateTable`` holds the sums of all of them, unpacked in one numpy
+    pass, and their traceback chains; nothing is traced back until a
+    candidate is read.
     """
     if grid <= 0.0:
         raise ParameterError("grid must be positive")
@@ -270,8 +330,9 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
 
     # States are packed into single integers: the low bits hold the residual
     # caps (one guarded slot per path, so an underflowing placement is caught
-    # by its guard bit), the high bits the per-node unit sums (slots sized so
-    # no reachable sum can carry between them).
+    # by its guard bit), the high bits the per-node unit sums (slots of a
+    # whole unsigned dtype, wide enough that no reachable sum can carry
+    # between them, so the sums unpack as that dtype).
     cb = cap.bit_length() + 2
     caps_bits = len(paths) * cb
     caps_all = (1 << caps_bits) - 1
@@ -281,8 +342,11 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
         guard |= 1 << (j * cb + cb - 1)
         init_key |= cap << (j * cb)
     unit_max = max((max(u) for u in sig_cache.values() if u), default=0)
-    sb = max(1, (cap * unit_max).bit_length())
-    slot_mask = (1 << sb) - 1
+    sum_bits = (cap * unit_max).bit_length()
+    if sum_bits > 64:
+        raise ParameterError("unit sums do not fit 64 bits; the grid is too fine")
+    slot_dtype = np.dtype(f"<u{next(b for b in (1, 2, 4, 8) if 8 * b >= sum_bits)}")
+    sb = 8 * slot_dtype.itemsize
 
     # Per group: (packed delta, placement tuple).  The delta adds the unit
     # sums and subtracts the covered caps in one integer add.
@@ -329,38 +393,15 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
         explored += len(nxt)
         prev = nxt
 
-    def decode(key: int) -> tuple[tuple[int, ...], ...]:
-        sums = key >> caps_bits
-        out = []
-        off = 0
-        for _i in range(n_nodes):
-            row = []
-            for _w in range(width):
-                row.append((sums >> off) & slot_mask)
-                off += sb
-            out.append(tuple(row))
-        return tuple(out)
-
-    def traceback(chain: tuple | None) -> tuple[tuple[tuple[int, str], ...] | None, ...]:
-        trace: list[tuple[tuple[int, str], ...] | None] = [None] * len(group_order)
-        while chain is not None:
-            g, placement, chain = chain
-            trace[g] = placement
-        return tuple(trace)
-
-    # Collapse to configurations, first found winning; parked states come
-    # first (they cannot be extended), then the final stage in insertion
-    # order.
-    candidates: list[Candidate] = []
-    seen_sums: set[int] = set()
+    kept: dict[int, tuple | None] = {}
     for states in (frozen, prev):
         for key, chain in states.items():
-            sums = key >> caps_bits
-            if sums in seen_sums:
-                continue
-            seen_sums.add(sums)
-            candidates.append(Candidate(decode(key), traceback(chain)))
-    return ConfigDpResult(tuple(candidates), explored, group_order)
+            kept.setdefault(key >> caps_bits, chain)
+    sum_bytes = n_nodes * width * slot_dtype.itemsize
+    raw = b"".join(sums.to_bytes(sum_bytes, "little") for sums in kept)
+    units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
+    table = CandidateTable(units, list(kept.values()), len(group_order))
+    return ConfigDpResult(table, explored, group_order)
 
 
 # --- reconstruction and scoring ---------------------------------------------
@@ -369,11 +410,15 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
 def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
                        profit_grid: float):
     """Flatten the topology into a children-first program over its reversed
-    preorder table, so many configurations can be scored without recursion.
+    preorder table, and return a scorer that runs it over an ``(N, nodes,
+    K+1)`` unit array: one surrogate value per row, without recursion.
 
     Per node: profit is the rounded sum, upward masses are the rounded sums
     clipped to 1, and the flat mass is whatever is left; transitions without
-    a topology child fall to a terminal leaf.
+    a topology child fall to a terminal leaf.  The float operations are
+    those of a per-row evaluation, elementwise and in the same order: a zero
+    unit adds a zero product and a nonpositive flat mass a zero, which leave
+    every sum bit for bit as it was.
     """
     K = instance.values.level_count
     terminal = instance.terminal
@@ -390,24 +435,20 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
         ups = tuple((j, kids.get(j)) for j in range(level + 1, K))
         prog.append((idx, level, ups, kids.get(level)))
 
-    def score(sigs: tuple[tuple[int, ...], ...]) -> float:
-        vals = [0.0] * n
+    def score(units: np.ndarray) -> np.ndarray:
+        live = units.any(axis=0)
+        vals: list = [None] * n
         for idx, level, ups, flat_child in prog:
-            u = sigs[idx]
-            total = u[K] * profit_grid
+            u = units[:, idx]
+            total = u[:, K] * profit_grid
             up_total = 0.0
             for j, ci in ups:
-                uj = u[j]
-                if uj:
-                    pj = uj * grid
-                    if pj > 1.0:
-                        pj = 1.0
-                    up_total += pj
+                if live[idx, j]:
+                    pj = np.minimum(u[:, j] * grid, 1.0)
+                    up_total = up_total + pj
                     total += pj * (terminal[j] if ci is None else vals[ci])
-            flat = 1.0 - up_total
-            if flat > 0.0:
-                total += flat * (terminal[level] if flat_child is None
-                                 else vals[flat_child])
+            flat = np.maximum(1.0 - up_total, 0.0)
+            total += flat * (terminal[level] if flat_child is None else vals[flat_child])
             vals[idx] = total
         return vals[0]
 
@@ -474,27 +515,34 @@ def reconstruct_and_score(instance: Instance, topology: Topology,
                           top_k: int = 32) -> tuple[BlockNode, float, float | None]:
     """Materialize the top-k surrogate-ranked configurations and return the
     exactly-rescored best as (tree, value, its surrogate value); with no
-    candidates, the do-nothing policy and no surrogate."""
+    candidates, the do-nothing policy and no surrogate.
+
+    All candidates are scored in one batched pass over the table's unit
+    array and ranked by descending surrogate, ties in table order (a stable
+    sort); only the ``top_k`` best are traced back, checked against their
+    unit sums, materialized and rescored.  The first strictly best exact
+    value wins.
+    """
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
     start = instance.start_level
-    if not result.candidates:
+    table = result.candidates
+    if len(table) == 0:
         return block_leaf(start), instance.terminal[start], None
-    profit_grid = grid * max_ref
-    score = _compile_surrogate(instance, topology, grid, profit_grid)
-    surrogates = [score(cand.signatures) for cand in result.candidates]
-    ranked = sorted(range(len(result.candidates)), key=lambda i: -surrogates[i])
+    score = _compile_surrogate(instance, topology, grid, grid * max_ref)
+    surrogates = score(table.units)
+    ranked = np.argsort(-surrogates, kind="stable")
     best_tree: BlockNode | None = None
     best_value = float("-inf")
     best_surrogate: float | None = None
-    for i in ranked[:top_k]:
-        cand = result.candidates[i]
+    for i in ranked[:top_k].tolist():
+        cand = table[i]
         _check_signature_sums(instance, topology, cand, grid, max_ref)
         tree = materialize(instance, topology, cand)
         value = block_profit_exact(instance, tree)
         if value > best_value:
             best_tree, best_value = tree, value
-            best_surrogate = surrogates[i]
+            best_surrogate = float(surrogates[i])
     assert best_tree is not None
     return best_tree, best_value, best_surrogate
 
@@ -541,11 +589,17 @@ class PtasKnobs:
 
 @dataclass
 class PtasDiagnostics:
+    """Counts of one solve.  ``candidates`` (configurations kept) and
+    ``materialized`` (configurations exactly rescored) are summed over the
+    completed topologies."""
+
     max_ref: float
     topologies: int = 0
     completed: int = 0
     capacity_errors: int = 0
     states_explored: int = 0
+    candidates: int = 0
+    materialized: int = 0
     best_topology: int = -1
     best_surrogate: float | None = None
     partial: bool = False
@@ -561,14 +615,17 @@ class PtasResult:
 def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     """Run the full pipeline and return the best exactly-scored block tree.
 
-    Every topology is searched and rescored separately on purpose: the
-    surrogate overestimates fat multi-item blocks, and small topologies
-    whose rankings are free of them are where clean configurations survive
-    into the exactly-scored top_k.  Per-topology capacity failures are
-    recorded and skipped; the result is then flagged partial.  Topology
-    enumeration past ``topology_cap`` raises instead.  The
-    do-nothing policy is always a candidate, so the returned value is at
-    least the start level's terminal payoff.
+    Topologies are enumerated over the instance's ``level_reach`` table: a
+    child at a level its parent's rows never reach is entered only below an
+    item-less parent, whose subtree a smaller topology already offers, so
+    those topologies are not searched.  Every other topology is searched
+    and rescored separately on purpose: the surrogate overestimates fat
+    multi-item blocks, and small topologies whose rankings are free of them
+    are where clean configurations survive into the exactly-scored top_k.
+    Per-topology capacity failures are recorded and skipped; the result is
+    then flagged partial.  Topology enumeration past ``topology_cap``
+    raises instead.  The do-nothing policy is always a candidate, so the
+    returned value is at least the start level's terminal payoff.
     """
     report = validate_instance(instance)
     if not report.compliant:
@@ -587,10 +644,8 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     if instance.horizon == 0:
         return PtasResult(block_leaf(start), instance.terminal[start], diag)
     depth_eff = min(knobs.depth_limit, instance.horizon)
-    K = instance.values.level_count
-    topologies = enumerate_topologies(K, knobs.block_budget, depth_eff,
-                                      instance.start_level,
-                                      count_cap=knobs.topology_cap)
+    topologies = enumerate_topologies(level_reach(instance), knobs.block_budget,
+                                      depth_eff, start, count_cap=knobs.topology_cap)
     diag.topologies = len(topologies)
     best_tree: BlockNode = block_leaf(start)
     best_value = instance.terminal[start]
@@ -607,6 +662,8 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         tree, value, surrogate = reconstruct_and_score(
             instance, topo, result, knobs.grid, max_ref, knobs.top_k)
         diag.completed += 1
+        diag.candidates += len(result.candidates)
+        diag.materialized += min(knobs.top_k, len(result.candidates))
         if value > best_value:
             best_tree, best_value = tree, value
             diag.best_topology = ti

@@ -337,6 +337,8 @@ def test_cli_ptas_then_simulate(tmp_path, capsys):
     doc = cli_json(capsys)
     assert doc["completed"] == doc["topologies"] and not doc["partial"]
     assert doc["value"] <= optimal_value(inst) + 1e-9
+    assert doc["materialized"] <= doc["candidates"]
+    assert doc["materialized"] <= 8 * doc["completed"]
     assert main(["simulate", "--in", str(path), "--policy", str(block_path),
                  "--trials", "500"]) == 0
     assert cli_json(capsys)["trials"] == 500

@@ -2,10 +2,12 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from stochprobe import (
     BlockNode,
+    CandidateTable,
     CapacityError,
     ConfigDpResult,
     HintError,
@@ -21,15 +23,23 @@ from stochprobe import (
     config_dp,
     enumerate_topologies,
     estimate_max,
+    level_reach,
     materialize,
     max_over_starts,
     optimal_value,
     reconstruct_and_score,
     solve_ptas,
 )
-from stochprobe.harness import GenParams, gen_random_kernel
+from stochprobe import ptas
+from stochprobe.harness import GenParams, gen_random, gen_random_kernel
+from stochprobe.ptas import _compile_surrogate
 
 from conftest import act, kernel
+
+
+def all_levels(level_count):
+    """Reach table of the full level enumeration: every key at or above."""
+    return tuple(tuple(range(level, level_count)) for level in range(level_count))
 
 
 @pytest.fixture
@@ -84,34 +94,34 @@ def test_block_signature_is_entrywise_sum():
 
 
 def test_topologies_single_level_are_chains():
-    assert len(enumerate_topologies(1, 3, 2, 0)) == 2
-    assert len(enumerate_topologies(1, 5, 5, 0)) == 5
+    assert len(enumerate_topologies(all_levels(1), 3, 2, 0)) == 2
+    assert len(enumerate_topologies(all_levels(1), 5, 5, 0)) == 5
 
 
 def test_topologies_single_block_two_levels():
-    tops = enumerate_topologies(2, 1, 2, 0)
+    tops = enumerate_topologies(all_levels(2), 1, 2, 0)
     assert len(tops) == 1
     assert tops[0].node_count() == 1
 
 
 def test_topologies_two_blocks_two_levels():
     # Root plus either a flat child, an up child, or both.
-    assert len(enumerate_topologies(2, 2, 2, 0)) == 3
+    assert len(enumerate_topologies(all_levels(2), 2, 2, 0)) == 3
 
 
 def test_topologies_deterministic_order():
-    a = enumerate_topologies(3, 4, 3, 0)
-    b = enumerate_topologies(3, 4, 3, 0)
+    a = enumerate_topologies(all_levels(3), 4, 3, 0)
+    b = enumerate_topologies(all_levels(3), 4, 3, 0)
     assert a == b
 
 
 def test_topologies_count_cap_overflow():
     with pytest.raises(CapacityError):
-        enumerate_topologies(4, 8, 6, 0, count_cap=10)
+        enumerate_topologies(all_levels(4), 8, 6, 0, count_cap=10)
 
 
 def test_config_dp_single_block_unit_cap(two_probe_kernel):
-    top = enumerate_topologies(2, 1, 1, 0)[0]
+    top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=1)
     assert len(result.candidates) == 3  # empty, {a1}, {a2}
     sizes = sorted(sum(len(p) for p in cand.placements if p is not None)
@@ -120,7 +130,7 @@ def test_config_dp_single_block_unit_cap(two_probe_kernel):
 
 
 def test_config_dp_zero_caps_only_empty(two_probe_kernel):
-    top = enumerate_topologies(2, 1, 1, 0)[0]
+    top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=0)
     assert len(result.candidates) == 1
     assert all(not p for p in result.candidates[0].placements)
@@ -129,20 +139,20 @@ def test_config_dp_zero_caps_only_empty(two_probe_kernel):
 def test_config_dp_coarse_grid_collapses_signatures(two_probe_kernel):
     # Grid 2.0 floors every mass and profit to zero, so all placements
     # share the single zero configuration.
-    top = enumerate_topologies(2, 1, 1, 0)[0]
+    top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(two_probe_kernel, top, 2.0, 1.0, caps=2)
     assert len(result.candidates) == 1
 
 
 def test_config_dp_state_cap_overflow(two_probe_kernel):
-    top = enumerate_topologies(2, 2, 2, 0)[0]
+    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     with pytest.raises(CapacityError):
         config_dp(two_probe_kernel, top, 0.015625, 1.0, caps=2, state_cap=1)
 
 
 def test_config_dp_env_var_overrides_state_cap(two_probe_kernel, monkeypatch):
     monkeypatch.setenv("STOCHPROBE_STATE_CAP", "1")
-    top = enumerate_topologies(2, 2, 2, 0)[0]
+    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     with pytest.raises(CapacityError):
         config_dp(two_probe_kernel, top, 0.015625, 1.0, caps=2)
 
@@ -150,7 +160,7 @@ def test_config_dp_env_var_overrides_state_cap(two_probe_kernel, monkeypatch):
 def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
     # Regrouping the per-group placements by node and re-summing the action
     # signatures must land exactly on the unit tuples the DP recorded.
-    top = enumerate_topologies(2, 2, 2, 0)[0]
+    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     levels = [level for level, _, _ in top.nodes]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2)
     for cand in result.candidates:
@@ -199,8 +209,80 @@ def test_deep_flat_chain_topology():
     assert value == pytest.approx(optimal_value(inst), abs=1e-12)
 
 
+def _reference_surrogate(instance, topology, grid, profit_grid):
+    """Scalar surrogate of one candidate's per-node unit tuples: the
+    children-first program evaluated one configuration at a time."""
+    K = instance.values.level_count
+    terminal = instance.terminal
+    nodes = topology.nodes
+    child_at = [{} for _ in nodes]
+    for idx, (_level, parent, key) in enumerate(nodes):
+        if parent >= 0:
+            child_at[parent][key] = idx
+    prog = []
+    for idx in range(len(nodes) - 1, -1, -1):
+        level = nodes[idx][0]
+        kids = child_at[idx]
+        prog.append((idx, level, tuple((j, kids.get(j)) for j in range(level + 1, K)),
+                     kids.get(level)))
+
+    def score(sigs):
+        vals = [0.0] * len(nodes)
+        for idx, level, ups, flat_child in prog:
+            u = sigs[idx]
+            total = u[K] * profit_grid
+            up_total = 0.0
+            for j, ci in ups:
+                uj = u[j]
+                if uj:
+                    pj = uj * grid
+                    if pj > 1.0:
+                        pj = 1.0
+                    up_total += pj
+                    total += pj * (terminal[j] if ci is None else vals[ci])
+            flat = 1.0 - up_total
+            if flat > 0.0:
+                total += flat * (terminal[level] if flat_child is None
+                                 else vals[flat_child])
+            vals[idx] = total
+        return vals[0]
+
+    return score
+
+
+def test_batched_surrogate_matches_scalar_reference(monkeypatch):
+    # Masses k/q with q = 7..10 are off the binary lattice, so a reordered
+    # sum would change some surrogate in its last bits.
+    ranked = []
+    monkeypatch.setattr(ptas, "materialize",
+                        lambda inst, top, cand: ranked.append(cand) or block_leaf(top.level))
+    cases = ties = 0
+    for seed in range(40):
+        q = 7 + seed % 4
+        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
+                                                 horizon=1 + seed % 3, q=q))
+        grid, max_ref = 1.0 / q, 1.3
+        reach = all_levels(inst.values.level_count)
+        for top in enumerate_topologies(reach, 3, 3, inst.start_level):
+            for caps in (None, 1, 2):
+                result = config_dp(inst, top, grid, max_ref, caps)
+                table = result.candidates
+                ref = _reference_surrogate(inst, top, grid, grid * max_ref)
+                want = [ref(cand.signatures) for cand in table]
+                got = _compile_surrogate(inst, top, grid, grid * max_ref)(table.units)
+                assert got.tolist() == want
+                order = sorted(range(len(want)), key=lambda i: -want[i])
+                ranked.clear()
+                reconstruct_and_score(inst, top, result, grid, max_ref, top_k=len(table))
+                assert [c.placements for c in ranked] == [table[i].placements for i in order]
+                cases += 1
+                ties += len(set(want)) < len(want)
+    assert cases >= 1500
+    assert ties >= 500
+
+
 def test_reconstruct_single_candidate(two_probe_kernel):
-    top = enumerate_topologies(2, 1, 1, 0)[0]
+    top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=0)
     tree, value, _surrogate = reconstruct_and_score(
         two_probe_kernel, top, result, 0.25, 1.0)
@@ -208,8 +290,9 @@ def test_reconstruct_single_candidate(two_probe_kernel):
 
 
 def test_reconstruct_empty_candidates_is_noop(two_probe_kernel):
-    empty = ConfigDpResult((), 0, ("g1", "g2"))
-    top = enumerate_topologies(2, 1, 1, 0)[0]
+    empty = ConfigDpResult(CandidateTable(np.zeros((0, 1, 3), np.uint8), [], 2),
+                           0, ("g1", "g2"))
+    top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     tree, value, _surrogate = reconstruct_and_score(two_probe_kernel, top, empty, 0.25, 1.0)
     assert value == pytest.approx(two_probe_kernel.terminal[0], abs=1e-12)
 
@@ -222,7 +305,7 @@ def test_reconstruct_exact_rescoring_beats_surrogate_order():
         [act("a", "ga", {0: ((0, 0.7501), (1, 0.2499))}, profit=0.2499),
          act("b", "gb", {0: ((0, 0.8125), (1, 0.1875))}, profit=0.25)],
         [0.0, 1.0], 1)
-    top = enumerate_topologies(2, 1, 1, 0)[0]
+    top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(inst, top, 0.0625, 1.0, caps=1)
     tree1, value1, _surrogate1 = reconstruct_and_score(inst, top, result, 0.0625, 1.0, top_k=1)
     assert tree1.items == ("b",)
@@ -281,6 +364,62 @@ def test_solve_witness_with_lossless_grid(witness_spec):
     assert res.value == pytest.approx(3.8, abs=1e-9)
 
 
+def test_solve_witness_enumerates_reachable_topologies(witness_spec):
+    inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
+    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4, top_k=32)
+    assert solve_ptas(inst, knobs).diagnostics.topologies == 16
+
+
+def _positive_moves(inst):
+    return {(level, j) for spec in inst.actions for level, row in spec.rows.items()
+            for j, p in row.probs if p > 0.0}
+
+
+def test_reachable_topologies_filter_the_full_enumeration(witness_spec):
+    witness, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
+    instances = [witness] + [gen_random_kernel(seed, GenParams(n=3, levels=4, q=7))
+                             for seed in range(6)]
+    pruned_some = False
+    for inst in instances:
+        moves = _positive_moves(inst)
+        full = enumerate_topologies(all_levels(inst.values.level_count), 5, 3,
+                                    inst.start_level)
+        want = tuple(top for top in full
+                     if all((top.nodes[parent][0], key) in moves
+                            for _level, parent, key in top.nodes[1:]))
+        assert enumerate_topologies(level_reach(inst), 5, 3, inst.start_level) == want
+        pruned_some |= len(want) < len(full)
+    assert pruned_some
+
+
+def test_reachable_topologies_keep_value_and_tree_on_probemax():
+    # Against a search over the unpruned level enumeration with the same
+    # first-strictly-better rule.
+    for seed in range(20):
+        spec = gen_random(seed, GenParams(kind="probemax", n=3, m=2, support=3,
+                                          levels=8, q=8, step=1.0, eps=0.3))
+        inst, _ = build_probemax(spec)
+        K = inst.values.level_count
+        assert K >= 8
+        knobs = PtasKnobs(eps=0.3, grid=0.125, block_budget=3, depth_limit=2,
+                          max_hint="greedy_probemax")
+        res = solve_ptas(inst, knobs)
+        max_ref = estimate_max(inst, knobs.max_hint)
+        start = inst.start_level
+        best_tree, best_value = block_leaf(start), inst.terminal[start]
+        full = enumerate_topologies(all_levels(K), knobs.block_budget,
+                                    min(knobs.depth_limit, inst.horizon), start)
+        for top in full:
+            result = config_dp(inst, top, knobs.grid, max_ref, knobs.caps)
+            tree, value, _surrogate = reconstruct_and_score(
+                inst, top, result, knobs.grid, max_ref, knobs.top_k)
+            if value > best_value:
+                best_tree, best_value = tree, value
+        assert res.diagnostics.topologies < len(full)
+        assert res.value == best_value
+        assert repr(res.tree) == repr(best_tree)
+
+
 def test_solve_topology_cap_raises(witness_spec):
     inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
     knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4,
@@ -321,7 +460,7 @@ def test_solve_recovers_exact_optimum_on_grid_kernels():
 
 
 def test_materialized_trees_validate(two_probe_kernel):
-    top = enumerate_topologies(2, 2, 2, 0)[0]
+    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2)
     for cand in result.candidates:
         tree = materialize(two_probe_kernel, top, cand)
