@@ -28,8 +28,9 @@ order, with no assumption on the signs of profits or terminal payoffs.
 The sweep gathers, per layer and group, the child rows of every mask that
 can still use the group and adds ``p * W`` one outcome at a time in row
 order with elementwise numpy operations; a matrix product would reorder
-the sums.  The table is capped in groups and in cells, and the cell cap
-is checked before anything is allocated.
+the sums.  The tables of all layers together are capped in cells, and
+masks are int64 words, so at most 63 groups fit; both limits are checked
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -38,11 +39,8 @@ import math
 
 import numpy as np
 
-from .exceptions import CapacityError
+from .exceptions import CapacityError, ParameterError
 from .model import ActionSpec, Instance, PolicyNode, leaf_node
-
-#: Hard default on the number of distinct groups the bitmask may carry.
-GROUP_CAP = 24
 
 #: Hard cap on the (mask, level) cells of all layers together, the sum over
 #: ``u`` of ``C(groups, u) * levels``; 2^25 cells are 256 MiB of floats.
@@ -52,13 +50,12 @@ CELL_CAP = 1 << 25
 class _Kernel:
     """The instance as the sweep sees it: group bits, members and layers."""
 
-    def __init__(self, instance: Instance, group_cap: int):
+    def __init__(self, instance: Instance):
         groups = instance.groups()
         G = len(groups)
-        # Masks are 64-bit signed words.
-        cap = min(group_cap, 63)
-        if G > cap:
-            raise CapacityError(f"{G} groups exceed the solver cap of {cap}")
+        if G > 63:
+            raise CapacityError(
+                f"{G} groups do not fit the 63 bits of an int64 group mask")
         K = instance.values.level_count
         self.depth = min(instance.horizon, G)
         cells = sum(math.comb(G, u) for u in range(self.depth + 1)) * K
@@ -158,27 +155,29 @@ def _sweep(kernel: _Kernel):
         yield table
 
 
-def _root(instance: Instance, group_cap: int) -> list[float]:
+def _root(instance: Instance) -> list[float]:
     """Optimal value from every start level with all groups unused."""
-    for table in _sweep(_Kernel(instance, group_cap)):
+    for table in _sweep(_Kernel(instance)):
         pass
     return table[:, 0].tolist()
 
 
-def optimal_value(instance: Instance, start_level: int | None = None, *,
-                  group_cap: int = GROUP_CAP) -> float:
+def optimal_value(instance: Instance, start_level: int | None = None) -> float:
     """Optimal expected profit from (start_level, t=1) with all actions available."""
     start = instance.start_level if start_level is None else start_level
-    return _root(instance, group_cap)[start]
+    K = instance.values.level_count
+    if not 0 <= start < K:
+        raise ParameterError(f"start_level {start} is outside the levels 0..{K - 1}")
+    return _root(instance)[start]
 
 
-def max_over_starts(instance: Instance, *, group_cap: int = GROUP_CAP) -> float:
+def max_over_starts(instance: Instance) -> float:
     """Largest optimal value over all possible start levels; the global
     reference scale for loss bounds and signature grids."""
-    return max(_root(instance, group_cap))
+    return max(_root(instance))
 
 
-def optimal_policy(instance: Instance, *, group_cap: int = GROUP_CAP) -> PolicyNode:
+def optimal_policy(instance: Instance) -> PolicyNode:
     """An optimal decision tree.
 
     At each state the best real action is kept when it at least matches
@@ -187,7 +186,7 @@ def optimal_policy(instance: Instance, *, group_cap: int = GROUP_CAP) -> PolicyN
     first group in action-list order, then to the lowest action id within
     the group, and zero-probability branches are omitted.
     """
-    kernel = _Kernel(instance, group_cap)
+    kernel = _Kernel(instance)
     tables = list(_sweep(kernel))[::-1]
     layers, terminal = kernel.layers, instance.terminal
     holder: dict[None, PolicyNode] = {}

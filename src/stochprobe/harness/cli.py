@@ -6,8 +6,7 @@ policy by sampling, run an acceptance suite, and validate a document.
 Exit codes: 0 success, 1 failed assertion or non-compliant input, 2
 usage or malformed input, 3 capacity overrun, including input nested
 deeper than Python's recursion limit (a RecursionError, say from JSON
-decoding).  The environment variable
-STOCHPROBE_STATE_CAP overrides the configuration-DP state cap.
+decoding).
 """
 
 from __future__ import annotations

@@ -67,9 +67,6 @@ class Pmf:
     def mean(self) -> float:
         return sum(o * p for o, p in self.entries)
 
-    def max_outcome(self) -> float:
-        return max((o for o, p in self.entries if p > 0.0), default=0.0)
-
     def tail_prob(self, threshold: float) -> float:
         """Mass at or above ``threshold``."""
         return sum(p for o, p in self.entries if o >= threshold)
@@ -168,9 +165,6 @@ class Instance:
             raise UnknownActionError(f"unknown action id {action_id!r}")
         return spec
 
-    def has_action(self, action_id: str) -> bool:
-        return action_id in self._by_id  # type: ignore[attr-defined]
-
     def groups(self) -> tuple[str, ...]:
         """Group tokens in order of their first appearance in the action list."""
         out: list[str] = []
@@ -197,16 +191,6 @@ class PolicyNode:
 def leaf_node(level: int, t: int) -> PolicyNode:
     """A dummy leaf collecting the terminal payoff of ``level``."""
     return PolicyNode(None, level, t, {})
-
-
-@dataclass(frozen=True)
-class PathStats:
-    """Reach probability, accumulated risk mass, and accumulated expected profit
-    of the actions taken strictly before the path's endpoint."""
-
-    reach_probability: float
-    mu: float
-    expected_profit: float
 
 
 @dataclass(frozen=True)
@@ -352,21 +336,6 @@ def walk_reach(instance: Instance, tree: PolicyNode) -> Iterator[tuple[PolicyNod
         yield node, phi, mu, acc
 
 
-def node_sum_profit(instance: Instance, tree: PolicyNode) -> float:
-    """Policy value as the reach-weighted sum of node profits and leaf payoffs.
-
-    Mathematically identical to evaluate_policy; kept separate so the two
-    accounting forms can be checked against each other.
-    """
-    total = 0.0
-    for node, phi, _mu, _acc in walk_reach(instance, tree):
-        if node.is_leaf:
-            total += phi * instance.terminal[node.level]
-        else:
-            total += phi * instance.action(node.action).rows[node.level].profit
-    return total
-
-
 def subtree_values(instance: Instance, tree: PolicyNode) -> dict[int, float]:
     """Map id(node) to the expected value of the subtree hanging at that node."""
     terminal = instance.terminal
@@ -382,32 +351,6 @@ def subtree_values(instance: Instance, tree: PolicyNode) -> dict[int, float]:
         values.append(v)
         out[id(node)] = v
     return out
-
-
-def path_stats(instance: Instance, tree: PolicyNode, node_path: Sequence[int]) -> PathStats:
-    """Statistics of the root-to-node path selected by realized levels.
-
-    The empty path stands at the root with nothing probed yet; each step
-    consumes the current node's action and follows the child keyed by the
-    realized level.
-    """
-    node = tree
-    phi = 1.0
-    mu = 0.0
-    acc = 0.0
-    for j in node_path:
-        if node.is_leaf:
-            raise StructuralError("path descends through a leaf")
-        row, _ = policy_edges(instance, node)
-        edge = row.mass_at.get(j)
-        child = node.children.get(j)
-        if edge is None or child is None:
-            raise StructuralError(f"path step to level {j} is not in the tree")
-        mu += row.risk_mass(node.level)
-        acc += row.profit
-        phi *= edge
-        node = child
-    return PathStats(phi, mu, acc)
 
 
 def truncation_cut_set(instance: Instance, tree: PolicyNode, eps: float) -> list[tuple[PolicyNode, float, float]]:

@@ -13,8 +13,6 @@ them exactly.
 from __future__ import annotations
 
 import math
-import operator
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -27,8 +25,7 @@ from .exact import max_over_starts
 from .exceptions import CapacityError, HintError, ParameterError, StructuralError
 from .model import Instance, validate_instance
 
-#: Environment override for the configuration-DP state cap.
-STATE_CAP_ENV = "STOCHPROBE_STATE_CAP"
+#: Configuration-DP states one stage may hold before ``CapacityError``.
 DEFAULT_STATE_CAP = 5_000_000
 
 #: Absorbs float division noise so on-grid masses land on exact units.
@@ -39,22 +36,11 @@ def _floor_units(x: float, grid: float) -> int:
     return int(math.floor(x / grid + _FLOOR_SLACK))
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Rounded transition masses (one unit count per level) plus rounded
-    expected profit, all in integer grid units."""
-
-    units: tuple[int, ...]
-    grid: float
-    profit_grid: float
-
-    def profit_value(self) -> float:
-        return self.units[-1] * self.profit_grid
-
-
 def action_signature(instance: Instance, action_id: str, level: int, grid: float,
-                     max_ref: float) -> Signature:
-    """Signature of a single action probed from ``level``."""
+                     max_ref: float) -> tuple[int, ...]:
+    """Signature of a single action probed from ``level``: its transition
+    masses floored to ``grid`` units, one count per level, then its
+    expected profit floored to units of ``grid * max_ref``."""
     if grid <= 0.0:
         raise ParameterError("grid must be positive")
     if max_ref <= 0.0:
@@ -67,20 +53,8 @@ def action_signature(instance: Instance, action_id: str, level: int, grid: float
     units = [0] * (K + 1)
     for j, p in row.probs:
         units[j] += _floor_units(p, grid)
-    profit_grid = grid * max_ref
-    units[K] = _floor_units(row.profit, profit_grid)
-    return Signature(tuple(units), grid, profit_grid)
-
-
-def block_signature(instance: Instance, action_ids: Sequence[str], level: int,
-                    grid: float, max_ref: float) -> Signature:
-    """Entrywise sum of the batch's action signatures."""
-    K = instance.values.level_count
-    units = [0] * (K + 1)
-    for action_id in action_ids:
-        for i, u in enumerate(action_signature(instance, action_id, level, grid, max_ref).units):
-            units[i] += u
-    return Signature(tuple(units), grid, grid * max_ref)
+    units[K] = _floor_units(row.profit, grid * max_ref)
+    return tuple(units)
 
 
 @dataclass(frozen=True)
@@ -104,9 +78,6 @@ class Topology:
             table.append((node.level, parent, key))
             stack.extend((child, idx, j) for j, child in reversed(node.children))
         return tuple(table)
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
 
 def level_reach(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -179,23 +150,17 @@ def enumerate_topologies(reach: Sequence[Sequence[int]], block_budget: int,
 # --- configuration DP -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One reachable configuration: per-node signature unit vectors and, per
-    group, the placement that realized them (None when the group is skipped;
-    otherwise (node index, action id) pairs on an antichain)."""
-
-    signatures: tuple[tuple[int, ...], ...]
-    placements: tuple[tuple[tuple[int, str], ...] | None, ...]
+#: Per group in processing order: None when the group is skipped, else the
+#: (node index, action id) pairs it places on an antichain of nodes.
+Placements = tuple[tuple[tuple[int, str], ...] | None, ...]
 
 
-class CandidateTable(Sequence[Candidate]):
+class CandidateTable:
     """The configurations a configuration DP kept, in order, held lazily.
 
     ``units`` is an ``(N, nodes, K+1)`` integer array of every candidate's
     per-node unit sums, ``chains`` its traceback chains (None, or (group
-    index, placement, rest)).  Indexing builds one ``Candidate``, and only
-    then is its chain unwound into per-group placements.
+    index, placement, rest)); a chain is unwound only by ``placements``.
     """
 
     def __init__(self, units: np.ndarray, chains: Sequence[tuple | None],
@@ -207,25 +172,22 @@ class CandidateTable(Sequence[Candidate]):
     def __len__(self) -> int:
         return len(self.chains)
 
-    def __getitem__(self, i: int) -> Candidate:
-        i = operator.index(i)
+    def placements(self, i: int) -> Placements:
+        """Candidate ``i``'s traceback chain unwound into per-group placements."""
         chain = self.chains[i]
         trace: list[tuple[tuple[int, str], ...] | None] = [None] * self.group_count
         while chain is not None:
             g, placement, chain = chain
             trace[g] = placement
-        signatures = tuple(tuple(row) for row in self.units[i].tolist())
-        return Candidate(signatures, tuple(trace))
+        return tuple(trace)
 
 
 @dataclass(frozen=True)
 class ConfigDpResult:
-    """Kept configurations, states explored over all stages, and the group
-    processing order that placement tuples are indexed by."""
+    """Kept configurations and states explored over all stages."""
 
     candidates: CandidateTable
     states_explored: int
-    group_order: tuple[str, ...]
 
 
 def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -249,7 +211,7 @@ def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...
 
 def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: float,
               caps: int | None = None, *,
-              state_cap: int | None = None) -> ConfigDpResult:
+              state_cap: int = DEFAULT_STATE_CAP) -> ConfigDpResult:
     """Forward reachability over configurations.
 
     Groups are folded in one at a time (ordered by their smallest action
@@ -268,9 +230,6 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     """
     if grid <= 0.0:
         raise ParameterError("grid must be positive")
-    cap_limit = state_cap
-    if cap_limit is None:
-        cap_limit = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
     cap = instance.horizon if caps is None else min(caps, instance.horizon)
     if cap < 0:
         raise ParameterError("caps must be nonnegative")
@@ -303,7 +262,7 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
                 sig_cache[key] = None
             else:
                 sig_cache[key] = action_signature(
-                    instance, action_id, level, grid, max_ref).units
+                    instance, action_id, level, grid, max_ref)
         return sig_cache[key]
 
     # Placements per group: (covered path set, ((node, action, units), ...)).
@@ -386,9 +345,9 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
                     continue
                 if new_key not in nxt:
                     nxt[new_key] = (g, placement, chain)
-            if len(nxt) + len(frozen) > cap_limit:
+            if len(nxt) + len(frozen) > state_cap:
                 raise CapacityError(
-                    f"configuration DP exceeded the state cap of {cap_limit}",
+                    f"configuration DP exceeded the state cap of {state_cap}",
                     states_explored=explored + len(nxt))
         explored += len(nxt)
         prev = nxt
@@ -401,7 +360,7 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     raw = b"".join(sums.to_bytes(sum_bytes, "little") for sums in kept)
     units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
     table = CandidateTable(units, list(kept.values()), len(group_order))
-    return ConfigDpResult(table, explored, group_order)
+    return ConfigDpResult(table, explored)
 
 
 # --- reconstruction and scoring ---------------------------------------------
@@ -455,7 +414,7 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
     return score
 
 
-def materialize(instance: Instance, topology: Topology, candidate: Candidate) -> BlockNode:
+def materialize(instance: Instance, topology: Topology, placements: Placements) -> BlockNode:
     """Build the concrete block tree a traceback describes, children first
     over the reversed preorder table.
 
@@ -465,7 +424,7 @@ def materialize(instance: Instance, topology: Topology, candidate: Candidate) ->
     """
     nodes = topology.nodes
     items_at: list[list[str]] = [[] for _ in nodes]
-    for placement in candidate.placements:
+    for placement in placements:
         if placement is None:
             continue
         for node_idx, action_id in placement:
@@ -491,21 +450,21 @@ def materialize(instance: Instance, topology: Topology, candidate: Candidate) ->
 
 
 def _check_signature_sums(instance: Instance, topology: Topology,
-                          candidate: Candidate, grid: float, max_ref: float) -> None:
-    """The traceback must reproduce the configuration in exact units."""
+                          placements: Placements, sums_want: np.ndarray,
+                          grid: float, max_ref: float) -> None:
+    """The traceback must reproduce the configuration's unit sums exactly."""
     levels = [level for level, _, _ in topology.nodes]
     width = instance.values.level_count + 1
     sums = [[0] * width for _ in levels]
-    for placement in candidate.placements:
+    for placement in placements:
         if placement is None:
             continue
         for node_idx, action_id in placement:
             units = action_signature(instance, action_id, levels[node_idx],
-                                     grid, max_ref).units
+                                     grid, max_ref)
             for w in range(width):
                 sums[node_idx][w] += units[w]
-    rebuilt = tuple(tuple(s) for s in sums)
-    if rebuilt != candidate.signatures:
+    if sums != sums_want.tolist():
         raise StructuralError("traceback signature sums do not match the "
                               "configuration")
 
@@ -536,9 +495,10 @@ def reconstruct_and_score(instance: Instance, topology: Topology,
     best_value = float("-inf")
     best_surrogate: float | None = None
     for i in ranked[:top_k].tolist():
-        cand = table[i]
-        _check_signature_sums(instance, topology, cand, grid, max_ref)
-        tree = materialize(instance, topology, cand)
+        placements = table.placements(i)
+        _check_signature_sums(instance, topology, placements, table.units[i],
+                              grid, max_ref)
+        tree = materialize(instance, topology, placements)
         value = block_profit_exact(instance, tree)
         if value > best_value:
             best_tree, best_value = tree, value
@@ -583,7 +543,7 @@ class PtasKnobs:
     caps: int | None = None
     top_k: int = 32
     max_hint: str = "exact"
-    state_cap: int | None = None
+    state_cap: int = DEFAULT_STATE_CAP
     topology_cap: int = 200_000
 
 

@@ -8,6 +8,7 @@ import pytest
 from stochprobe import (
     ActionSpec,
     CapacityError,
+    ParameterError,
     Pmf,
     PolicyNode,
     ProblemSpec,
@@ -101,6 +102,13 @@ def test_start_level_parameter():
     assert optimal_value(inst, 0) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_start_level_outside_the_levels_raises():
+    inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))})], [0.0, 4.0], 1)
+    for start in (-1, 2):
+        with pytest.raises(ParameterError):
+            optimal_value(inst, start)
+
+
 def test_max_over_starts_monotone_terminal():
     inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))})], [0.0, 4.0], 1)
     assert max_over_starts(inst) == pytest.approx(4.0, abs=1e-12)
@@ -131,10 +139,13 @@ def test_every_subtree_value_at_most_max():
 
 
 def test_group_cap_overflow_raises():
-    acts = [act(f"a{i}", f"g{i}", {0: ((0, 1.0),)}, profit=0.1) for i in range(4)]
-    inst = kernel(acts, [0.0], 4)
-    with pytest.raises(CapacityError):
-        optimal_value(inst, group_cap=3)
+    # 64 groups at horizon 1 are only 65 cells, but a group mask is an
+    # int64 word with room for 63 bits.
+    acts = [act(f"a{i}", f"g{i}", {0: ((0, 1.0),)}, profit=0.1) for i in range(64)]
+    inst = kernel(acts, [0.0], 1)
+    for solve in (optimal_value, max_over_starts, optimal_policy):
+        with pytest.raises(CapacityError):
+            solve(inst)
 
 
 def test_horizon_far_beyond_recursion_limit():
@@ -254,3 +265,22 @@ def test_sweep_matches_reference_recursion_exactly():
                 count += 1
     assert count >= 200
     assert seen == {-1, 0, 1, "shared group", "missing row"}
+
+
+def test_wide_group_counts_match_reference_recursion_exactly():
+    # Group counts from 25 to 63 are limited by table cells alone.
+    cases = []
+    for seed, n in enumerate((34, 42, 50, 58, 66, 74)):
+        base = gen_random_kernel(seed, GenParams(n=n, levels=3 + seed % 2, q=7 + seed % 4))
+        assert 25 <= len(base.groups()) <= 63
+        cases += [kernel(base.actions, base.terminal, horizon) for horizon in (1, 2)]
+    row = {0: ((0, 0.5), (1, 0.25), (2, 0.25)), 1: ((1, 0.75), (2, 0.25))}
+    widest = [act(f"a{i}", f"g{i}", row, profit=(i % 5) / 7) for i in range(63)]
+    cases += [kernel(widest, [0.0, 1.0, 3.0], horizon) for horizon in (1, 2)]
+    for inst in cases:
+        ref = _Reference(inst)
+        assert optimal_value(inst) == ref.value(1, 0, ref.full)
+        assert max_over_starts(inst) == max(
+            ref.value(1, level, ref.full) for level in range(len(inst.terminal)))
+        assert _shape(optimal_policy(inst)) == _shape(ref.policy(1, 0, ref.full))
+    assert len(cases[-1].groups()) == 63

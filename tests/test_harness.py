@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import stochprobe
 from stochprobe import (
     BlockNode,
     Instance,
@@ -385,8 +386,10 @@ def test_cli_unknown_command_exits_2():
 
 
 def test_cli_capacity_overrun_exits_3(tmp_path, capsys):
-    actions = [act(f"a{i}", f"g{i}", {0: ((0, 1.0),)}) for i in range(25)]
-    inst = kernel(actions, [0.0], 1)
+    # 24 groups, 13 levels, horizon 24: 13 * 2^24 table cells.
+    actions = [act(f"a{i}", f"g{i}", {lvl: ((min(lvl + 1, 12), 1.0),) for lvl in range(13)})
+               for i in range(24)]
+    inst = kernel(actions, [float(h) for h in range(13)], 24)
     path = tmp_path / "wide.json"
     path.write_text(serialize_instance(inst))
     assert main(["exact", "--in", str(path)]) == 3
@@ -459,3 +462,10 @@ def test_cli_baseline_rejects_mismatched_input(tmp_path, capsys):
     path.write_text(serialize_spec(spec))
     assert main(["baseline", "--in", str(path), "--algo", "weitzman"]) == 2
     capsys.readouterr()
+
+
+def test_package_all_names_resolve():
+    # A stale string in __all__ passes a plain import but breaks a star import.
+    missing = [name for name in stochprobe.__all__ if not hasattr(stochprobe, name)]
+    assert missing == []
+    exec("from stochprobe import *", {})

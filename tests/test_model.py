@@ -1,4 +1,4 @@
-"""Kernel model: policy evaluation, path statistics, truncation, validation."""
+"""Kernel model: policy evaluation, reach statistics, truncation, validation."""
 
 import math
 
@@ -19,10 +19,8 @@ from stochprobe import (
     blockify,
     evaluate_policy,
     leaf_node,
-    node_sum_profit,
     optimal_policy,
     optimal_value,
-    path_stats,
     sbk_from_skp,
     sbk_value_of,
     subtree_values,
@@ -49,6 +47,28 @@ def chain_policy(action_ids, level, horizon, up_level=None):
     return tree
 
 
+def node_sum_profit(instance, tree):
+    """Policy value as the reach-weighted sum of node profits and leaf
+    payoffs: a second accounting form of ``evaluate_policy``."""
+    total = 0.0
+    for node, phi, _mu, _acc in walk_reach(instance, tree):
+        if node.is_leaf:
+            total += phi * instance.terminal[node.level]
+        else:
+            total += phi * instance.action(node.action).rows[node.level].profit
+    return total
+
+
+def path_stats(instance, tree, node_path):
+    """The (reach probability, prefix risk mass, prefix profit) that
+    ``walk_reach`` yields for the node the realized levels lead to."""
+    node = tree
+    for j in node_path:
+        node = node.children[j]
+    return next((phi, mu, acc) for visited, phi, mu, acc in walk_reach(instance, tree)
+                if visited is node)
+
+
 def test_evaluate_single_profit_node():
     inst = kernel([act("a", "g", {0: ((0, 1.0),)}, profit=5.0)], [0.0], 1)
     tree = PolicyNode("a", 0, 0, {0: leaf_node(0, 1)})
@@ -73,18 +93,18 @@ def test_evaluate_matches_node_sum_on_random_trees():
 def test_path_stats_empty_path_is_root():
     inst = kernel([act("a", "g", {0: ((0, 1.0),)})], [0.0], 1)
     tree = PolicyNode("a", 0, 0, {0: leaf_node(0, 1)})
-    stats = path_stats(inst, tree, ())
-    assert stats.reach_probability == 1.0
-    assert stats.mu == 0.0
-    assert stats.expected_profit == 0.0
+    phi, mu, acc = path_stats(inst, tree, ())
+    assert phi == 1.0
+    assert mu == 0.0
+    assert acc == 0.0
 
 
 def test_path_stats_single_edge():
     inst = kernel([act("a", "g", {0: ((0, 0.3), (1, 0.7))})], [0.0, 1.0], 1)
     tree = PolicyNode("a", 0, 0, {0: leaf_node(0, 1), 1: leaf_node(1, 1)})
-    stats = path_stats(inst, tree, (0,))
-    assert stats.reach_probability == pytest.approx(0.3, abs=1e-12)
-    assert stats.mu == pytest.approx(0.7, abs=1e-12)
+    phi, mu, _acc = path_stats(inst, tree, (0,))
+    assert phi == pytest.approx(0.3, abs=1e-12)
+    assert mu == pytest.approx(0.7, abs=1e-12)
 
 
 def test_path_stats_two_step_product_and_sum():
@@ -97,16 +117,9 @@ def test_path_stats_two_step_product_and_sum():
         0: PolicyNode("b", 0, 1, {0: leaf_node(0, 2), 1: leaf_node(1, 2)}),
         1: leaf_node(1, 1),
     })
-    stats = path_stats(inst, tree, (0, 0))
-    assert stats.reach_probability == pytest.approx(0.855, abs=1e-12)
-    assert stats.mu == pytest.approx(0.15, abs=1e-12)
-
-
-def test_path_stats_rejects_step_through_leaf():
-    inst = kernel([act("a", "g", {0: ((0, 1.0),)})], [0.0], 1)
-    tree = PolicyNode("a", 0, 0, {0: leaf_node(0, 1)})
-    with pytest.raises(StructuralError):
-        path_stats(inst, tree, (0, 0))
+    phi, mu, _acc = path_stats(inst, tree, (0, 0))
+    assert phi == pytest.approx(0.855, abs=1e-12)
+    assert mu == pytest.approx(0.15, abs=1e-12)
 
 
 def test_reach_weighted_risk_bounded_by_level_count():

@@ -18,7 +18,6 @@ from stochprobe import (
     block_leaf,
     block_profit_approx,
     block_profit_exact,
-    block_signature,
     build_probemax,
     config_dp,
     enumerate_topologies,
@@ -42,6 +41,15 @@ def all_levels(level_count):
     return tuple(tuple(range(level, level_count)) for level in range(level_count))
 
 
+def block_signature(instance, action_ids, level, grid, max_ref):
+    """Entrywise sum of the batch's action signatures."""
+    units = [0] * (instance.values.level_count + 1)
+    for action_id in action_ids:
+        for i, u in enumerate(action_signature(instance, action_id, level, grid, max_ref)):
+            units[i] += u
+    return tuple(units)
+
+
 @pytest.fixture
 def two_probe_kernel():
     return kernel(
@@ -52,19 +60,17 @@ def two_probe_kernel():
 
 def test_signature_floors_off_grid_mass():
     inst = kernel([act("a", "g", {0: ((0, 0.863), (1, 0.137))})], [0.0, 1.0], 1)
-    sig = action_signature(inst, "a", 0, 0.0625, 1.0)
-    assert sig.units == (13, 2, 0)
-    assert sig.grid == 0.0625
+    assert action_signature(inst, "a", 0, 0.0625, 1.0) == (13, 2, 0)
 
 
 def test_signature_keeps_lattice_points_exact():
     inst = kernel([act("a", "g", {0: ((0, 0.75), (1, 0.25))})], [0.0, 1.0], 1)
-    assert action_signature(inst, "a", 0, 0.0625, 1.0).units == (12, 4, 0)
+    assert action_signature(inst, "a", 0, 0.0625, 1.0) == (12, 4, 0)
 
 
 def test_signature_zero_profit_entry():
     inst = kernel([act("a", "g", {0: ((1, 1.0),)})], [0.0, 1.0], 1)
-    assert action_signature(inst, "a", 0, 0.25, 1.0).units[-1] == 0
+    assert action_signature(inst, "a", 0, 0.25, 1.0)[-1] == 0
 
 
 def test_signature_rejects_bad_grid():
@@ -77,9 +83,9 @@ def test_signature_rounding_loss_under_one_grid_step():
     inst = kernel([act("a", "g", {0: ((0, 0.863), (1, 0.137))}, profit=0.33)],
                   [0.0, 1.0], 1)
     grid, max_ref = 0.0625, 2.0
-    sig = action_signature(inst, "a", 0, grid, max_ref)
-    assert 0.0 <= 0.137 - sig.units[1] * grid < grid
-    assert 0.0 <= 0.33 - sig.profit_value() < grid * max_ref
+    units = action_signature(inst, "a", 0, grid, max_ref)
+    assert 0.0 <= 0.137 - units[1] * grid < grid
+    assert 0.0 <= 0.33 - units[-1] * grid * max_ref < grid * max_ref
 
 
 def test_block_signature_is_entrywise_sum():
@@ -90,7 +96,7 @@ def test_block_signature_is_entrywise_sum():
     sa = action_signature(inst, "a", 0, 0.0625, 1.0)
     sb = action_signature(inst, "b", 0, 0.0625, 1.0)
     sab = block_signature(inst, ("a", "b"), 0, 0.0625, 1.0)
-    assert sab.units == tuple(x + y for x, y in zip(sa.units, sb.units))
+    assert sab == tuple(x + y for x, y in zip(sa, sb))
 
 
 def test_topologies_single_level_are_chains():
@@ -101,7 +107,7 @@ def test_topologies_single_level_are_chains():
 def test_topologies_single_block_two_levels():
     tops = enumerate_topologies(all_levels(2), 1, 2, 0)
     assert len(tops) == 1
-    assert tops[0].node_count() == 1
+    assert len(tops[0].nodes) == 1
 
 
 def test_topologies_two_blocks_two_levels():
@@ -124,8 +130,9 @@ def test_config_dp_single_block_unit_cap(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=1)
     assert len(result.candidates) == 3  # empty, {a1}, {a2}
-    sizes = sorted(sum(len(p) for p in cand.placements if p is not None)
-                   for cand in result.candidates)
+    table = result.candidates
+    sizes = sorted(sum(len(p) for p in table.placements(i) if p is not None)
+                   for i in range(len(table)))
     assert sizes == [0, 1, 1]
 
 
@@ -133,7 +140,7 @@ def test_config_dp_zero_caps_only_empty(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=0)
     assert len(result.candidates) == 1
-    assert all(not p for p in result.candidates[0].placements)
+    assert all(not p for p in result.candidates.placements(0))
 
 
 def test_config_dp_coarse_grid_collapses_signatures(two_probe_kernel):
@@ -150,29 +157,22 @@ def test_config_dp_state_cap_overflow(two_probe_kernel):
         config_dp(two_probe_kernel, top, 0.015625, 1.0, caps=2, state_cap=1)
 
 
-def test_config_dp_env_var_overrides_state_cap(two_probe_kernel, monkeypatch):
-    monkeypatch.setenv("STOCHPROBE_STATE_CAP", "1")
-    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
-    with pytest.raises(CapacityError):
-        config_dp(two_probe_kernel, top, 0.015625, 1.0, caps=2)
-
-
 def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
     # Regrouping the per-group placements by node and re-summing the action
     # signatures must land exactly on the unit tuples the DP recorded.
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     levels = [level for level, _, _ in top.nodes]
-    result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2)
-    for cand in result.candidates:
+    table = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2).candidates
+    for i in range(len(table)):
         per_node: dict[int, list[str]] = {}
-        for placed in cand.placements:
+        for placed in table.placements(i):
             for node_idx, action_id in placed or ():
                 per_node.setdefault(node_idx, []).append(action_id)
-        for node_idx, sig_units in enumerate(cand.signatures):
+        for node_idx, sig_units in enumerate(table.units[i].tolist()):
             rebuilt = block_signature(
                 two_probe_kernel, per_node.get(node_idx, []),
                 levels[node_idx], 0.25, 1.0)
-            assert rebuilt.units == sig_units
+            assert rebuilt == tuple(sig_units)
 
 
 def test_config_dp_skip_keeps_its_traceback():
@@ -181,9 +181,9 @@ def test_config_dp_skip_keeps_its_traceback():
     row = {0: ((0, 0.75), (1, 0.25))}
     inst = kernel([act("a", "ga", row, profit=0.25), act("b", "gb", row, profit=0.25)],
                   [0.0, 1.0], 2)
-    result = config_dp(inst, Topology(0), 0.25, 1.0, caps=2)
-    one_item = [cand.placements for cand in result.candidates
-                if sum(len(p) for p in cand.placements if p) == 1]
+    table = config_dp(inst, Topology(0), 0.25, 1.0, caps=2).candidates
+    traces = [table.placements(i) for i in range(len(table))]
+    one_item = [trace for trace in traces if sum(len(p) for p in trace if p) == 1]
     assert one_item == [(((0, "a"),), None)]
 
 
@@ -191,7 +191,7 @@ def test_topology_preorder_table():
     top = Topology(0, ((0, Topology(0)),
                        (1, Topology(1, ((1, Topology(1)),)))))
     assert top.nodes == ((0, -1, -1), (0, 0, 0), (1, 0, 1), (1, 2, 1))
-    assert top.node_count() == 4
+    assert len(top.nodes) == 4
 
 
 def test_deep_flat_chain_topology():
@@ -255,7 +255,8 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
     # sum would change some surrogate in its last bits.
     ranked = []
     monkeypatch.setattr(ptas, "materialize",
-                        lambda inst, top, cand: ranked.append(cand) or block_leaf(top.level))
+                        lambda inst, top, placements: ranked.append(placements)
+                        or block_leaf(top.level))
     cases = ties = 0
     for seed in range(40):
         q = 7 + seed % 4
@@ -268,13 +269,13 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
                 result = config_dp(inst, top, grid, max_ref, caps)
                 table = result.candidates
                 ref = _reference_surrogate(inst, top, grid, grid * max_ref)
-                want = [ref(cand.signatures) for cand in table]
+                want = [ref(sigs) for sigs in table.units.tolist()]
                 got = _compile_surrogate(inst, top, grid, grid * max_ref)(table.units)
                 assert got.tolist() == want
                 order = sorted(range(len(want)), key=lambda i: -want[i])
                 ranked.clear()
                 reconstruct_and_score(inst, top, result, grid, max_ref, top_k=len(table))
-                assert [c.placements for c in ranked] == [table[i].placements for i in order]
+                assert ranked == [table.placements(i) for i in order]
                 cases += 1
                 ties += len(set(want)) < len(want)
     assert cases >= 1500
@@ -290,8 +291,7 @@ def test_reconstruct_single_candidate(two_probe_kernel):
 
 
 def test_reconstruct_empty_candidates_is_noop(two_probe_kernel):
-    empty = ConfigDpResult(CandidateTable(np.zeros((0, 1, 3), np.uint8), [], 2),
-                           0, ("g1", "g2"))
+    empty = ConfigDpResult(CandidateTable(np.zeros((0, 1, 3), np.uint8), [], 2), 0)
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     tree, value, _surrogate = reconstruct_and_score(two_probe_kernel, top, empty, 0.25, 1.0)
     assert value == pytest.approx(two_probe_kernel.terminal[0], abs=1e-12)
@@ -323,8 +323,8 @@ def test_signature_equal_trees_score_close():
          act("b", "gb", {0: ((0, 0.870), (1, 0.130))})],
         [0.0, 1.0], 1)
     grid, max_ref = 0.0625, 1.0
-    assert action_signature(inst, "a", 0, grid, max_ref).units == \
-        action_signature(inst, "b", 0, grid, max_ref).units
+    assert action_signature(inst, "a", 0, grid, max_ref) == \
+        action_signature(inst, "b", 0, grid, max_ref)
     ta = BlockNode(("a",), 0, {0: block_leaf(0), 1: block_leaf(1)})
     tb = BlockNode(("b",), 0, {0: block_leaf(0), 1: block_leaf(1)})
     K = 2
@@ -461,7 +461,7 @@ def test_solve_recovers_exact_optimum_on_grid_kernels():
 
 def test_materialized_trees_validate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
-    result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2)
-    for cand in result.candidates:
-        tree = materialize(two_probe_kernel, top, cand)
+    table = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2).candidates
+    for i in range(len(table)):
+        tree = materialize(two_probe_kernel, top, table.placements(i))
         assert block_profit_exact(two_probe_kernel, tree) >= -1e-12
