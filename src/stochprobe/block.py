@@ -254,43 +254,46 @@ def blockify(instance: Instance, policy_tree: PolicyNode, eps: float, max_ref: f
     spread_cap = eps * eps * max_ref
     mu_cap = eps * eps
 
-    def from_start(node: PolicyNode) -> BlockNode:
-        if node.is_leaf:
-            return block_leaf(node.level)
-        level = node.level
-        chain: list[PolicyNode] = [node]
-        tail_leaf: PolicyNode | None = None
-        while True:
-            flat_child = chain[-1].children.get(level)
-            if flat_child is None:
-                break
-            if flat_child.is_leaf:
-                tail_leaf = flat_child
-                break
-            chain.append(flat_child)
-
-        segments = _segment(instance, chain, values, level, spread_cap, mu_cap)
-
-        blocks_rev: list[BlockNode] = []
-        next_block: BlockNode | None = (
-            block_leaf(tail_leaf.level) if tail_leaf is not None else None)
-        for seg in reversed(segments):
-            children: dict[int, BlockNode] = {}
-            if next_block is not None:
-                children[level] = next_block
+    # Chain starts in discovery order: the root, then the up-children each
+    # start's segments route to (``starts`` grows as the loop runs).  A
+    # start's plan is its level, the level of the leaf ending its flat
+    # chain (None if the chain just stops), and per segment its items and
+    # the start index of each up-child.  Every up-child is discovered after
+    # its start, so building the blocks backwards builds children first.
+    starts = [policy_tree]
+    plans = []
+    for start in starts:
+        level = start.level
+        chain: list[PolicyNode] = []
+        node = start
+        while node is not None and not node.is_leaf:
+            chain.append(node)
+            node = node.children.get(level)
+        segments = []
+        for seg in _segment(instance, chain, values, level, spread_cap, mu_cap):
             targets: dict[int, PolicyNode] = {}
             for u in seg:  # later nodes overwrite: deepest wins
                 for j, child in u.children.items():
                     if j != level:
                         targets[j] = child
+            up = {}
             for j, target in targets.items():
-                children[j] = from_start(target)
-            block = BlockNode(tuple(u.action for u in seg), level, children)
-            blocks_rev.append(block)
-            next_block = block
-        return next_block if next_block is not None else block_leaf(level)
+                up[j] = len(starts)
+                starts.append(target)
+            segments.append((tuple(u.action for u in seg), up))
+        plans.append((level, None if node is None else node.level, segments))
 
-    return from_start(policy_tree)
+    blocks: list[BlockNode | None] = [None] * len(starts)
+    for k in reversed(range(len(starts))):
+        level, tail, segments = plans[k]
+        block = None if tail is None else block_leaf(tail)
+        for items, up in reversed(segments):
+            children = {} if block is None else {level: block}
+            for j, index in up.items():
+                children[j] = blocks[index]
+            block = BlockNode(items, level, children)
+        blocks[k] = block
+    return blocks[0]
 
 
 def _segment(instance: Instance, chain: list[PolicyNode], values: dict[int, float],

@@ -5,8 +5,9 @@ it exactly, run the approximation pipeline, score baselines, replay a
 policy by sampling, run an acceptance suite, and validate a document.
 Exit codes: 0 success, 1 failed assertion or non-compliant input, 2
 usage or malformed input, 3 capacity overrun, including input nested
-deeper than Python's recursion limit (a RecursionError, say from JSON
-decoding).
+deeper than Python's recursion limit (a RecursionError from JSON
+decoding).  Policy and block documents are flat tables, so only nested
+non-tree JSON, such as a deeply nested ``meta``, gets there.
 """
 
 from __future__ import annotations

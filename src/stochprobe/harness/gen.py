@@ -195,18 +195,21 @@ def gen_random_policy(instance: Instance, seed: int, *, stop: float = 0.25) -> P
     """A random feasible policy tree: horizon-bounded, one action per group
     per path, children for every positive-probability outcome."""
     g = stream(seed, "policy")
-
-    def build(level: int, t: int, used_groups: frozenset[str]) -> PolicyNode:
-        if t > instance.horizon or g.random() < stop:
-            return leaf_node(level, t)
+    # Nodes are drawn in preorder, each going into its parent's children
+    # (the root into ``top``) when it is popped.
+    top: dict[int, PolicyNode] = {}
+    stack = [(instance.start_level, 1, frozenset(), top)]
+    while stack:
+        level, t, used_groups, siblings = stack.pop()
         avail = [spec for spec in instance.actions
                  if spec.group not in used_groups and spec.rows.get(level) is not None]
-        if not avail:
-            return leaf_node(level, t)
+        if t > instance.horizon or g.random() < stop or not avail:
+            siblings[level] = leaf_node(level, t)
+            continue
         spec = avail[int(g.integers(0, len(avail)))]
         used = used_groups | {spec.group}
-        children = {j: build(j, t + 1, used)
-                    for j, p in spec.rows[level].probs if p > 0.0}
-        return PolicyNode(spec.id, level, t, children)
-
-    return build(instance.start_level, 1, frozenset())
+        children: dict[int, PolicyNode] = {}
+        siblings[level] = PolicyNode(spec.id, level, t, children)
+        stack.extend((j, t + 1, used, children)
+                     for j, p in reversed(spec.rows[level].probs) if p > 0.0)
+    return top[instance.start_level]

@@ -7,6 +7,11 @@ written as ``[from, [[to, p], ...], profit]``.  Serialization writes
 sorted keys and shortest-repr numbers, so equal objects yield identical
 bytes and every emitted float parses back to the same value.
 
+Trees are flat preorder tables, ``{"policy": [[action, level, t, parent],
+...]}`` and ``{"blocks": [[items, level, parent], ...]}``: the root is row
+0 with parent -1, each node's children follow it by ascending level, and a
+child's key is its entry level.  Tree depth never adds JSON nesting.
+
 Metadata round-trips through a tuple convention: JSON arrays inside
 ``meta`` parse back as tuples, matching what the builders store.
 """
@@ -15,10 +20,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from typing import Any
+from typing import Any, Callable
 
 from ..block import BlockNode
-from ..exceptions import ParameterError, ParseError
+from ..exceptions import ParameterError, ParseError, StructuralError
 from ..model import ActionSpec, Instance, Pmf, PolicyNode, TransitionRow, ValueSpace
 from ..problems import KINDS, ProblemSpec
 
@@ -61,21 +66,32 @@ def _str(value: object, field: str) -> str:
     return value
 
 
-def _pmf(value: object, field: str) -> Pmf:
+def _list(value: object, field: str, item: Callable, what: str) -> tuple:
     if not isinstance(value, list):
-        _fail(field, "expected a list of [outcome, probability] pairs")
-    entries = []
+        _fail(field, f"expected a list of {what}")
+    return tuple(item(v, f"{field}[{i}]") for i, v in enumerate(value))
+
+
+def _pairs(value: object, field: str, first: Callable, a: str, b: str) -> list:
+    """``[[a, b], ...]`` with ``a`` read by ``first`` and ``b`` a nonnegative number."""
+    if not isinstance(value, list):
+        _fail(field, f"expected a list of [{a}, {b}] pairs")
+    out = []
     for idx, pair in enumerate(value):
         where = f"{field}[{idx}]"
         if not isinstance(pair, list) or len(pair) != 2:
-            _fail(where, "expected an [outcome, probability] pair")
-        outcome = _num(pair[0], f"{where}.outcome")
-        prob = _num(pair[1], f"{where}.probability")
-        if prob < 0.0:
-            _fail(f"{where}.probability", f"negative probability {prob!r}")
-        entries.append((outcome, prob))
+            _fail(where, f"expected a [{a}, {b}] pair")
+        x = first(pair[0], f"{where}.{a}")
+        p = _num(pair[1], f"{where}.{b}")
+        if p < 0.0:
+            _fail(f"{where}.{b}", f"negative probability {p!r}")
+        out.append((x, p))
+    return out
+
+
+def _pmf(value: object, field: str) -> Pmf:
     try:
-        return Pmf(tuple(entries))
+        return Pmf(tuple(_pairs(value, field, _num, "outcome", "probability")))
     except ParameterError as exc:
         raise ParseError(f"{field}: {exc}") from exc
 
@@ -121,11 +137,8 @@ def _parse_spec(obj: Mapping[str, object]) -> ProblemSpec:
         if obj.get(name) is not None:
             kwargs[name] = _num(obj[name], name)
     for name in ("costs", "profits"):
-        raw = obj.get(name)
-        if raw is not None:
-            if not isinstance(raw, list):
-                _fail(name, "expected a list of numbers")
-            kwargs[name] = tuple(_num(v, f"{name}[{j}]") for j, v in enumerate(raw))
+        if obj.get(name) is not None:
+            kwargs[name] = _list(obj[name], name, _num, "numbers")
     try:
         return ProblemSpec(kind=kind, items=tuple(items), **kwargs)
     except ParameterError as exc:
@@ -143,19 +156,7 @@ def _parse_rows(value: object, field: str) -> dict[int, TransitionRow]:
         src = _int(triple[0], f"{where}.from")
         if src in rows:
             _fail(where, f"duplicate row for level {src}")
-        raw_probs = triple[1]
-        if not isinstance(raw_probs, list):
-            _fail(f"{where}.probs", "expected a list of [to, p] pairs")
-        probs = []
-        for j, pair in enumerate(raw_probs):
-            pwhere = f"{where}.probs[{j}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(pwhere, "expected a [to, p] pair")
-            to = _int(pair[0], f"{pwhere}.to")
-            p = _num(pair[1], f"{pwhere}.p")
-            if p < 0.0:
-                _fail(f"{pwhere}.p", f"negative probability {p!r}")
-            probs.append((to, p))
+        probs = _pairs(triple[1], f"{where}.probs", _int, "to", "p")
         profit = _num(triple[2], f"{where}.profit")
         rows[src] = TransitionRow(tuple(probs), profit)
     return rows
@@ -166,18 +167,10 @@ def _parse_kernel(obj: Mapping[str, object]) -> Instance:
     if unknown:
         _fail(unknown[0], "unknown field")
     levels = _int(obj.get("levels"), "levels")
-    raw_rep = obj.get("rep")
-    rep = None
-    if raw_rep is not None:
-        if not isinstance(raw_rep, list):
-            _fail("rep", "expected a list of numbers or null")
-        rep = tuple(_num(v, f"rep[{i}]") for i, v in enumerate(raw_rep))
+    rep = None if obj.get("rep") is None else _list(obj["rep"], "rep", _num, "numbers or null")
     horizon = _int(obj.get("horizon"), "horizon")
     start = _int(obj.get("start_level", 0), "start_level")
-    raw_terminal = obj.get("terminal")
-    if not isinstance(raw_terminal, list):
-        _fail("terminal", "expected a list of numbers")
-    terminal = tuple(_num(v, f"terminal[{i}]") for i, v in enumerate(raw_terminal))
+    terminal = _list(obj.get("terminal"), "terminal", _num, "numbers")
     raw_actions = obj.get("actions")
     if not isinstance(raw_actions, list):
         _fail("actions", "expected a list of action objects")
@@ -270,79 +263,85 @@ def serialize_instance(instance: Instance) -> str:
     return _dumps(doc)
 
 
-def _policy_doc(node: PolicyNode) -> dict[str, object]:
-    return {
-        "action": node.action,
-        "level": node.level,
-        "t": node.t,
-        "children": {str(j): _policy_doc(c) for j, c in sorted(node.children.items())},
-    }
+def _policy_node(row: list, where: str, children: dict[int, PolicyNode]) -> PolicyNode:
+    if row[0] is not None:
+        _str(row[0], f"{where}.action")
+    return PolicyNode(row[0], _int(row[1], f"{where}.level"), _int(row[2], f"{where}.t"),
+                      children)
+
+
+def _block_node(row: list, where: str, children: dict[int, BlockNode]) -> BlockNode:
+    items = _list(row[0], f"{where}.items", _str, "action ids")
+    return BlockNode(items, _int(row[1], f"{where}.level"), children)
+
+
+#: Per tree kind: the document key, the node fields a row holds before its
+#: parent's row index, and the parser that makes the node of a row.
+_TREES: dict[type, tuple[str, tuple[str, ...], Callable]] = {
+    PolicyNode: ("policy", ("action", "level", "t"), _policy_node),
+    BlockNode: ("blocks", ("items", "level"), _block_node),
+}
+
+
+def _serialize_tree(tree: PolicyNode | BlockNode, kind: type) -> str:
+    key, fields, _ = _TREES[kind]
+    rows: list[list[object]] = []
+    stack = [(tree, -1)]
+    while stack:
+        node, parent = stack.pop()
+        rows.append([getattr(node, name) for name in fields] + [parent])
+        for j, child in sorted(node.children.items(), reverse=True):
+            if child.level != j:
+                raise StructuralError(f"child keyed {j} carries entry level {child.level}")
+            stack.append((child, len(rows) - 1))
+    return _dumps({key: rows})
+
+
+def _parse_tree(obj: Mapping[str, object], kind: type) -> Any:
+    """Rows after the first go into their parent's children, keyed by entry level."""
+    key, fields, node_of = _TREES[kind]
+    unknown = sorted(set(obj) - {key})
+    if unknown:
+        _fail(unknown[0], "unknown field")
+    rows = obj.get(key)
+    if not isinstance(rows, list) or not rows:
+        _fail(key, "expected a non-empty list of rows")
+    kids: list[dict[int, Any]] = []
+    for i, row in enumerate(rows):
+        where = f"{key}[{i}]"
+        if not isinstance(row, list) or len(row) != len(fields) + 1:
+            _fail(where, f"expected [{', '.join(fields)}, parent]")
+        parent = _int(row[-1], f"{where}.parent")
+        if not (parent == -1 if i == 0 else 0 <= parent < i):
+            _fail(f"{where}.parent", f"expected {-1 if i == 0 else 'an earlier row'}, got {parent}")
+        kids.append({})
+        node = node_of(row, where, kids[-1])
+        if i == 0:
+            root = node
+        elif node.level in kids[parent]:
+            _fail(f"{where}.level", f"row {parent} already has a child at level {node.level}")
+        else:
+            kids[parent][node.level] = node
+    return root
 
 
 def serialize_policy(tree: PolicyNode) -> str:
-    return _dumps(_policy_doc(tree))
-
-
-def _parse_policy_node(obj: object, field: str) -> PolicyNode:
-    if not isinstance(obj, dict):
-        _fail(field, "expected an object")
-    action = obj.get("action")
-    if action is not None and not isinstance(action, str):
-        _fail(f"{field}.action", f"expected a string or null, got {action!r}")
-    level = _int(obj.get("level"), f"{field}.level")
-    t = _int(obj.get("t"), f"{field}.t")
-    children = _parse_children(obj.get("children", {}), field, _parse_policy_node)
-    return PolicyNode(action, level, t, children)
-
-
-def _parse_children(raw: object, field: str, node_parser) -> dict[int, Any]:
-    if not isinstance(raw, dict):
-        _fail(f"{field}.children", "expected an object keyed by level")
-    children = {}
-    for key, sub in raw.items():
-        try:
-            j = int(key)
-        except ValueError:
-            _fail(f"{field}.children", f"non-integer level key {key!r}")
-        children[j] = node_parser(sub, f"{field}.children[{key}]")
-    return children
+    return _serialize_tree(tree, PolicyNode)
 
 
 def parse_policy(text: str) -> PolicyNode:
-    return _parse_policy_node(_loads(text), "policy")
-
-
-def _block_doc(node: BlockNode) -> dict[str, object]:
-    return {
-        "items": list(node.items),
-        "level": node.level,
-        "children": {str(j): _block_doc(c) for j, c in sorted(node.children.items())},
-    }
+    return _parse_tree(_loads(text), PolicyNode)
 
 
 def serialize_block_tree(tree: BlockNode) -> str:
-    return _dumps(_block_doc(tree))
-
-
-def _parse_block_node(obj: object, field: str) -> BlockNode:
-    if not isinstance(obj, dict):
-        _fail(field, "expected an object")
-    raw_items = obj.get("items", [])
-    if not isinstance(raw_items, list):
-        _fail(f"{field}.items", "expected a list of action ids")
-    items = tuple(_str(v, f"{field}.items[{i}]") for i, v in enumerate(raw_items))
-    level = _int(obj.get("level"), f"{field}.level")
-    children = _parse_children(obj.get("children", {}), field, _parse_block_node)
-    return BlockNode(items, level, children)
+    return _serialize_tree(tree, BlockNode)
 
 
 def parse_block_tree(text: str) -> BlockNode:
-    return _parse_block_node(_loads(text), "block")
+    return _parse_tree(_loads(text), BlockNode)
 
 
 def parse_policy_or_block(text: str) -> PolicyNode | BlockNode:
-    """Sniff the tree shape: block documents carry an ``items`` field."""
+    """Choose the tree kind by the top-level key, ``blocks`` or ``policy``."""
     obj = _loads(text)
-    if "items" in obj:
-        return _parse_block_node(obj, "block")
-    return _parse_policy_node(obj, "policy")
+    return _parse_tree(obj, BlockNode if "blocks" in obj else PolicyNode)

@@ -141,29 +141,29 @@ def _random_block_tree(inst: Instance, g, eps: float, depth: int) -> BlockNode:
     leave-probability within eps^2, with children for every reachable
     level."""
 
-    def build(level: int, depth: int, used_groups: frozenset[str]) -> BlockNode:
+    # Drawn in preorder like ``gen.gen_random_policy``.
+    top: dict[int, BlockNode] = {}
+    stack = [(inst.start_level, depth, frozenset(), top)]
+    while stack:
+        level, left, used_groups, siblings = stack.pop()
         avail = [spec for spec in inst.actions
                  if spec.group not in used_groups and spec.rows.get(level) is not None]
-        if depth == 0 or not avail or g.random() < 0.3:
-            return block_leaf(level)
+        if left == 0 or not avail or g.random() < 0.3:
+            siblings[level] = block_leaf(level)
+            continue
         size = 1 + int(g.integers(0, min(3, len(avail))))
         picks = sorted(int(j) for j in g.choice(len(avail), size=size, replace=False))
         batch = [avail[j].id for j in picks]
         while len(batch) > 1 and \
                 block_risk_mass(inst, BlockNode(tuple(batch), level, {})) > eps * eps:
             batch.pop()
-        node = BlockNode(tuple(batch), level, {})
         used = used_groups | {inst.action(a).group for a in batch}
-        up, flat, _profit = batch_masses_exact(inst, node)
+        up, flat, _profit = batch_masses_exact(inst, BlockNode(tuple(batch), level, {}))
         children: dict[int, BlockNode] = {}
-        for j in sorted(up):
-            if up[j] > 0.0:
-                children[j] = build(j, depth - 1, used)
-        if flat > 0.0:
-            children[level] = build(level, depth - 1, used)
-        return BlockNode(tuple(batch), level, children)
-
-    return build(inst.start_level, depth, frozenset())
+        siblings[level] = BlockNode(tuple(batch), level, children)
+        reached = [j for j in sorted(up) if up[j] > 0.0] + ([level] if flat > 0.0 else [])
+        stack.extend((j, left - 1, used, children) for j in reversed(reached))
+    return top[inst.start_level]
 
 
 def _suite_lemma31(config: RunConfig) -> tuple[list[Row], dict[str, object]]:

@@ -114,20 +114,13 @@ class ActionSpec:
 
 @dataclass(frozen=True)
 class Instance:
-    """A complete finite-horizon probing program.
-
-    ``compliance_flag`` records whether the instance satisfies the standing
-    assumptions (levels never decrease, profits and terminal payoffs are
-    nonnegative).  It is computed at construction when not supplied; the
-    exact solver ignores it while the approximation pipeline requires it.
-    """
+    """A complete finite-horizon probing program."""
 
     values: ValueSpace
     horizon: int
     actions: tuple[ActionSpec, ...]
     terminal: tuple[float, ...]
     start_level: int = 0
-    compliance_flag: bool | None = None
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -156,8 +149,6 @@ class Instance:
                     if p < 0.0:
                         raise ParameterError(f"action {spec.id!r} row {level} has negative mass at {j}")
         object.__setattr__(self, "_by_id", by_id)
-        if self.compliance_flag is None:
-            object.__setattr__(self, "compliance_flag", not _violations(self))
 
     def action(self, action_id: str) -> ActionSpec:
         spec = self._by_id.get(action_id)  # type: ignore[attr-defined]

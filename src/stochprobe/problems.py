@@ -95,7 +95,6 @@ class DiscretizationMap:
     source: Pmf
     image: tuple[tuple[float, tuple[tuple[int, float], ...]], ...]
     representatives: tuple[float, ...]
-    theta: float | None = None
     scale: float = 1.0
 
     def level_masses(self) -> dict[int, float]:
@@ -165,7 +164,7 @@ def discretize_value(pmf: Pmf, theta: float, step: float) -> tuple[Pmf, Discreti
                 parts = ((lvl, prob),)
         image.append((outcome, parts))
     reps = tuple(i * step for i in range(top + 1))
-    dmap = DiscretizationMap(pmf, tuple(image), reps, theta=theta, scale=scale)
+    dmap = DiscretizationMap(pmf, tuple(image), reps, scale=scale)
     return dmap.image_pmf(), dmap
 
 
@@ -198,7 +197,7 @@ def discretize_size_li(pmf: Pmf, small_cut: float, step: float,
     level_of = {v: i for i, v in enumerate(reps)}
     image = tuple((outcome, tuple((level_of[v], m) for v, m in parts))
                   for outcome, parts in prelim)
-    dmap = DiscretizationMap(pmf, image, reps, theta=small_cut, scale=1.0)
+    dmap = DiscretizationMap(pmf, image, reps, scale=1.0)
     return dmap.image_pmf(), dmap
 
 
@@ -560,9 +559,8 @@ def sbk_opt_exact(spec: ProblemSpec) -> float:
 
 
 def build_sbk(spec: ProblemSpec, *, max_ref_est: float | None = None,
-              theta1: float | None = None, theta2: float | None = None,
-              theta3: float | None = None, small_cut: float | None = None,
-              step: float | None = None,
+              theta2: float | None = None, theta3: float | None = None,
+              small_cut: float | None = None, step: float | None = None,
               level_cap: int = 4096) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
     """Compile the blackjack knapsack onto a (size grid) x (profit coin)
     level space.
@@ -583,8 +581,6 @@ def build_sbk(spec: ProblemSpec, *, max_ref_est: float | None = None,
     est = max_ref_est if max_ref_est is not None else sbk_opt_exact(spec)
     if est <= 0.0:
         raise ParameterError("optimum estimate is 0; nothing to scale against")
-    if theta1 is None:
-        theta1 = est / eps
     if theta2 is None:
         theta2 = est / (eps * eps)
     if theta3 is None:
@@ -655,7 +651,7 @@ def build_sbk(spec: ProblemSpec, *, max_ref_est: float | None = None,
     instance = Instance(
         ValueSpace(2 * n_size, None), len(spec.items), tuple(actions),
         tuple(terminal),
-        meta={"kind": "sbk", "theta1": theta1, "theta2": theta2, "theta3": theta3,
+        meta={"kind": "sbk", "theta2": theta2, "theta3": theta3,
               "opt_estimate": est, "step": step, "small_cut": small_cut,
               "fit_top": fit_top, "size_reps": size_reps})
     return instance, tuple(maps)
@@ -865,27 +861,28 @@ def replay_probemax_canonical(instance: Instance, maps: Sequence[DiscretizationM
     if instance.meta.get("kind") != "probemax":
         raise ParameterError("replay needs a probemax-built instance")
 
-    def go(node: PolicyNode, best: float) -> float:
-        if node.is_leaf:
-            return best
-        assert node.action is not None
+    def parts(node: PolicyNode) -> list[tuple[int, float, float]]:
+        """(realized level, mass, outcome) of every positive-mass image part."""
         item = instance.action(node.action).meta.get("item")
         if not isinstance(item, int):
             raise StructuralError(
                 f"action {node.action!r} carries no item annotation")
-        dmap = maps[item]
-        total = 0.0
-        for outcome, parts in dmap.image:
-            for lvl, mass in parts:
-                if mass <= 0.0:
-                    continue
-                j = max(node.level, lvl)
-                child = node.children.get(j)
-                if child is None:
-                    raise StructuralError(
-                        f"missing child for realized level {j} under action "
-                        f"{node.action!r}")
-                total += mass * go(child, max(best, outcome))
-        return total
+        return [(max(node.level, lvl), mass, outcome)
+                for outcome, image in maps[item].image
+                for lvl, mass in image if mass > 0.0]
 
-    return go(tree, 0.0)
+    def step(node, row, children, best):
+        return [(node.children[j], max(best, outcome)) for j, _mass, outcome in parts(node)]
+
+    # The values of a node's children pop off in image order, so the sum
+    # runs in the same order as a recursive replay would.
+    values: list[float] = []
+    for node, row, best in walk_policy_reversed(instance, tree, 0.0, step):
+        if row is None:
+            values.append(best)
+            continue
+        total = 0.0
+        for _j, mass, _outcome in parts(node):
+            total += mass * values.pop()
+        values.append(total)
+    return values[0]

@@ -249,3 +249,18 @@ def test_iter_blocks_walks_every_node(two_item_kernel):
     nodes = list(iter_blocks(tree))
     assert len(nodes) == 2
     assert [n.items for n, _depth in nodes] == [("a",), ("b",)]
+
+
+def test_blockify_walks_a_1200_step_staircase():
+    # Action c{j} moves level j to j + 1, so every block starts a new chain
+    # and the block tree is as deep as the policy.
+    depth = 1200
+    inst = kernel([act(f"c{j}", f"g{j}", {j: ((j + 1, 1.0),)}, profit=0.125)
+                   for j in range(depth)], [0.0] * depth + [1.0], depth)
+    tree = leaf_node(depth, depth + 1)
+    for j in reversed(range(depth)):
+        tree = PolicyNode(f"c{j}", j, j + 1, {j + 1: tree})
+    assert evaluate_policy(inst, tree) == 151.0
+    btree = blockify(inst, tree, 0.3, 1.0)
+    assert [n.items for n, _depth in iter_blocks(btree)] == [(f"c{j}",) for j in range(depth)]
+    assert block_profit_exact(inst, btree) == 151.0

@@ -135,12 +135,45 @@ def test_parse_errors_name_the_offending_field():
             "levels": 1, "horizon": 1, "terminal": [0.0],
             "actions": [{"id": "a", "group": "g", "rows": [[0, [[0, 1.0]]]]}],
         }))
-    with pytest.raises(ParseError, match="non-integer level key"):
-        parse_policy(json.dumps({
-            "action": "a", "level": 0, "t": 0,
-            "children": {"zero": {"action": None, "level": 0, "t": 1,
-                                  "children": {}}},
-        }))
+    bad_rows = [
+        (r"policy\[1\].parent", [["a", 0, 1, -1], [None, 0, 2, "0"]]),
+        (r"policy\[2\].parent", [["a", 0, 1, -1], [None, 0, 2, 0], [None, 1, 2, 2]]),
+        (r"policy\[2\].level", [["a", 0, 1, -1], [None, 0, 2, 0], [None, 0, 2, 0]]),
+        (r"policy\[1\]: expected \[action, level, t, parent\]", [["a", 0, 1, -1], [None, 0, 2]]),
+    ]
+    for field, rows in bad_rows:
+        with pytest.raises(ParseError, match=field):
+            parse_policy(json.dumps({"policy": rows}))
+    with pytest.raises(ParseError, match="children: unknown field"):
+        parse_policy(json.dumps({"policy": [[None, 0, 1, -1]], "children": {}}))
+
+
+def test_serializer_rejects_a_child_keyed_off_its_level():
+    with pytest.raises(StructuralError, match="child keyed 1 carries entry level 0"):
+        serialize_policy(PolicyNode("a0", 0, 1, {1: leaf_node(0, 2)}))
+    with pytest.raises(StructuralError, match="child keyed 1 carries entry level 0"):
+        serialize_block_tree(BlockNode(("a0",), 0, {1: block_leaf(0)}))
+
+
+def test_round_trip_5000_deep_chain_and_its_blocks(tmp_path, capsys):
+    depth = 5000
+    inst = kernel([act(f"c{j}", f"g{j}", {0: ((0, 63 / 64), (1, 1 / 64))}) for j in range(depth)],
+                  [0.0, 1.0], depth)
+    tree = leaf_node(0, depth + 1)
+    for j in reversed(range(depth)):
+        tree = PolicyNode(f"c{j}", 0, j + 1, {0: tree, 1: leaf_node(1, j + 2)})
+    btree = blockify(inst, tree, 0.3, 1.0)
+    path = tmp_path / "kernel.json"
+    path.write_text(serialize_instance(inst))
+    for text, parse, serialize in ((serialize_policy(tree), parse_policy, serialize_policy),
+                                   (serialize_block_tree(btree), parse_block_tree,
+                                    serialize_block_tree)):
+        assert serialize(parse(text)) == text
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(text)
+        assert main(["simulate", "--in", str(path), "--policy", str(tree_path),
+                     "--trials", "200"]) == 0
+        assert cli_json(capsys)["trials"] == 200
 
 
 # --- generators -----------------------------------------------------------------
@@ -397,13 +430,16 @@ def test_cli_capacity_overrun_exits_3(tmp_path, capsys):
 
 
 def test_cli_deep_policy_document_exits_3(tmp_path, capsys):
-    _inst, path = small_kernel_doc(tmp_path)
+    inst, path = small_kernel_doc(tmp_path)
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(serialize_policy(optimal_policy(inst)))
     depth = 5000
-    text = ('{"action": "b0", "level": 0, "t": 1, "children": {"0": ' * depth
-            + '{"action": null, "level": 0, "t": 2, "children": {}}' + "}}" * depth)
-    policy_path = tmp_path / "deep.json"
-    policy_path.write_text(text)
-    assert main(["simulate", "--in", str(path), "--policy", str(policy_path)]) == 3
+    doc = json.loads(path.read_text())
+    del doc["meta"]
+    deep_path = tmp_path / "deep.json"
+    deep_path.write_text(json.dumps(doc)[:-1] + ', "meta": {"deep": '
+                         + "[" * depth + "]" * depth + "}}")
+    assert main(["simulate", "--in", str(deep_path), "--policy", str(policy_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 

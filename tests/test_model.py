@@ -241,7 +241,6 @@ def test_validate_instance_clean():
     inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))})], [0.0, 1.0], 1)
     report = validate_instance(inst)
     assert report.compliant and report.violations == ()
-    assert inst.compliance_flag
 
 
 def test_validate_instance_flags_value_decrease():

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from stochprobe import (
+    ActionSpec,
     ClampError,
+    DiscretizationMap,
+    Instance,
     ParameterError,
     Pmf,
     ProblemSpec,
     StructuralError,
     PolicyNode,
+    TransitionRow,
+    ValueSpace,
     build_committed,
     build_probemax,
     build_probetopk,
@@ -37,6 +42,7 @@ from stochprobe import (
     weitzman,
 )
 from stochprobe.exceptions import CapacityError
+from stochprobe.harness import GenParams, gen_random, gen_random_policy
 
 from conftest import act, kernel
 
@@ -587,6 +593,52 @@ def test_replay_dominates_discretized_value_on_lossy_grid(witness_spec):
     quantized = evaluate_policy(inst, tree)
     replayed = replay_probemax_canonical(inst, maps, tree)
     assert replayed >= quantized - 1e-9
+
+
+def replay_recursive(instance, maps, tree):
+    """Reference replay: one recursive call per positive-mass image part."""
+
+    def go(node, best):
+        if node.is_leaf:
+            return best
+        dmap = maps[instance.action(node.action).meta["item"]]
+        total = 0.0
+        for outcome, parts in dmap.image:
+            for lvl, mass in parts:
+                if mass > 0.0:
+                    total += mass * go(node.children[max(node.level, lvl)], max(best, outcome))
+        return total
+
+    return go(tree, 0.0)
+
+
+def test_replay_equals_recursive_reference_on_random_policies():
+    # theta 4 on outcomes up to 5 splits some outcomes into two image parts.
+    params = GenParams(kind="probemax", n=4, m=3, support=3, levels=6)
+    for seed in range(20):
+        inst, maps = build_probemax(gen_random(seed, params), step=1.0, theta=4.0)
+        for tree in (optimal_policy(inst), gen_random_policy(inst, seed, stop=0.1)):
+            assert replay_probemax_canonical(inst, maps, tree) == \
+                replay_recursive(inst, maps, tree)
+
+
+def test_replay_walks_a_1200_deep_chain():
+    # Two levels, item j a 0/1 coin with P[1] = 1/64: the chain probes
+    # the items in order while the draws stay 0.
+    depth, r = 1200, 1 / 64
+    dmap = DiscretizationMap(pmf((0.0, 1 - r), (1.0, r)),
+                             ((0.0, ((0, 1 - r),)), (1.0, ((1, r),))), (0.0, 1.0))
+    rows = {0: TransitionRow(((0, 1 - r), (1, r)), 0.0), 1: TransitionRow(((1, 1.0),), 0.0)}
+    actions = tuple(ActionSpec(f"i{j}", f"i{j}", rows, meta={"item": j})
+                    for j in range(depth))
+    inst = Instance(ValueSpace(2, (0.0, 1.0)), depth, actions, (0.0, 1.0),
+                    meta={"kind": "probemax"})
+    tree = leaf_node(0, depth + 1)
+    for j in reversed(range(depth)):
+        tree = PolicyNode(f"i{j}", 0, j + 1, {0: tree, 1: leaf_node(1, j + 2)})
+    replayed = replay_probemax_canonical(inst, [dmap] * depth, tree)
+    assert replayed == pytest.approx(1.0 - (1.0 - r) ** depth, rel=1e-12)
+    assert replayed == pytest.approx(evaluate_policy(inst, tree), rel=1e-12)
 
 
 def test_replay_rejects_foreign_instances():
