@@ -102,7 +102,8 @@ def _cmd_ptas(args: argparse.Namespace) -> int:
            "topologies": diag.topologies, "completed": diag.completed,
            "capacity_errors": diag.capacity_errors,
            "states_explored": diag.states_explored, "candidates": diag.candidates,
-           "materialized": diag.materialized, "partial": diag.partial})
+           "materialized": diag.materialized, "partial": diag.partial,
+           "seconds": diag.seconds})
     if args.out:
         _write_out(serialize_block_tree(result.tree), args.out)
     return 0

@@ -5,18 +5,20 @@ floored onto a grid and stored in integer grid units, so block signatures
 are entrywise sums of action signatures.  The solver enumerates small block
 topologies over the levels the instance's rows can reach, runs a forward
 reachability DP over per-node signature sums under per-path placement
-caps, ranks all resulting configurations by a batched surrogate, then
-rebuilds only the most promising into concrete block trees and rescores
-them exactly.
+caps, ranks all resulting configurations by a batched surrogate, rescores
+only the most promising exactly from their placements, and builds the best
+of them into a concrete block tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from itertools import product
-from typing import Sequence
+from operator import add
+from time import perf_counter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -222,6 +224,13 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     plus residual caps.  A state reached by skipping a group keeps that
     skip as its traceback; otherwise the first placement to reach it wins.
 
+    A stage expands each state only by the placements that fit it: those
+    whose covered paths all have a cap unit left.  States share their
+    residual caps often, so each stage lists the fitting placements (in
+    placement order) once per distinct caps word, when that word first
+    appears.  A state with no cap left on any path is parked and carried
+    no further.
+
     Final states with equal unit sums collapse to the first found (parked
     states first, then the last stage in insertion order).  The result's
     ``CandidateTable`` holds the sums of all of them, unpacked in one numpy
@@ -288,17 +297,17 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
         placements_by_group.append(opts)
 
     # States are packed into single integers: the low bits hold the residual
-    # caps (one guarded slot per path, so an underflowing placement is caught
-    # by its guard bit), the high bits the per-node unit sums (slots of a
-    # whole unsigned dtype, wide enough that no reachable sum can carry
-    # between them, so the sums unpack as that dtype).
-    cb = cap.bit_length() + 2
+    # caps (one slot per path), the high bits the per-node unit sums (slots
+    # of a whole unsigned dtype, wide enough that no reachable sum can carry
+    # between them, so the sums unpack as that dtype).  Only placements that
+    # leave every covered path at least one unit are ever added, so no caps
+    # slot underflows.
+    cb = max(cap.bit_length(), 1)
     caps_bits = len(paths) * cb
     caps_all = (1 << caps_bits) - 1
-    guard = 0
+    slot_all = (1 << cb) - 1
     init_key = 0
     for j in range(len(paths)):
-        guard |= 1 << (j * cb + cb - 1)
         init_key |= cap << (j * cb)
     unit_max = max((max(u) for u in sig_cache.values() if u), default=0)
     sum_bits = (cap * unit_max).bit_length()
@@ -307,11 +316,12 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     slot_dtype = np.dtype(f"<u{next(b for b in (1, 2, 4, 8) if 8 * b >= sum_bits)}")
     sb = 8 * slot_dtype.itemsize
 
-    # Per group: (packed delta, placement tuple).  The delta adds the unit
-    # sums and subtracts the covered caps in one integer add.
-    deltas_by_group: list[list[tuple[int, tuple[tuple[int, str], ...]]]] = []
+    # Per group: (covered path mask, packed delta, placement tuple).  The
+    # delta adds the unit sums and subtracts the covered caps in one
+    # integer add.
+    deltas_by_group: list[list[tuple[int, int, tuple[tuple[int, str], ...]]]] = []
     for opts in placements_by_group:
-        deltas: list[tuple[int, tuple[tuple[int, str], ...]]] = []
+        deltas: list[tuple[int, int, tuple[tuple[int, str], ...]]] = []
         for covered, combo in opts:
             d = 0
             for i, _action_id, u in combo:
@@ -320,7 +330,8 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
                     d += uw << (base + w * sb)
             for j in covered:
                 d -= 1 << (j * cb)
-            deltas.append((d, tuple((i, a) for i, a, _ in combo)))
+            deltas.append((sum(1 << j for j in covered), d,
+                           tuple((i, a) for i, a, _ in combo)))
         deltas_by_group.append(deltas)
 
     # Each state maps to its traceback chain: None at the start, else
@@ -331,18 +342,27 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     explored = 1
     for g, deltas in enumerate(deltas_by_group):
         nxt: dict[int, tuple | None] = {}
+        # Residual-caps word -> the (delta, placement) pairs that fit it, in
+        # delta order: those whose covered paths all have a unit left.
+        fitting: dict[int, list[tuple[int, tuple[tuple[int, str], ...]]]] = {}
         for key, chain in prev.items():
-            if key & caps_all == 0:
+            word = key & caps_all
+            if word == 0:
                 # No placement can ever fit again; park the state and stop
                 # carrying it through the remaining stages.
                 if key not in frozen:
                     frozen[key] = chain
                 continue
+            fits = fitting.get(word)
+            if fits is None:
+                open_paths = sum(1 << j for j in range(len(paths))
+                                 if word >> (j * cb) & slot_all)
+                fits = [(d, placement) for covered, d, placement in deltas
+                        if covered & ~open_paths == 0]
+                fitting[word] = fits
             nxt[key] = chain  # skip the group; this overrides a placement
-            for d, placement in deltas:
+            for d, placement in fits:
                 new_key = key + d
-                if new_key & guard:
-                    continue
                 if new_key not in nxt:
                     nxt[new_key] = (g, placement, chain)
             if len(nxt) + len(frozen) > state_cap:
@@ -414,6 +434,15 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
     return score
 
 
+def _items_at(n_nodes: int, placements: Placements) -> list[list[str]]:
+    """Each node's items, in group-processing order."""
+    items_at: list[list[str]] = [[] for _ in range(n_nodes)]
+    for placement in placements:
+        for node_idx, action_id in placement or ():
+            items_at[node_idx].append(action_id)
+    return items_at
+
+
 def materialize(instance: Instance, topology: Topology, placements: Placements) -> BlockNode:
     """Build the concrete block tree a traceback describes, children first
     over the reversed preorder table.
@@ -423,12 +452,7 @@ def materialize(instance: Instance, topology: Topology, placements: Placements) 
     leaves, and a node that can stay flat keeps a flat child.
     """
     nodes = topology.nodes
-    items_at: list[list[str]] = [[] for _ in nodes]
-    for placement in placements:
-        if placement is None:
-            continue
-        for node_idx, action_id in placement:
-            items_at[node_idx].append(action_id)
+    items_at = _items_at(len(nodes), placements)
 
     # Reversed preorder reaches siblings last to first, so each list of
     # (key, child) pairs is reversed back into topology order.
@@ -449,39 +473,94 @@ def materialize(instance: Instance, topology: Topology, placements: Placements) 
     return node
 
 
-def _check_signature_sums(instance: Instance, topology: Topology,
-                          placements: Placements, sums_want: np.ndarray,
-                          grid: float, max_ref: float) -> None:
-    """The traceback must reproduce the configuration's unit sums exactly."""
-    levels = [level for level, _, _ in topology.nodes]
-    width = instance.values.level_count + 1
+def _check_signature_sums(levels: list[int], width: int, placements: Placements,
+                          sums_want: np.ndarray,
+                          signature: Callable[[str, int], tuple[int, ...]]) -> None:
+    """The traceback must reproduce the configuration's unit sums exactly;
+    ``signature(action_id, level)`` gives one action's units."""
     sums = [[0] * width for _ in levels]
     for placement in placements:
         if placement is None:
             continue
         for node_idx, action_id in placement:
-            units = action_signature(instance, action_id, levels[node_idx],
-                                     grid, max_ref)
-            for w in range(width):
-                sums[node_idx][w] += units[w]
+            sums[node_idx] = list(map(add, sums[node_idx],
+                                      signature(action_id, levels[node_idx])))
     if sums != sums_want.tolist():
         raise StructuralError("traceback signature sums do not match the "
                               "configuration")
 
 
+def _outcomes(instance: Instance, level: int, items: tuple[str, ...]
+              ) -> tuple[float, list[tuple[int, float]]]:
+    """The exact batch profit of ``items`` probed from ``level`` in that
+    order, and its (key, mass) outcomes in ``block_edges`` order: up-levels
+    ascending, then the flat key if its mass is positive, zero masses
+    dropped."""
+    up, flat, profit = batch_masses_exact(instance, BlockNode(items, level))
+    outcomes = sorted(up.items())
+    if flat > 0.0:
+        outcomes.append((level, flat))
+    return profit, [(j, mass) for j, mass in outcomes if mass != 0.0]
+
+
+def _exact_value(instance: Instance, topology: Topology, placements: Placements,
+                 outcomes: Callable[[int, tuple[str, ...]], tuple]) -> float:
+    """Exact block value of the tree ``materialize`` builds from
+    ``placements``, computed over the reversed preorder table without
+    building it.
+
+    ``outcomes(level, items)`` gives ``_outcomes`` of a node's items in
+    group order.  Each node adds mass times child value to its batch
+    profit, outcome by outcome, as ``block_profit_exact`` does; a key
+    without a topology child takes its terminal payoff.  The float
+    operations are the same, so the value is the same bit for bit.
+    """
+    nodes = topology.nodes
+    terminal = instance.terminal
+    items_at = _items_at(len(nodes), placements)
+    child_at: list[dict[int, int]] = [{} for _ in nodes]
+    values = [0.0] * len(nodes)
+    for idx in range(len(nodes) - 1, -1, -1):
+        level, parent, key = nodes[idx]
+        profit, edges = outcomes(level, tuple(items_at[idx]))
+        kids = child_at[idx]
+        for j, mass in edges:
+            ci = kids.get(j)
+            profit += mass * (terminal[j] if ci is None else values[ci])
+        values[idx] = profit
+        if parent >= 0:
+            child_at[parent][key] = idx
+    return values[0]
+
+
+#: The stages ``PtasDiagnostics.seconds`` times, in pipeline order.
+_STAGES = ("enumerate", "dp", "rank", "rescore", "materialize")
+
+
 def reconstruct_and_score(instance: Instance, topology: Topology,
                           result: ConfigDpResult, grid: float, max_ref: float,
                           top_k: int = 32) -> tuple[BlockNode, float, float | None]:
-    """Materialize the top-k surrogate-ranked configurations and return the
-    exactly-rescored best as (tree, value, its surrogate value); with no
-    candidates, the do-nothing policy and no surrogate.
+    """Rescore the top-k surrogate-ranked configurations exactly and return
+    the best as (tree, value, its surrogate value); with no candidates, the
+    do-nothing policy and no surrogate.
 
     All candidates are scored in one batched pass over the table's unit
     array and ranked by descending surrogate, ties in table order (a stable
-    sort); only the ``top_k`` best are traced back, checked against their
-    unit sums, materialized and rescored.  The first strictly best exact
-    value wins.
+    sort).  Only the ``top_k`` best are traced back; each is checked
+    against its unit sums and valued by ``_exact_value`` from its
+    placements, without building a tree.  The first strictly best exact
+    value wins, and only the winner is materialized; its tree must score
+    that value under ``block_profit_exact``, else ``StructuralError``.
     """
+    return _reconstruct(instance, topology, result, grid, max_ref, top_k,
+                        lambda _stage: None)
+
+
+def _reconstruct(instance: Instance, topology: Topology, result: ConfigDpResult,
+                 grid: float, max_ref: float, top_k: int,
+                 lap: Callable[[str], None]) -> tuple[BlockNode, float, float | None]:
+    """``reconstruct_and_score``, calling ``lap`` with each stage's name
+    ("rank", "rescore", "materialize") as it ends."""
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
     start = instance.start_level
@@ -491,20 +570,32 @@ def reconstruct_and_score(instance: Instance, topology: Topology,
     score = _compile_surrogate(instance, topology, grid, grid * max_ref)
     surrogates = score(table.units)
     ranked = np.argsort(-surrogates, kind="stable")
-    best_tree: BlockNode | None = None
+    lap("rank")
+
+    levels = [level for level, _, _ in topology.nodes]
+    width = instance.values.level_count + 1
+    # One signature per (action, level) and one outcome list per batch, taken
+    # from the instance, for all the candidates this call rescores.
+    signature = cache(partial(action_signature, instance, grid=grid, max_ref=max_ref))
+    outcomes = cache(partial(_outcomes, instance))
+
+    best_i = -1
+    best_placements: Placements = ()
     best_value = float("-inf")
-    best_surrogate: float | None = None
     for i in ranked[:top_k].tolist():
         placements = table.placements(i)
-        _check_signature_sums(instance, topology, placements, table.units[i],
-                              grid, max_ref)
-        tree = materialize(instance, topology, placements)
-        value = block_profit_exact(instance, tree)
+        _check_signature_sums(levels, width, placements, table.units[i], signature)
+        value = _exact_value(instance, topology, placements, outcomes)
         if value > best_value:
-            best_tree, best_value = tree, value
-            best_surrogate = float(surrogates[i])
-    assert best_tree is not None
-    return best_tree, best_value, best_surrogate
+            best_i, best_placements, best_value = i, placements, value
+    lap("rescore")
+
+    tree = materialize(instance, topology, best_placements)
+    if block_profit_exact(instance, tree) != best_value:
+        raise StructuralError("the materialized tree does not score its "
+                              "rescored value")
+    lap("materialize")
+    return tree, best_value, float(surrogates[best_i])
 
 
 def estimate_max(instance: Instance, hint: str) -> float:
@@ -550,8 +641,12 @@ class PtasKnobs:
 @dataclass
 class PtasDiagnostics:
     """Counts of one solve.  ``candidates`` (configurations kept) and
-    ``materialized`` (configurations exactly rescored) are summed over the
-    completed topologies."""
+    ``materialized`` (configurations exactly rescored: at most ``top_k``
+    per topology, of which only the winner is built into a tree) are
+    summed over the completed topologies.  ``seconds`` holds the
+    ``perf_counter`` seconds of the stages enumerate, dp, rank, rescore and
+    materialize, summed over topologies; it is wall time, so it differs
+    between runs."""
 
     max_ref: float
     topologies: int = 0
@@ -563,6 +658,8 @@ class PtasDiagnostics:
     best_topology: int = -1
     best_surrogate: float | None = None
     partial: bool = False
+    seconds: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
 
 
 @dataclass
@@ -603,10 +700,18 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     start = instance.start_level
     if instance.horizon == 0:
         return PtasResult(block_leaf(start), instance.terminal[start], diag)
+    clock = [perf_counter()]
+
+    def lap(stage: str) -> None:
+        now = perf_counter()
+        diag.seconds[stage] += now - clock[0]
+        clock[0] = now
+
     depth_eff = min(knobs.depth_limit, instance.horizon)
     topologies = enumerate_topologies(level_reach(instance), knobs.block_budget,
                                       depth_eff, start, count_cap=knobs.topology_cap)
     diag.topologies = len(topologies)
+    lap("enumerate")
     best_tree: BlockNode = block_leaf(start)
     best_value = instance.terminal[start]
     for ti, topo in enumerate(topologies):
@@ -617,10 +722,12 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
             diag.capacity_errors += 1
             diag.states_explored += err.states_explored
             diag.partial = True
+            lap("dp")
             continue
+        lap("dp")
         diag.states_explored += result.states_explored
-        tree, value, surrogate = reconstruct_and_score(
-            instance, topo, result, knobs.grid, max_ref, knobs.top_k)
+        tree, value, surrogate = _reconstruct(
+            instance, topo, result, knobs.grid, max_ref, knobs.top_k, lap)
         diag.completed += 1
         diag.candidates += len(result.candidates)
         diag.materialized += min(knobs.top_k, len(result.candidates))

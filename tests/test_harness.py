@@ -378,6 +378,15 @@ def test_cli_ptas_then_simulate(tmp_path, capsys):
     assert cli_json(capsys)["trials"] == 500
 
 
+def test_cli_ptas_prints_stage_seconds(tmp_path, capsys):
+    _inst, path = small_kernel_doc(tmp_path)
+    assert main(["ptas", "--in", str(path), "--grid", "0.25", "--blocks", "2",
+                 "--depth", "2"]) == 0
+    seconds = cli_json(capsys)["seconds"]
+    assert sorted(seconds) == ["dp", "enumerate", "materialize", "rank", "rescore"]
+    assert all(s >= 0.0 for s in seconds.values())
+
+
 def test_cli_simulate_policy_tree(tmp_path, capsys):
     inst, path = small_kernel_doc(tmp_path)
     tree = optimal_policy(inst)

@@ -1,6 +1,7 @@
 """Approximation pipeline: signatures, topologies, the placement DP, search."""
 
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stochprobe import (
     HintError,
     ParameterError,
     PtasKnobs,
+    StructuralError,
     Topology,
     action_signature,
     block_leaf,
@@ -187,6 +189,127 @@ def test_config_dp_skip_keeps_its_traceback():
     assert one_item == [(((0, "a"),), None)]
 
 
+def _reference_config_dp(instance, topology, grid, max_ref, caps=None, *,
+                         state_cap=ptas.DEFAULT_STATE_CAP):
+    """The configuration DP as it was before the fitting-placement lists:
+    every placement is tried on every state, and one guard bit per caps
+    slot catches a placement that takes a path below zero."""
+    cap = instance.horizon if caps is None else min(caps, instance.horizon)
+    levels = [level for level, _, _ in topology.nodes]
+    n_nodes = len(levels)
+    ancestors = []
+    for _level, parent, _key in topology.nodes:
+        ancestors.append(() if parent < 0 else ancestors[parent] + (parent,))
+    inner = {parent for _, parent, _ in topology.nodes}
+    paths = [ancestors[i] + (i,) for i in range(n_nodes) if i not in inner]
+    width = instance.values.level_count + 1
+    node_paths = [frozenset(j for j, path in enumerate(paths) if i in path)
+                  for i in range(n_nodes)]
+    groups = {}
+    for spec in sorted(instance.actions, key=lambda s: s.id):
+        groups.setdefault(spec.group, []).append(spec.id)
+    group_order = sorted(groups, key=lambda g: groups[g][0])
+    sigs = {}
+    for spec in instance.actions:
+        for level in spec.rows:
+            sigs[spec.id, level] = action_signature(instance, spec.id, level, grid, max_ref)
+
+    cb = cap.bit_length() + 2
+    caps_bits = len(paths) * cb
+    caps_all = (1 << caps_bits) - 1
+    guard = init_key = 0
+    for j in range(len(paths)):
+        guard |= 1 << (j * cb + cb - 1)
+        init_key |= cap << (j * cb)
+    used = {(a, levels[i]) for i in range(n_nodes) for g in group_order
+            for a in groups[g] if (a, levels[i]) in sigs}
+    unit_max = max((max(sigs[k]) for k in used), default=0)
+    sum_bits = (cap * unit_max).bit_length()
+    slot_dtype = np.dtype(f"<u{next(b for b in (1, 2, 4, 8) if 8 * b >= sum_bits)}")
+    sb = 8 * slot_dtype.itemsize
+
+    deltas_by_group = []
+    for g in group_order:
+        deltas = []
+        for chain in ptas._antichains(n_nodes, ancestors):
+            cells = [[(i, a) for a in groups[g] if (a, levels[i]) in sigs] for i in chain]
+            if not all(cells):
+                continue
+            covered = frozenset().union(*(node_paths[i] for i in chain))
+            for combo in product(*cells):
+                d = 0
+                for i, a in combo:
+                    for w, uw in enumerate(sigs[a, levels[i]]):
+                        d += uw << (caps_bits + (i * width + w) * sb)
+                for j in covered:
+                    d -= 1 << (j * cb)
+                deltas.append((d, combo))
+        deltas_by_group.append(deltas)
+
+    prev, frozen, explored = {init_key: None}, {}, 1
+    for g, deltas in enumerate(deltas_by_group):
+        nxt = {}
+        for key, chain in prev.items():
+            if key & caps_all == 0:
+                if key not in frozen:
+                    frozen[key] = chain
+                continue
+            nxt[key] = chain
+            for d, placement in deltas:
+                new_key = key + d
+                if new_key & guard:
+                    continue
+                if new_key not in nxt:
+                    nxt[new_key] = (g, placement, chain)
+            if len(nxt) + len(frozen) > state_cap:
+                raise CapacityError("state cap", states_explored=explored + len(nxt))
+        explored += len(nxt)
+        prev = nxt
+
+    kept = {}
+    for states in (frozen, prev):
+        for key, chain in states.items():
+            kept.setdefault(key >> caps_bits, chain)
+    sum_bytes = n_nodes * width * slot_dtype.itemsize
+    raw = b"".join(sums.to_bytes(sum_bytes, "little") for sums in kept)
+    units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
+    return ConfigDpResult(CandidateTable(units, list(kept.values()), len(group_order)),
+                          explored)
+
+
+def _outcome(dp, *args, **kwargs):
+    """A DP run as comparable data: its candidates in order, or the point
+    where it hit the state cap."""
+    try:
+        result = dp(*args, **kwargs)
+    except CapacityError as err:
+        return ("capacity", err.states_explored)
+    table = result.candidates
+    return (table.units.dtype, table.units.tolist(),
+            [table.placements(i) for i in range(len(table))], result.states_explored)
+
+
+def test_config_dp_matches_guard_bit_reference():
+    # Masses k/q with q = 7..10 put off-lattice unit sums in the states.
+    cases = errors = 0
+    for seed in range(24):
+        q = 7 + seed % 4
+        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
+                                                 horizon=1 + seed % 3, q=q))
+        grid, max_ref = 1.0 / q, 1.3
+        reach = all_levels(inst.values.level_count)
+        for top in enumerate_topologies(reach, 3, 2, inst.start_level):
+            for caps in (None, 0, 1, 2):
+                for state_cap in (ptas.DEFAULT_STATE_CAP, 3, 10, 40):
+                    args = (inst, top, grid, max_ref, caps)
+                    want = _outcome(_reference_config_dp, *args, state_cap=state_cap)
+                    assert _outcome(config_dp, *args, state_cap=state_cap) == want
+                    cases += 1
+                    errors += want[0] == "capacity"
+    assert cases >= 2000
+    assert cases // 4 <= errors <= 3 * cases // 4
+
+
 def test_topology_preorder_table():
     top = Topology(0, ((0, Topology(0)),
                        (1, Topology(1, ((1, Topology(1)),)))))
@@ -254,9 +377,10 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
     # Masses k/q with q = 7..10 are off the binary lattice, so a reordered
     # sum would change some surrogate in its last bits.
     ranked = []
-    monkeypatch.setattr(ptas, "materialize",
-                        lambda inst, top, placements: ranked.append(placements)
-                        or block_leaf(top.level))
+    exact_value = ptas._exact_value
+    monkeypatch.setattr(ptas, "_exact_value",
+                        lambda inst, top, placements, outcomes: ranked.append(placements)
+                        or exact_value(inst, top, placements, outcomes))
     cases = ties = 0
     for seed in range(40):
         q = 7 + seed % 4
@@ -280,6 +404,59 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
                 ties += len(set(want)) < len(want)
     assert cases >= 1500
     assert ties >= 500
+
+
+def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
+    # Every ranked candidate's exact value, computed from its placements,
+    # equals the value of the tree materialize builds from them.  Flat-heavy
+    # rows put several items on one node, so batch prefixes matter.
+    scored = []
+    exact_value = ptas._exact_value
+    monkeypatch.setattr(ptas, "_exact_value",
+                        lambda inst, top, placements, outcomes: scored.append(
+                            (placements, exact_value(inst, top, placements, outcomes)))
+                        or scored[-1][1])
+    cases = ties = multi = 0
+    for seed in range(100, 116):
+        q = 7 + seed % 4
+        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
+                                                 horizon=1 + seed % 3, q=q,
+                                                 flat_bias=0.5 * (seed % 2)))
+        grid, max_ref = 1.0 / q, 1.3
+        for top in enumerate_topologies(level_reach(inst), 3, 2, inst.start_level):
+            for caps in (None, 2):
+                result = config_dp(inst, top, grid, max_ref, caps)
+                table = result.candidates
+                scored.clear()
+                tree, value, _surrogate = reconstruct_and_score(
+                    inst, top, result, grid, max_ref, top_k=len(table))
+                assert len(scored) == len(table)
+                for placements, got in scored:
+                    want = block_profit_exact(inst, materialize(inst, top, placements))
+                    assert got == want
+                    placed = [i for p in placements if p for i, _action in p]
+                    multi += len(placed) > len(set(placed))
+                assert value == max(got for _, got in scored)
+                cases += 1
+                surrogates = _compile_surrogate(inst, top, grid, grid * max_ref)(table.units)
+                ties += len(set(surrogates.tolist())) < len(table)
+    assert cases >= 200
+    assert ties >= 150
+    assert multi >= 5000
+
+
+def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
+    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
+    result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2)
+    table = result.candidates
+    for i in range(len(table)):
+        units = table.units.copy()
+        units[i, 0, 1] += 1
+        changed = ConfigDpResult(CandidateTable(units, table.chains, table.group_count),
+                                 result.states_explored)
+        with pytest.raises(StructuralError):
+            reconstruct_and_score(two_probe_kernel, top, changed, 0.25, 1.0,
+                                  top_k=len(table))
 
 
 def test_reconstruct_single_candidate(two_probe_kernel):
@@ -418,6 +595,15 @@ def test_reachable_topologies_keep_value_and_tree_on_probemax():
         assert res.diagnostics.topologies < len(full)
         assert res.value == best_value
         assert repr(res.tree) == repr(best_tree)
+
+
+def test_solve_reports_stage_seconds(witness_spec):
+    inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
+    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4, top_k=32)
+    seconds = solve_ptas(inst, knobs).diagnostics.seconds
+    assert list(seconds) == ["enumerate", "dp", "rank", "rescore", "materialize"]
+    assert all(s >= 0.0 for s in seconds.values())
+    assert seconds["dp"] > 0.0
 
 
 def test_solve_topology_cap_raises(witness_spec):
