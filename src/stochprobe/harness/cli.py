@@ -99,6 +99,7 @@ def _cmd_ptas(args: argparse.Namespace) -> int:
     result = solve_ptas(instance, knobs)
     diag = result.diagnostics
     _emit({"value": result.value, "max_ref": diag.max_ref,
+           "max_ref_source": diag.max_ref_source,
            "topologies": diag.topologies, "completed": diag.completed,
            "capacity_errors": diag.capacity_errors,
            "states_explored": diag.states_explored, "candidates": diag.candidates,

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import product
-from operator import add
+from itertools import product, repeat
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -80,6 +79,15 @@ class Topology:
             table.append((node.level, parent, key))
             stack.extend((child, idx, j) for j, child in reversed(node.children))
         return tuple(table)
+
+    @cached_property
+    def child_index(self) -> tuple[dict[int, int], ...]:
+        """Per row of ``nodes``, a dict from child key to that child's row."""
+        index: tuple[dict[int, int], ...] = tuple({} for _ in self.nodes)
+        for idx, (_level, parent, key) in enumerate(self.nodes):
+            if parent >= 0:
+                index[parent][key] = idx
+        return index
 
 
 def level_reach(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -192,6 +200,86 @@ class ConfigDpResult:
     states_explored: int
 
 
+def _row_signature(instance: Instance, grid: float, max_ref: float, action_id: str,
+                   level: int) -> tuple[int, ...] | None:
+    """``action_signature``, or None where the action has no row at ``level``."""
+    if level not in instance.action(action_id).rows:
+        return None
+    return action_signature(instance, action_id, level, grid, max_ref)
+
+
+#: Per group in processing order, its member cell at one level: the
+#: members with a row there, each with a value (signature or packed word).
+_Cells = tuple[tuple[tuple[str, object], ...], ...]
+
+
+class _SolveTable:
+    """What every topology of one solve reads of the instance, each entry
+    computed once, on first use, and dropped with the solve.
+
+    Built from (instance, grid, max_ref): the groups in processing order
+    (by smallest action id) with their members ascending; each (action,
+    level) signature from ``action_signature``, None where the action has
+    no row; per level, each group's member cells and their largest unit;
+    those cells with each signature packed into one integer per slot width
+    (unit ``w`` at bit ``w * slot_bits``); and ``_outcomes`` of each
+    (level, items) batch.  Internal to ``config_dp`` and
+    ``reconstruct_and_score``.  It lives for one solve only and is never
+    stored on the instance, so a repeated solve computes everything again.
+    """
+
+    def __init__(self, instance: Instance, grid: float, max_ref: float):
+        self.instance = instance
+        self.grid = grid
+        self.max_ref = max_ref
+        groups: dict[str, list[str]] = {}
+        for spec in sorted(instance.actions, key=lambda s: s.id):
+            groups.setdefault(spec.group, []).append(spec.id)
+        self.members = tuple(tuple(groups[g])
+                             for g in sorted(groups, key=lambda g: groups[g][0]))
+        #: ``signature(action_id, level)``: ``_row_signature``, once per key.
+        self.signature = cache(partial(_row_signature, instance, grid, max_ref))
+        #: ``outcomes(level, items)``: ``_outcomes`` of a batch, once per key.
+        self.outcomes = cache(partial(_outcomes, instance))
+        self._cells: dict[int, tuple[_Cells, int]] = {}
+        self._packed: dict[tuple[int, int], _Cells] = {}
+
+    def cells(self, level: int) -> tuple[_Cells, int]:
+        """Per group, its members with a row at ``level`` and their
+        signatures; and the largest unit among all of them (0 if none)."""
+        hit = self._cells.get(level)
+        if hit is None:
+            cells = tuple(tuple((a, u) for a in members
+                                if (u := self.signature(a, level)) is not None)
+                          for members in self.members)
+            unit_max = max((max(u) for cell in cells for _a, u in cell), default=0)
+            hit = self._cells[level] = (cells, unit_max)
+        return hit
+
+    def packed(self, level: int, slot_bits: int) -> _Cells:
+        """``cells(level)`` with each signature packed into one integer."""
+        key = (level, slot_bits)
+        hit = self._packed.get(key)
+        if hit is None:
+            hit = self._packed[key] = tuple(
+                tuple((a, sum(uw << (w * slot_bits) for w, uw in enumerate(u)))
+                      for a, u in cell)
+                for cell in self.cells(level)[0])
+        return hit
+
+
+def _table_for(solve_table: _SolveTable | None, instance: Instance, grid: float,
+               max_ref: float) -> _SolveTable:
+    """``solve_table``, checked against the call's arguments, or a new one."""
+    if solve_table is None:
+        return _SolveTable(instance, grid, max_ref)
+    if (solve_table.instance is not instance or solve_table.grid != grid
+            or solve_table.max_ref != max_ref):
+        raise ParameterError("solve_table was built for another instance, grid "
+                             "or max_ref")
+    return solve_table
+
+
 def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     comparable = [set(anc) for anc in ancestors]
     for i, anc in enumerate(ancestors):
@@ -212,8 +300,8 @@ def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...
 
 
 def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: float,
-              caps: int | None = None, *,
-              state_cap: int = DEFAULT_STATE_CAP) -> ConfigDpResult:
+              caps: int | None = None, *, state_cap: int = DEFAULT_STATE_CAP,
+              solve_table: _SolveTable | None = None) -> ConfigDpResult:
     """Forward reachability over configurations.
 
     Groups are folded in one at a time (ordered by their smallest action
@@ -223,6 +311,14 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     per path, at most the horizon).  States are per-node signature sums
     plus residual caps.  A state reached by skipping a group keeps that
     skip as its traceback; otherwise the first placement to reach it wins.
+
+    The groups, signatures, member cells and packed signature words come
+    from ``solve_table``, a per-solve table that ``solve_ptas`` builds once
+    and shares among its topologies; it is internal, and a table built for
+    another (instance, grid, max_ref) raises ``ParameterError``.  Without
+    one, the call builds its own.  What depends on the topology is done
+    here: antichains, paths, placement combinations, and shifting each
+    packed word to its node's slots.
 
     A stage expands each state only by the placements that fit it: those
     whose covered paths all have a cap unit left.  States share their
@@ -242,6 +338,7 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     cap = instance.horizon if caps is None else min(caps, instance.horizon)
     if cap < 0:
         raise ParameterError("caps must be nonnegative")
+    solve_table = _table_for(solve_table, instance, grid, max_ref)
     levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
     ancestors: list[tuple[int, ...]] = []
@@ -249,52 +346,7 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
         ancestors.append(() if parent < 0 else ancestors[parent] + (parent,))
     inner = {parent for _, parent, _ in topology.nodes}
     paths = [ancestors[i] + (i,) for i in range(n_nodes) if i not in inner]
-    K = instance.values.level_count
-    width = K + 1
-
-    node_paths = [frozenset(j for j, path in enumerate(paths) if i in path)
-                  for i in range(n_nodes)]
-    antichains = _antichains(n_nodes, ancestors)
-
-    groups: dict[str, list[str]] = {}
-    for spec in sorted(instance.actions, key=lambda s: s.id):
-        groups.setdefault(spec.group, []).append(spec.id)
-    group_order = tuple(sorted(groups, key=lambda g: groups[g][0]))
-
-    sig_cache: dict[tuple[str, int], tuple[int, ...] | None] = {}
-
-    def units_for(action_id: str, level: int) -> tuple[int, ...] | None:
-        key = (action_id, level)
-        if key not in sig_cache:
-            spec = instance.action(action_id)
-            if level not in spec.rows:
-                sig_cache[key] = None
-            else:
-                sig_cache[key] = action_signature(
-                    instance, action_id, level, grid, max_ref)
-        return sig_cache[key]
-
-    # Placements per group: (covered path set, ((node, action, units), ...)).
-    Placement = tuple[frozenset, tuple[tuple[int, str, tuple[int, ...]], ...]]
-    placements_by_group: list[list[Placement]] = []
-    for g in group_order:
-        members = groups[g]
-        opts: list[Placement] = []
-        for chain in antichains:
-            per_node: list[list[tuple[int, str, tuple[int, ...]]]] = []
-            for i in chain:
-                cell = []
-                for action_id in members:
-                    u = units_for(action_id, levels[i])
-                    if u is not None:
-                        cell.append((i, action_id, u))
-                per_node.append(cell)
-            if any(not cell for cell in per_node):
-                continue
-            covered = frozenset().union(*(node_paths[i] for i in chain))
-            for combo in product(*per_node):
-                opts.append((covered, combo))
-        placements_by_group.append(opts)
+    width = instance.values.level_count + 1
 
     # States are packed into single integers: the low bits hold the residual
     # caps (one slot per path), the high bits the per-node unit sums (slots
@@ -309,29 +361,43 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     init_key = 0
     for j in range(len(paths)):
         init_key |= cap << (j * cb)
-    unit_max = max((max(u) for u in sig_cache.values() if u), default=0)
+    unit_max = max(solve_table.cells(level)[1] for level in set(levels))
     sum_bits = (cap * unit_max).bit_length()
     if sum_bits > 64:
         raise ParameterError("unit sums do not fit 64 bits; the grid is too fine")
     slot_dtype = np.dtype(f"<u{next(b for b in (1, 2, 4, 8) if 8 * b >= sum_bits)}")
     sb = 8 * slot_dtype.itemsize
 
-    # Per group: (covered path mask, packed delta, placement tuple).  The
-    # delta adds the unit sums and subtracts the covered caps in one
-    # integer add.
+    # Per antichain: its nodes, the mask of the paths it covers, and the
+    # caps it spends (one unit in each covered path's slot).
+    path_masks = [sum(1 << j for j, path in enumerate(paths) if i in path)
+                  for i in range(n_nodes)]
+    covers: list[tuple[tuple[int, ...], int, int]] = []
+    for chain in _antichains(n_nodes, ancestors):
+        mask = 0
+        for i in chain:
+            mask |= path_masks[i]
+        covers.append((chain, mask, sum(1 << (j * cb) for j in range(len(paths))
+                                        if mask >> j & 1)))
+
+    # Per group: (covered path mask, packed delta, placement tuple), in
+    # antichain order, then member order node by node.  The delta adds the
+    # unit sums and subtracts the covered caps in one integer add.
+    packed = [solve_table.packed(level, sb) for level in levels]
     deltas_by_group: list[list[tuple[int, int, tuple[tuple[int, str], ...]]]] = []
-    for opts in placements_by_group:
+    for g in range(len(solve_table.members)):
+        # Per node: (packed word shifted to the node's slots, (node, action))
+        # of each member with a row at the node's level.
+        at_node = [tuple((word << (caps_bits + i * width * sb), (i, a))
+                         for a, word in packed[i][g]) for i in range(n_nodes)]
         deltas: list[tuple[int, int, tuple[tuple[int, str], ...]]] = []
-        for covered, combo in opts:
-            d = 0
-            for i, _action_id, u in combo:
-                base = caps_bits + i * width * sb
-                for w, uw in enumerate(u):
-                    d += uw << (base + w * sb)
-            for j in covered:
-                d -= 1 << (j * cb)
-            deltas.append((sum(1 << j for j in covered), d,
-                           tuple((i, a) for i, a, _ in combo)))
+        for chain, mask, spent in covers:
+            per_node = [at_node[i] for i in chain]
+            if not all(per_node):
+                continue
+            for combo in product(*per_node):
+                words, placement = zip(*combo)
+                deltas.append((mask, sum(words) - spent, placement))
         deltas_by_group.append(deltas)
 
     # Each state maps to its traceback chain: None at the start, else
@@ -377,9 +443,9 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
         for key, chain in states.items():
             kept.setdefault(key >> caps_bits, chain)
     sum_bytes = n_nodes * width * slot_dtype.itemsize
-    raw = b"".join(sums.to_bytes(sum_bytes, "little") for sums in kept)
+    raw = b"".join(map(int.to_bytes, kept, repeat(sum_bytes), repeat("little")))
     units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
-    table = CandidateTable(units, list(kept.values()), len(group_order))
+    table = CandidateTable(units, list(kept.values()), len(solve_table.members))
     return ConfigDpResult(table, explored)
 
 
@@ -403,14 +469,10 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
     terminal = instance.terminal
     nodes = topology.nodes
     n = len(nodes)
-    child_at: list[dict[int, int]] = [{} for _ in nodes]
-    for idx, (_level, parent, key) in enumerate(nodes):
-        if parent >= 0:
-            child_at[parent][key] = idx
     prog: list[tuple[int, int, tuple[tuple[int, int | None], ...], int | None]] = []
     for idx in range(n - 1, -1, -1):
         level = nodes[idx][0]
-        kids = child_at[idx]
+        kids = topology.child_index[idx]
         ups = tuple((j, kids.get(j)) for j in range(level + 1, K))
         prog.append((idx, level, ups, kids.get(level)))
 
@@ -434,12 +496,12 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
     return score
 
 
-def _items_at(n_nodes: int, placements: Placements) -> list[list[str]]:
+def _items_at(n_nodes: int, placements: Placements) -> list[tuple[str, ...]]:
     """Each node's items, in group-processing order."""
-    items_at: list[list[str]] = [[] for _ in range(n_nodes)]
+    items_at: list[tuple[str, ...]] = [()] * n_nodes
     for placement in placements:
         for node_idx, action_id in placement or ():
-            items_at[node_idx].append(action_id)
+            items_at[node_idx] += (action_id,)
     return items_at
 
 
@@ -459,7 +521,7 @@ def materialize(instance: Instance, topology: Topology, placements: Placements) 
     built: list[list[tuple[int, BlockNode]]] = [[] for _ in nodes]
     for idx in range(len(nodes) - 1, -1, -1):
         level, parent, key = nodes[idx]
-        items = tuple(items_at[idx])
+        items = items_at[idx]
         children = dict(reversed(built[idx]))
         node = BlockNode(items, level, children)
         up, flat, _profit = batch_masses_exact(instance, node)
@@ -473,19 +535,35 @@ def materialize(instance: Instance, topology: Topology, placements: Placements) 
     return node
 
 
-def _check_signature_sums(levels: list[int], width: int, placements: Placements,
+def _check_signature_sums(levels: list[int], traced: list[Placements],
                           sums_want: np.ndarray,
-                          signature: Callable[[str, int], tuple[int, ...]]) -> None:
-    """The traceback must reproduce the configuration's unit sums exactly;
-    ``signature(action_id, level)`` gives one action's units."""
-    sums = [[0] * width for _ in levels]
-    for placement in placements:
-        if placement is None:
-            continue
-        for node_idx, action_id in placement:
-            sums[node_idx] = list(map(add, sums[node_idx],
-                                      signature(action_id, levels[node_idx])))
-    if sums != sums_want.tolist():
+                          signature: Callable[[str, int], tuple[int, ...] | None]
+                          ) -> None:
+    """Every traceback in ``traced`` must reproduce its configuration's
+    per-node unit sums, the matching row of ``sums_want``, exactly;
+    ``signature(action_id, level)`` gives one action's units, or None where
+    it has no row.  The sums of all of them are added up in one numpy pass
+    and compared as integers."""
+    n_nodes = len(levels)
+    rows: list[int] = []
+    keys: dict[tuple[str, int], int] = {}  # (action, level) -> its signature row
+    cols: list[int] = []
+    for r, placements in enumerate(traced):
+        for placement in placements:
+            if placement is None:
+                continue
+            for node_idx, action_id in placement:
+                rows.append(r * n_nodes + node_idx)
+                cols.append(keys.setdefault((action_id, levels[node_idx]), len(keys)))
+    width = sums_want.shape[-1]
+    sigs = [signature(*key) for key in keys]
+    if None in sigs:
+        raise StructuralError("traceback places an action at a level without "
+                              "its row")
+    sums = np.zeros((len(traced) * n_nodes, width), np.int64)
+    np.add.at(sums, np.array(rows, np.intp),
+              np.array(sigs, np.int64).reshape(-1, width)[cols])
+    if sums.tolist() != sums_want.reshape(-1, width).tolist():
         raise StructuralError("traceback signature sums do not match the "
                               "configuration")
 
@@ -516,20 +594,17 @@ def _exact_value(instance: Instance, topology: Topology, placements: Placements,
     operations are the same, so the value is the same bit for bit.
     """
     nodes = topology.nodes
+    child_index = topology.child_index
     terminal = instance.terminal
     items_at = _items_at(len(nodes), placements)
-    child_at: list[dict[int, int]] = [{} for _ in nodes]
     values = [0.0] * len(nodes)
     for idx in range(len(nodes) - 1, -1, -1):
-        level, parent, key = nodes[idx]
-        profit, edges = outcomes(level, tuple(items_at[idx]))
-        kids = child_at[idx]
+        profit, edges = outcomes(nodes[idx][0], items_at[idx])
+        kids = child_index[idx]
         for j, mass in edges:
             ci = kids.get(j)
             profit += mass * (terminal[j] if ci is None else values[ci])
         values[idx] = profit
-        if parent >= 0:
-            child_at[parent][key] = idx
     return values[0]
 
 
@@ -539,7 +614,8 @@ _STAGES = ("enumerate", "dp", "rank", "rescore", "materialize")
 
 def reconstruct_and_score(instance: Instance, topology: Topology,
                           result: ConfigDpResult, grid: float, max_ref: float,
-                          top_k: int = 32) -> tuple[BlockNode, float, float | None]:
+                          top_k: int = 32, *, solve_table: _SolveTable | None = None
+                          ) -> tuple[BlockNode, float, float | None]:
     """Rescore the top-k surrogate-ranked configurations exactly and return
     the best as (tree, value, its surrogate value); with no candidates, the
     do-nothing policy and no surrogate.
@@ -551,41 +627,47 @@ def reconstruct_and_score(instance: Instance, topology: Topology,
     placements, without building a tree.  The first strictly best exact
     value wins, and only the winner is materialized; its tree must score
     that value under ``block_profit_exact``, else ``StructuralError``.
+    ``solve_table`` is the internal per-solve table of ``config_dp``; the
+    call builds its own when none is passed.
     """
-    return _reconstruct(instance, topology, result, grid, max_ref, top_k,
-                        lambda _stage: None)
+    return _reconstruct(instance, topology, result, top_k, lambda _stage: None,
+                        _table_for(solve_table, instance, grid, max_ref))
 
 
 def _reconstruct(instance: Instance, topology: Topology, result: ConfigDpResult,
-                 grid: float, max_ref: float, top_k: int,
-                 lap: Callable[[str], None]) -> tuple[BlockNode, float, float | None]:
-    """``reconstruct_and_score``, calling ``lap`` with each stage's name
-    ("rank", "rescore", "materialize") as it ends."""
+                 top_k: int, lap: Callable[[str], None], solve_table: _SolveTable
+                 ) -> tuple[BlockNode, float, float | None]:
+    """``reconstruct_and_score`` with the grid and max_ref of
+    ``solve_table``, calling ``lap`` with each stage's name ("rank",
+    "rescore", "materialize") as it ends.
+
+    The signatures of the unit-sum check and the outcomes of each node
+    batch come from ``solve_table``, so each is computed once per solve,
+    however many candidates and topologies read it.  The top_k are traced
+    back once; the check adds up all their placements in one pass, and
+    ``_exact_value`` regroups each candidate's placements by node once.
+    """
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
     start = instance.start_level
     table = result.candidates
     if len(table) == 0:
         return block_leaf(start), instance.terminal[start], None
-    score = _compile_surrogate(instance, topology, grid, grid * max_ref)
+    grid = solve_table.grid
+    score = _compile_surrogate(instance, topology, grid, grid * solve_table.max_ref)
     surrogates = score(table.units)
     ranked = np.argsort(-surrogates, kind="stable")
     lap("rank")
 
-    levels = [level for level, _, _ in topology.nodes]
-    width = instance.values.level_count + 1
-    # One signature per (action, level) and one outcome list per batch, taken
-    # from the instance, for all the candidates this call rescores.
-    signature = cache(partial(action_signature, instance, grid=grid, max_ref=max_ref))
-    outcomes = cache(partial(_outcomes, instance))
-
+    top = ranked[:top_k].tolist()
+    traced = [table.placements(i) for i in top]
+    _check_signature_sums([level for level, _, _ in topology.nodes], traced,
+                          table.units[top], solve_table.signature)
     best_i = -1
     best_placements: Placements = ()
     best_value = float("-inf")
-    for i in ranked[:top_k].tolist():
-        placements = table.placements(i)
-        _check_signature_sums(levels, width, placements, table.units[i], signature)
-        value = _exact_value(instance, topology, placements, outcomes)
+    for i, placements in zip(top, traced):
+        value = _exact_value(instance, topology, placements, solve_table.outcomes)
         if value > best_value:
             best_i, best_placements, best_value = i, placements, value
     lap("rescore")
@@ -640,15 +722,19 @@ class PtasKnobs:
 
 @dataclass
 class PtasDiagnostics:
-    """Counts of one solve.  ``candidates`` (configurations kept) and
-    ``materialized`` (configurations exactly rescored: at most ``top_k``
-    per topology, of which only the winner is built into a tree) are
-    summed over the completed topologies.  ``seconds`` holds the
-    ``perf_counter`` seconds of the stages enumerate, dp, rank, rescore and
-    materialize, summed over topologies; it is wall time, so it differs
-    between runs."""
+    """Counts of one solve.  ``max_ref_source`` names where ``max_ref``
+    came from: the ``max_hint`` that estimated it ("exact",
+    "greedy_probemax" or "terminal_bound"), or "fallback" when that
+    estimate was not positive and 1.0 was used instead.  ``candidates``
+    (configurations kept) and ``materialized`` (configurations exactly
+    rescored: at most ``top_k`` per topology, of which only the winner is
+    built into a tree) are summed over the completed topologies.
+    ``seconds`` holds the ``perf_counter`` seconds of the stages enumerate,
+    dp, rank, rescore and materialize, summed over topologies; it is wall
+    time, so it differs between runs."""
 
     max_ref: float
+    max_ref_source: str
     topologies: int = 0
     completed: int = 0
     capacity_errors: int = 0
@@ -694,12 +780,15 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     if knobs.grid <= 0.0:
         raise ParameterError("grid must be positive")
     max_ref = estimate_max(instance, knobs.max_hint)
+    max_ref_source = knobs.max_hint
     if max_ref <= 0.0:
-        max_ref = 1.0  # degenerate all-zero instance; any scale works
-    diag = PtasDiagnostics(max_ref=max_ref)
+        # Degenerate all-zero instance; any scale works.
+        max_ref, max_ref_source = 1.0, "fallback"
+    diag = PtasDiagnostics(max_ref=max_ref, max_ref_source=max_ref_source)
     start = instance.start_level
     if instance.horizon == 0:
         return PtasResult(block_leaf(start), instance.terminal[start], diag)
+    solve_table = _SolveTable(instance, knobs.grid, max_ref)
     clock = [perf_counter()]
 
     def lap(stage: str) -> None:
@@ -717,7 +806,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     for ti, topo in enumerate(topologies):
         try:
             result = config_dp(instance, topo, knobs.grid, max_ref, knobs.caps,
-                               state_cap=knobs.state_cap)
+                               state_cap=knobs.state_cap, solve_table=solve_table)
         except CapacityError as err:
             diag.capacity_errors += 1
             diag.states_explored += err.states_explored
@@ -727,7 +816,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         lap("dp")
         diag.states_explored += result.states_explored
         tree, value, surrogate = _reconstruct(
-            instance, topo, result, knobs.grid, max_ref, knobs.top_k, lap)
+            instance, topo, result, knobs.top_k, lap, solve_table)
         diag.completed += 1
         diag.candidates += len(result.candidates)
         diag.materialized += min(knobs.top_k, len(result.candidates))

@@ -651,3 +651,135 @@ def test_materialized_trees_validate(two_probe_kernel):
     for i in range(len(table)):
         tree = materialize(two_probe_kernel, top, table.placements(i))
         assert block_profit_exact(two_probe_kernel, tree) >= -1e-12
+
+
+def test_topology_child_index():
+    top = Topology(0, ((0, Topology(0)),
+                       (1, Topology(1, ((1, Topology(1)),)))))
+    assert top.child_index == ({0: 1, 1: 2}, {}, {1: 3}, {})
+
+
+def _probemax_13(seed):
+    """Probemax n 3, m 2 on the 13-level greedy grid, with its greedy scale."""
+    spec = gen_random(seed, GenParams(kind="probemax", n=3, m=2, support=3,
+                                      levels=8, q=8, step=1.0, eps=0.3))
+    inst, _ = build_probemax(spec)
+    assert inst.values.level_count == 13
+    return inst, 0.125, estimate_max(inst, "greedy_probemax")
+
+
+def _topology_run(inst, top, grid, max_ref, caps, state_cap, **table):
+    """One topology through the DP and the rescoring, as comparable data:
+    candidates, order, tracebacks and states explored, then the winner; or
+    the point where the DP hit its state cap."""
+    try:
+        result = config_dp(inst, top, grid, max_ref, caps, state_cap=state_cap, **table)
+    except CapacityError as err:
+        return ("capacity", err.states_explored)
+    cands = result.candidates
+    tree, value, surrogate = reconstruct_and_score(inst, top, result, grid, max_ref,
+                                                   **table)
+    return (cands.units.dtype, cands.units.tolist(),
+            [cands.placements(i) for i in range(len(cands))], result.states_explored,
+            repr(tree), value, surrogate)
+
+
+def test_shared_solve_table_matches_fresh_tables():
+    # Every topology of a solve, in enumeration order and reversed, through
+    # one table per pass, against calls that each build their own.  Small
+    # state caps make some topologies stop at the cap; the caps settings
+    # give the table more than one slot width to pack for.
+    cases = []
+    for seed in range(8):
+        q = 7 + seed % 4
+        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 2, levels=2 + seed % 3,
+                                                 horizon=1 + seed % 3, q=q))
+        # A small scale puts profit units past one byte on some caps only.
+        cases.append((inst, 1.0 / q, 1.3 if seed % 2 else 0.02, 3, 2))
+    for seed in range(3):
+        cases.append((*_probemax_13(seed), 4, 3))
+    settings = [(None, ptas.DEFAULT_STATE_CAP), (1, 40), (2, 12), (40, 200)]
+    runs = errors = 0
+    for inst, grid, max_ref, budget, depth in cases:
+        tops = enumerate_topologies(level_reach(inst), budget,
+                                    min(depth, inst.horizon), inst.start_level)
+        jobs = [(top, caps, cap) for top in tops for caps, cap in settings]
+        want = [_topology_run(inst, top, grid, max_ref, caps, cap)
+                for top, caps, cap in jobs]
+        forward = ptas._SolveTable(inst, grid, max_ref)
+        got = [_topology_run(inst, top, grid, max_ref, caps, cap, solve_table=forward)
+               for top, caps, cap in jobs]
+        assert got == want
+        backward = ptas._SolveTable(inst, grid, max_ref)
+        got = [_topology_run(inst, top, grid, max_ref, caps, cap, solve_table=backward)
+               for top, caps, cap in reversed(jobs)]
+        assert got[::-1] == want
+        runs += len(jobs)
+        errors += sum(w[0] == "capacity" for w in want)
+    assert runs >= 300
+    assert runs // 10 <= errors <= runs // 2
+
+
+def test_solve_table_rejects_another_instance_grid_or_max_ref(two_probe_kernel):
+    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
+    table = ptas._SolveTable(two_probe_kernel, 0.25, 1.0)
+    result = config_dp(two_probe_kernel, top, 0.25, 1.0, solve_table=table)
+    other = kernel([act("a1", "g1", {0: ((0, 0.5), (1, 0.5))})], [0.0, 1.0], 2)
+    for inst, grid, max_ref in ((other, 0.25, 1.0), (two_probe_kernel, 0.125, 1.0),
+                                (two_probe_kernel, 0.25, 2.0)):
+        with pytest.raises(ParameterError):
+            config_dp(inst, top, grid, max_ref, solve_table=table)
+        with pytest.raises(ParameterError):
+            reconstruct_and_score(inst, top, result, grid, max_ref, solve_table=table)
+
+
+def test_solve_computes_each_signature_and_batch_once(monkeypatch):
+    signatures, batches = [], []
+    signature, outcomes = ptas.action_signature, ptas._outcomes
+    monkeypatch.setattr(ptas, "action_signature",
+                        lambda inst, a, level, grid, max_ref: signatures.append((a, level))
+                        or signature(inst, a, level, grid, max_ref))
+    monkeypatch.setattr(ptas, "_outcomes",
+                        lambda inst, level, items: batches.append((level, items))
+                        or outcomes(inst, level, items))
+    inst, grid, _max_ref = _probemax_13(4)
+    knobs = PtasKnobs(eps=0.3, grid=grid, block_budget=4, depth_limit=3,
+                      max_hint="greedy_probemax")
+    first = solve_ptas(inst, knobs)
+    assert first.diagnostics.completed > 1
+    assert signatures and len(set(signatures)) == len(signatures)
+    assert batches and len(set(batches)) == len(batches)
+    once = sorted(signatures), sorted(batches)
+    signatures.clear()
+    batches.clear()
+    # Nothing is kept between solves: the second computes it all again.
+    second = solve_ptas(inst, knobs)
+    assert (sorted(signatures), sorted(batches)) == once
+    assert (second.value, repr(second.tree)) == (first.value, repr(first.tree))
+
+
+def test_max_ref_source_exact(two_probe_kernel):
+    diag = solve_ptas(two_probe_kernel, PtasKnobs(grid=0.25, max_hint="exact")).diagnostics
+    assert diag.max_ref_source == "exact"
+    assert diag.max_ref == max_over_starts(two_probe_kernel)
+
+
+def test_max_ref_source_greedy_probemax():
+    inst, grid, max_ref = _probemax_13(0)
+    knobs = PtasKnobs(grid=grid, block_budget=2, depth_limit=2, max_hint="greedy_probemax")
+    diag = solve_ptas(inst, knobs).diagnostics
+    assert (diag.max_ref_source, diag.max_ref) == ("greedy_probemax", max_ref)
+
+
+def test_max_ref_source_terminal_bound():
+    inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))})], [0.0, 3.0], 1)
+    diag = solve_ptas(inst, PtasKnobs(grid=0.25, max_hint="terminal_bound")).diagnostics
+    assert (diag.max_ref_source, diag.max_ref) == ("terminal_bound", 3.0)
+
+
+def test_max_ref_source_fallback():
+    # Nothing pays anywhere, so every estimate is 0 and the scale falls back.
+    inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))})], [0.0, 0.0], 1)
+    assert estimate_max(inst, "terminal_bound") == 0.0
+    diag = solve_ptas(inst, PtasKnobs(grid=0.25, max_hint="terminal_bound")).diagnostics
+    assert (diag.max_ref_source, diag.max_ref) == ("fallback", 1.0)
