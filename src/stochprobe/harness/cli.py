@@ -103,7 +103,8 @@ def _cmd_ptas(args: argparse.Namespace) -> int:
            "topologies": diag.topologies, "completed": diag.completed,
            "capacity_errors": diag.capacity_errors,
            "states_explored": diag.states_explored, "candidates": diag.candidates,
-           "materialized": diag.materialized, "partial": diag.partial,
+           "materialized": diag.materialized,
+           "surrogate_gap": diag.surrogate_gap, "partial": diag.partial,
            "seconds": diag.seconds})
     if args.out:
         _write_out(serialize_block_tree(result.tree), args.out)

@@ -320,7 +320,8 @@ def _suite_signatures(config: RunConfig) -> tuple[list[Row], dict[str, object]]:
 
 def _suite_ptas_e2e(config: RunConfig) -> tuple[list[Row], dict[str, object]]:
     """The headline pipeline ratio on lossless-grid instances: every run
-    must clear 0.75 of the oracle and the mean must clear 0.90."""
+    must clear 0.75 of the oracle and keep the small-risk property P1 at
+    the solve's eps, and the mean must clear 0.90."""
     rows: list[Row] = []
     ratios: list[float] = []
     for i in range(_count(config, 50)):
@@ -343,11 +344,13 @@ def _suite_ptas_e2e(config: RunConfig) -> tuple[list[Row], dict[str, object]]:
         res = solve_ptas(inst, knobs)
         ratio = _ratio(res.value, opt)
         ratios.append(ratio)
+        p1 = check_block_properties(inst, res.tree, knobs.eps,
+                                    knobs.depth_limit).p1_ok
         rows.append({"index": i, "n": n, "m": m, "levels": K, "q": q,
                      "oracle": opt, "solver": res.value, "ratio": ratio,
                      "topologies": res.diagnostics.topologies,
-                     "states": res.diagnostics.states_explored,
-                     "pass": ratio >= 0.75 - 1e-9})
+                     "states": res.diagnostics.states_explored, "p1": p1,
+                     "pass": ratio >= 0.75 - 1e-9 and p1})
     mean_ratio = math.fsum(ratios) / len(ratios) if ratios else 1.0
     summary = {"mean_ratio": mean_ratio, "min_ratio": min(ratios, default=1.0),
                "pass": mean_ratio >= 0.90}

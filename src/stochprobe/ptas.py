@@ -4,10 +4,12 @@ Blocks are summarized by signatures: transition masses and expected profit
 floored onto a grid and stored in integer grid units, so block signatures
 are entrywise sums of action signatures.  The solver enumerates small block
 topologies over the levels the instance's rows can reach, runs a forward
-reachability DP over per-node signature sums under per-path placement
-caps, ranks all resulting configurations by a batched surrogate, rescores
-only the most promising exactly from their placements, and builds the best
-of them into a concrete block tree.
+reachability DP over per-node signature sums under per-path placement caps
+and the small-risk property P1 (a node holds one item of any leave mass, or
+several whose leave masses sum to at most eps^2), ranks all resulting
+configurations by a batched surrogate, rescores only the most promising
+exactly from their placements, and builds the best of them into a concrete
+block tree.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ DEFAULT_STATE_CAP = 5_000_000
 
 #: Absorbs float division noise so on-grid masses land on exact units.
 _FLOOR_SLACK = 1e-9
+
+#: Risk units in one node's small-risk budget of eps^2 (see ``_risk_units``).
+_RISK_UNITS = 8
 
 
 def _floor_units(x: float, grid: float) -> int:
@@ -208,6 +213,25 @@ def _row_signature(instance: Instance, grid: float, max_ref: float, action_id: s
     return action_signature(instance, action_id, level, grid, max_ref)
 
 
+def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> int | None:
+    """The share of a node's small-risk budget that ``action_id`` takes at
+    ``level``, or None where it has no row there.
+
+    The budget eps^2 splits into ``_RISK_UNITS`` units, and an item takes
+    its leave mass in units, rounded up; an item whose leave mass exceeds
+    eps^2 takes ``_RISK_UNITS + 1``, which only an empty node can give
+    (see ``config_dp``).  Units that sum to at most ``_RISK_UNITS`` thus
+    certify leave masses that sum to at most eps^2."""
+    row = instance.action(action_id).rows.get(level)
+    if row is None:
+        return None
+    mu = row.risk_mass(level)
+    budget = eps * eps
+    if mu > budget:
+        return _RISK_UNITS + 1
+    return min(math.ceil(mu * _RISK_UNITS / budget), _RISK_UNITS)
+
+
 #: Per group in processing order, its member cell at one level: the
 #: members with a row there, each with a value (signature or packed word).
 _Cells = tuple[tuple[tuple[str, object], ...], ...]
@@ -217,21 +241,25 @@ class _SolveTable:
     """What every topology of one solve reads of the instance, each entry
     computed once, on first use, and dropped with the solve.
 
-    Built from (instance, grid, max_ref): the groups in processing order
-    (by smallest action id) with their members ascending; each (action,
-    level) signature from ``action_signature``, None where the action has
-    no row; per level, each group's member cells and their largest unit;
-    those cells with each signature packed into one integer per slot width
-    (unit ``w`` at bit ``w * slot_bits``); and ``_outcomes`` of each
-    (level, items) batch.  Internal to ``config_dp`` and
-    ``reconstruct_and_score``.  It lives for one solve only and is never
-    stored on the instance, so a repeated solve computes everything again.
+    Built from (instance, grid, max_ref, eps): the groups in processing
+    order (by smallest action id) with their members ascending; each
+    (action, level) signature from ``action_signature`` and risk share from
+    ``_risk_units``, None where the action has no row; per level, each
+    group's member cells and their largest unit; those cells with each
+    signature packed into one integer per slot width (unit ``w`` at bit
+    ``w * slot_bits``); and ``_outcomes`` of each (level, items) batch.
+    Internal to ``config_dp``, ``reconstruct_and_score`` and
+    ``materialize``; a table that only rescoring reads may have eps None.
+    It lives for one solve only and is never stored on the instance, so a
+    repeated solve computes everything again.
     """
 
-    def __init__(self, instance: Instance, grid: float, max_ref: float):
+    def __init__(self, instance: Instance, grid: float, max_ref: float,
+                 eps: float | None):
         self.instance = instance
         self.grid = grid
         self.max_ref = max_ref
+        self.eps = eps
         groups: dict[str, list[str]] = {}
         for spec in sorted(instance.actions, key=lambda s: s.id):
             groups.setdefault(spec.group, []).append(spec.id)
@@ -239,6 +267,8 @@ class _SolveTable:
                              for g in sorted(groups, key=lambda g: groups[g][0]))
         #: ``signature(action_id, level)``: ``_row_signature``, once per key.
         self.signature = cache(partial(_row_signature, instance, grid, max_ref))
+        #: ``risk(action_id, level)``: ``_risk_units``, once per key.
+        self.risk = cache(partial(_risk_units, instance, eps))
         #: ``outcomes(level, items)``: ``_outcomes`` of a batch, once per key.
         self.outcomes = cache(partial(_outcomes, instance))
         self._cells: dict[int, tuple[_Cells, int]] = {}
@@ -269,14 +299,17 @@ class _SolveTable:
 
 
 def _table_for(solve_table: _SolveTable | None, instance: Instance, grid: float,
-               max_ref: float) -> _SolveTable:
-    """``solve_table``, checked against the call's arguments, or a new one."""
+               max_ref: float, eps: float | None = None) -> _SolveTable:
+    """``solve_table``, checked against the call's arguments, or a new one.
+    A caller that reads no risk units passes no eps and takes a table
+    built for any."""
     if solve_table is None:
-        return _SolveTable(instance, grid, max_ref)
+        return _SolveTable(instance, grid, max_ref, eps)
     if (solve_table.instance is not instance or solve_table.grid != grid
-            or solve_table.max_ref != max_ref):
-        raise ParameterError("solve_table was built for another instance, grid "
-                             "or max_ref")
+            or solve_table.max_ref != max_ref
+            or (eps is not None and solve_table.eps != eps)):
+        raise ParameterError("solve_table was built for another instance, grid, "
+                             "max_ref or eps")
     return solve_table
 
 
@@ -300,7 +333,8 @@ def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...
 
 
 def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: float,
-              caps: int | None = None, *, state_cap: int = DEFAULT_STATE_CAP,
+              eps: float, caps: int | None = None, *,
+              state_cap: int = DEFAULT_STATE_CAP,
               solve_table: _SolveTable | None = None) -> ConfigDpResult:
     """Forward reachability over configurations.
 
@@ -308,24 +342,28 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     id); each may be skipped or placed on any antichain of topology nodes,
     choosing one member action per placed node.  Every placement consumes
     one cap unit on each root-to-leaf path through the antichain (``caps``
-    per path, at most the horizon).  States are per-node signature sums
-    plus residual caps.  A state reached by skipping a group keeps that
-    skip as its traceback; otherwise the first placement to reach it wins.
+    per path, at most the horizon).  A placement also keeps the small-risk
+    property P1 of every node it touches: a node holds one item of any
+    leave mass, or several whose risk shares (``_risk_units`` at eps) sum
+    to at most ``_RISK_UNITS``, so their leave masses sum to at most eps^2.
+    States are per-node signature sums plus residual caps and risk.  A
+    state reached by skipping a group keeps that skip as its traceback;
+    otherwise the first placement to reach it wins.
 
-    The groups, signatures, member cells and packed signature words come
-    from ``solve_table``, a per-solve table that ``solve_ptas`` builds once
-    and shares among its topologies; it is internal, and a table built for
-    another (instance, grid, max_ref) raises ``ParameterError``.  Without
-    one, the call builds its own.  What depends on the topology is done
-    here: antichains, paths, placement combinations, and shifting each
-    packed word to its node's slots.
+    The groups, signatures, risk shares, member cells and packed signature
+    words come from ``solve_table``, a per-solve table that ``solve_ptas``
+    builds once and shares among its topologies; it is internal, and a
+    table built for another (instance, grid, max_ref, eps) raises
+    ``ParameterError``.  Without one, the call builds its own.  What
+    depends on the topology is done here: antichains, paths, placement
+    combinations, and shifting each packed word to its node's slots.
 
     A stage expands each state only by the placements that fit it: those
-    whose covered paths all have a cap unit left.  States share their
-    residual caps often, so each stage lists the fitting placements (in
-    placement order) once per distinct caps word, when that word first
-    appears.  A state with no cap left on any path is parked and carried
-    no further.
+    whose covered paths all have a cap unit left and whose nodes all have
+    the risk left.  States share their residual caps and risk often, so
+    each stage lists the fitting placements (in placement order) once per
+    distinct residual word, when that word first appears.  A state with no
+    cap left on any path is parked and carried no further.
 
     Final states with equal unit sums collapse to the first found (parked
     states first, then the last stage in insertion order).  The result's
@@ -335,10 +373,12 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     """
     if grid <= 0.0:
         raise ParameterError("grid must be positive")
+    if not (0.0 < eps <= 1.0):
+        raise ParameterError("eps must lie in (0, 1]")
     cap = instance.horizon if caps is None else min(caps, instance.horizon)
     if cap < 0:
         raise ParameterError("caps must be nonnegative")
-    solve_table = _table_for(solve_table, instance, grid, max_ref)
+    solve_table = _table_for(solve_table, instance, grid, max_ref, eps)
     levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
     ancestors: list[tuple[int, ...]] = []
@@ -348,12 +388,13 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     paths = [ancestors[i] + (i,) for i in range(n_nodes) if i not in inner]
     width = instance.values.level_count + 1
 
-    # States are packed into single integers: the low bits hold the residual
-    # caps (one slot per path), the high bits the per-node unit sums (slots
-    # of a whole unsigned dtype, wide enough that no reachable sum can carry
-    # between them, so the sums unpack as that dtype).  Only placements that
-    # leave every covered path at least one unit are ever added, so no caps
-    # slot underflows.
+    # States are packed into single integers.  The low word holds the
+    # residual caps (one slot per path) and then the residual risk (one
+    # slot per node); the high bits hold the per-node unit sums (slots of a
+    # whole unsigned dtype, wide enough that no reachable sum can carry
+    # between them, so the sums unpack as that dtype).  Only placements
+    # that leave every covered path a unit and every touched node its risk
+    # are ever added, so no low slot underflows.
     cb = max(cap.bit_length(), 1)
     caps_bits = len(paths) * cb
     caps_all = (1 << caps_bits) - 1
@@ -361,6 +402,18 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     init_key = 0
     for j in range(len(paths)):
         init_key |= cap << (j * cb)
+    # A node's risk slot reads ``risk_empty`` until its first item, which
+    # also spends one unit: ``_RISK_UNITS + 1 - share`` is left after it, so
+    # a lone item over eps^2 leaves 0, small ones leave at least 1, and a
+    # later item fits only where more than its share is left.
+    risk_empty = _RISK_UNITS + 2
+    rb = risk_empty.bit_length()
+    risk_all = (1 << rb) - 1
+    risk_shift = [caps_bits + i * rb for i in range(n_nodes)]
+    for shift in risk_shift:
+        init_key |= risk_empty << shift
+    low_bits = caps_bits + n_nodes * rb
+    low_all = (1 << low_bits) - 1
     unit_max = max(solve_table.cells(level)[1] for level in set(levels))
     sum_bits = (cap * unit_max).bit_length()
     if sum_bits > 64:
@@ -380,24 +433,36 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
         covers.append((chain, mask, sum(1 << (j * cb) for j in range(len(paths))
                                         if mask >> j & 1)))
 
-    # Per group: (covered path mask, packed delta, placement tuple), in
-    # antichain order, then member order node by node.  The delta adds the
-    # unit sums and subtracts the covered caps in one integer add.
+    # Per group: (covered path mask, packed delta, placement tuple, per
+    # touched node its (index, risk share, risk unit)), in antichain order,
+    # then member order node by node.  The delta adds the unit sums and
+    # subtracts the covered caps and the risk shares in one integer add; a
+    # node's first item spends one more risk unit, per residual word.
     packed = [solve_table.packed(level, sb) for level in levels]
-    deltas_by_group: list[list[tuple[int, int, tuple[tuple[int, str], ...]]]] = []
+    risk = solve_table.risk
+    deltas_by_group: list[list[tuple[int, int, tuple[tuple[int, str], ...],
+                                     tuple[tuple[int, int, int], ...]]]] = []
     for g in range(len(solve_table.members)):
-        # Per node: (packed word shifted to the node's slots, (node, action))
-        # of each member with a row at the node's level.
-        at_node = [tuple((word << (caps_bits + i * width * sb), (i, a))
-                         for a, word in packed[i][g]) for i in range(n_nodes)]
-        deltas: list[tuple[int, int, tuple[tuple[int, str], ...]]] = []
+        # Per node: (packed word shifted to the node's slots, less its risk
+        # share, (node, action), (node, risk share, risk unit)) of each
+        # member with a row at the node's level.
+        at_node = []
+        for i in range(n_nodes):
+            unit = 1 << risk_shift[i]
+            cell = []
+            for a, word in packed[i][g]:
+                share = risk(a, levels[i])
+                cell.append(((word << (low_bits + i * width * sb)) - share * unit,
+                             (i, a), (i, share, unit)))
+            at_node.append(cell)
+        deltas = []
         for chain, mask, spent in covers:
             per_node = [at_node[i] for i in chain]
             if not all(per_node):
                 continue
             for combo in product(*per_node):
-                words, placement = zip(*combo)
-                deltas.append((mask, sum(words) - spent, placement))
+                words, placement, need = zip(*combo)
+                deltas.append((mask, sum(words) - spent, placement, need))
         deltas_by_group.append(deltas)
 
     # Each state maps to its traceback chain: None at the start, else
@@ -408,12 +473,16 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     explored = 1
     for g, deltas in enumerate(deltas_by_group):
         nxt: dict[int, tuple | None] = {}
-        # Residual-caps word -> the (delta, placement) pairs that fit it, in
-        # delta order: those whose covered paths all have a unit left.
+        # Caps word -> the deltas whose covered paths all have a unit left;
+        # residual word -> the (delta, placement) pairs of those that also
+        # have the risk left on every node they touch.  Both keep delta
+        # order.
+        opened: dict[int, list] = {}
         fitting: dict[int, list[tuple[int, tuple[tuple[int, str], ...]]]] = {}
         for key, chain in prev.items():
-            word = key & caps_all
-            if word == 0:
+            word = key & low_all
+            caps_word = word & caps_all
+            if caps_word == 0:
                 # No placement can ever fit again; park the state and stop
                 # carrying it through the remaining stages.
                 if key not in frozen:
@@ -421,11 +490,22 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
                 continue
             fits = fitting.get(word)
             if fits is None:
-                open_paths = sum(1 << j for j in range(len(paths))
-                                 if word >> (j * cb) & slot_all)
-                fits = [(d, placement) for covered, d, placement in deltas
-                        if covered & ~open_paths == 0]
-                fitting[word] = fits
+                open_deltas = opened.get(caps_word)
+                if open_deltas is None:
+                    open_paths = sum(1 << j for j in range(len(paths))
+                                     if caps_word >> (j * cb) & slot_all)
+                    open_deltas = opened[caps_word] = [
+                        delta for delta in deltas if not delta[0] & ~open_paths]
+                left = [word >> shift & risk_all for shift in risk_shift]
+                fits = fitting[word] = []
+                for _covered, d, placement, need in open_deltas:
+                    for i, share, unit in need:
+                        if left[i] == risk_empty:
+                            d -= unit
+                        elif left[i] <= share:
+                            break
+                    else:
+                        fits.append((d, placement))
             nxt[key] = chain  # skip the group; this overrides a placement
             for d, placement in fits:
                 new_key = key + d
@@ -441,7 +521,7 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     kept: dict[int, tuple | None] = {}
     for states in (frozen, prev):
         for key, chain in states.items():
-            kept.setdefault(key >> caps_bits, chain)
+            kept.setdefault(key >> low_bits, chain)
     sum_bytes = n_nodes * width * slot_dtype.itemsize
     raw = b"".join(map(int.to_bytes, kept, repeat(sum_bytes), repeat("little")))
     units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
@@ -478,14 +558,16 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
 
     def score(units: np.ndarray) -> np.ndarray:
         live = units.any(axis=0)
+        masses = np.minimum(units[:, :, :K] * grid, 1.0)
+        profits = units[:, :, K] * profit_grid
         vals: list = [None] * n
         for idx, level, ups, flat_child in prog:
-            u = units[:, idx]
-            total = u[:, K] * profit_grid
+            node_masses = masses[:, idx]
+            total = profits[:, idx]
             up_total = 0.0
             for j, ci in ups:
                 if live[idx, j]:
-                    pj = np.minimum(u[:, j] * grid, 1.0)
+                    pj = node_masses[:, j]
                     up_total = up_total + pj
                     total += pj * (terminal[j] if ci is None else vals[ci])
             flat = np.maximum(1.0 - up_total, 0.0)
@@ -505,14 +587,24 @@ def _items_at(n_nodes: int, placements: Placements) -> list[tuple[str, ...]]:
     return items_at
 
 
-def materialize(instance: Instance, topology: Topology, placements: Placements) -> BlockNode:
+def materialize(instance: Instance, topology: Topology, placements: Placements, *,
+                solve_table: _SolveTable | None = None) -> BlockNode:
     """Build the concrete block tree a traceback describes, children first
     over the reversed preorder table.
 
     Items land on their nodes in group-processing order; transitions the
     items can realize but the topology does not cover become terminal
-    leaves, and a node that can stay flat keeps a flat child.
+    leaves, and a node that can stay flat keeps a flat child.  Each node's
+    outcome keys come from ``_outcomes``, through ``solve_table`` when one
+    is passed (the internal per-solve table of ``config_dp``; one built for
+    another instance raises ``ParameterError``).
     """
+    if solve_table is None:
+        outcomes = partial(_outcomes, instance)
+    elif solve_table.instance is not instance:
+        raise ParameterError("solve_table was built for another instance")
+    else:
+        outcomes = solve_table.outcomes
     nodes = topology.nodes
     items_at = _items_at(len(nodes), placements)
 
@@ -524,12 +616,10 @@ def materialize(instance: Instance, topology: Topology, placements: Placements) 
         items = items_at[idx]
         children = dict(reversed(built[idx]))
         node = BlockNode(items, level, children)
-        up, flat, _profit = batch_masses_exact(instance, node)
-        for j in sorted(up):
+        _profit, _edges, keys = outcomes(level, items)
+        for j in keys:
             if j not in children:
                 children[j] = block_leaf(j)
-        if (flat > 0.0 or not items) and level not in children:
-            children[level] = block_leaf(level)
         if parent >= 0:
             built[parent].append((key, node))
     return node
@@ -569,16 +659,18 @@ def _check_signature_sums(levels: list[int], traced: list[Placements],
 
 
 def _outcomes(instance: Instance, level: int, items: tuple[str, ...]
-              ) -> tuple[float, list[tuple[int, float]]]:
+              ) -> tuple[float, list[tuple[int, float]], tuple[int, ...]]:
     """The exact batch profit of ``items`` probed from ``level`` in that
-    order, and its (key, mass) outcomes in ``block_edges`` order: up-levels
+    order, its (key, mass) outcomes in ``block_edges`` order (up-levels
     ascending, then the flat key if its mass is positive, zero masses
-    dropped."""
+    dropped), and the keys of those outcomes before the zero masses are
+    dropped: every key ``materialize`` gives a child."""
     up, flat, profit = batch_masses_exact(instance, BlockNode(items, level))
     outcomes = sorted(up.items())
     if flat > 0.0:
         outcomes.append((level, flat))
-    return profit, [(j, mass) for j, mass in outcomes if mass != 0.0]
+    return (profit, [(j, mass) for j, mass in outcomes if mass != 0.0],
+            tuple(j for j, _mass in outcomes))
 
 
 def _exact_value(instance: Instance, topology: Topology, placements: Placements,
@@ -599,7 +691,7 @@ def _exact_value(instance: Instance, topology: Topology, placements: Placements,
     items_at = _items_at(len(nodes), placements)
     values = [0.0] * len(nodes)
     for idx in range(len(nodes) - 1, -1, -1):
-        profit, edges = outcomes(nodes[idx][0], items_at[idx])
+        profit, edges, _keys = outcomes(nodes[idx][0], items_at[idx])
         kids = child_index[idx]
         for j, mass in edges:
             ci = kids.get(j)
@@ -672,7 +764,7 @@ def _reconstruct(instance: Instance, topology: Topology, result: ConfigDpResult,
             best_i, best_placements, best_value = i, placements, value
     lap("rescore")
 
-    tree = materialize(instance, topology, best_placements)
+    tree = materialize(instance, topology, best_placements, solve_table=solve_table)
     if block_profit_exact(instance, tree) != best_value:
         raise StructuralError("the materialized tree does not score its "
                               "rescored value")
@@ -729,9 +821,12 @@ class PtasDiagnostics:
     (configurations kept) and ``materialized`` (configurations exactly
     rescored: at most ``top_k`` per topology, of which only the winner is
     built into a tree) are summed over the completed topologies.
-    ``seconds`` holds the ``perf_counter`` seconds of the stages enumerate,
-    dp, rank, rescore and materialize, summed over topologies; it is wall
-    time, so it differs between runs."""
+    ``best_surrogate`` is the surrogate value of the returned tree's
+    configuration and ``surrogate_gap`` that minus the returned value; both
+    are None when the do-nothing policy is returned.  ``seconds`` holds
+    the ``perf_counter`` seconds of the stages enumerate, dp, rank, rescore
+    and materialize, summed over topologies; it is wall time, so it
+    differs between runs."""
 
     max_ref: float
     max_ref_source: str
@@ -743,6 +838,7 @@ class PtasDiagnostics:
     materialized: int = 0
     best_topology: int = -1
     best_surrogate: float | None = None
+    surrogate_gap: float | None = None
     partial: bool = False
     seconds: dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
@@ -762,13 +858,17 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     child at a level its parent's rows never reach is entered only below an
     item-less parent, whose subtree a smaller topology already offers, so
     those topologies are not searched.  Every other topology is searched
-    and rescored separately on purpose: the surrogate overestimates fat
-    multi-item blocks, and small topologies whose rankings are free of them
-    are where clean configurations survive into the exactly-scored top_k.
-    Per-topology capacity failures are recorded and skipped; the result is
-    then flagged partial.  Topology enumeration past ``topology_cap``
-    raises instead.  The do-nothing policy is always a candidate, so the
-    returned value is at least the start level's terminal payoff.
+    and rescored on its own, and the best exact value over all of them
+    wins.  The DP keeps the small-risk property P1 at ``knobs.eps``, so
+    every candidate, and so the returned tree, passes
+    ``check_block_properties(...).p1_ok``; and a multi-item block leaves
+    its level with at most eps^2, which bounds how far the surrogate's
+    order-free sums can rate it above its exact value (``surrogate_gap``
+    reports the winner's gap).  Per-topology capacity failures are
+    recorded and skipped; the result is then flagged partial.  Topology
+    enumeration past ``topology_cap`` raises instead.  The do-nothing
+    policy is always a candidate, so the returned value is at least the
+    start level's terminal payoff.
     """
     report = validate_instance(instance)
     if not report.compliant:
@@ -788,7 +888,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     start = instance.start_level
     if instance.horizon == 0:
         return PtasResult(block_leaf(start), instance.terminal[start], diag)
-    solve_table = _SolveTable(instance, knobs.grid, max_ref)
+    solve_table = _SolveTable(instance, knobs.grid, max_ref, knobs.eps)
     clock = [perf_counter()]
 
     def lap(stage: str) -> None:
@@ -805,8 +905,9 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     best_value = instance.terminal[start]
     for ti, topo in enumerate(topologies):
         try:
-            result = config_dp(instance, topo, knobs.grid, max_ref, knobs.caps,
-                               state_cap=knobs.state_cap, solve_table=solve_table)
+            result = config_dp(instance, topo, knobs.grid, max_ref, knobs.eps,
+                               knobs.caps, state_cap=knobs.state_cap,
+                               solve_table=solve_table)
         except CapacityError as err:
             diag.capacity_errors += 1
             diag.states_explored += err.states_explored
@@ -824,4 +925,6 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
             best_tree, best_value = tree, value
             diag.best_topology = ti
             diag.best_surrogate = surrogate
+    if diag.best_surrogate is not None:
+        diag.surrogate_gap = diag.best_surrogate - best_value
     return PtasResult(best_tree, best_value, diag)

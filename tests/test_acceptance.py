@@ -65,6 +65,7 @@ def test_ptas_end_to_end_ratios_on_50_instances():
     assert len(report.rows) == 50
     assert report.passed
     ratios = [row["ratio"] for row in report.rows]
+    assert all(row["p1"] for row in report.rows)
     assert min(ratios) >= 0.75 - 1e-9
     assert statistics.fmean(ratios) >= 0.90
     assert report.wall_seconds < 600.0

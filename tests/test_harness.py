@@ -394,6 +394,13 @@ def test_cli_ptas_prints_max_ref_source(tmp_path, capsys):
     assert cli_json(capsys)["max_ref_source"] == "exact"
 
 
+def test_cli_ptas_prints_surrogate_gap(tmp_path, capsys):
+    _inst, path = small_kernel_doc(tmp_path)
+    assert main(["ptas", "--in", str(path), "--grid", "0.25", "--blocks", "2",
+                 "--depth", "2"]) == 0
+    assert isinstance(cli_json(capsys)["surrogate_gap"], float)
+
+
 def test_cli_simulate_policy_tree(tmp_path, capsys):
     inst, path = small_kernel_doc(tmp_path)
     tree = optimal_policy(inst)

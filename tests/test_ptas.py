@@ -1,5 +1,6 @@
 """Approximation pipeline: signatures, topologies, the placement DP, search."""
 
+import math
 import time
 from itertools import product
 
@@ -17,10 +18,12 @@ from stochprobe import (
     StructuralError,
     Topology,
     action_signature,
+    batch_masses_exact,
     block_leaf,
     block_profit_approx,
     block_profit_exact,
     build_probemax,
+    check_block_properties,
     config_dp,
     enumerate_topologies,
     estimate_max,
@@ -36,6 +39,11 @@ from stochprobe.harness import GenParams, gen_random, gen_random_kernel
 from stochprobe.ptas import _compile_surrogate
 
 from conftest import act, kernel
+
+
+#: Tolerances the configuration-DP tests cycle through: at 0.6 and 1.0 small
+#: leave masses share a node's risk budget, at 0.3 few items fit beside another.
+EPS_CYCLE = (0.3, 0.6, 1.0)
 
 
 def all_levels(level_count):
@@ -130,7 +138,7 @@ def test_topologies_count_cap_overflow():
 
 def test_config_dp_single_block_unit_cap(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=1)
+    result = config_dp(two_probe_kernel, top, 0.25, 1.0, 0.3, caps=1)
     assert len(result.candidates) == 3  # empty, {a1}, {a2}
     table = result.candidates
     sizes = sorted(sum(len(p) for p in table.placements(i) if p is not None)
@@ -140,7 +148,7 @@ def test_config_dp_single_block_unit_cap(two_probe_kernel):
 
 def test_config_dp_zero_caps_only_empty(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=0)
+    result = config_dp(two_probe_kernel, top, 0.25, 1.0, 0.3, caps=0)
     assert len(result.candidates) == 1
     assert all(not p for p in result.candidates.placements(0))
 
@@ -149,14 +157,14 @@ def test_config_dp_coarse_grid_collapses_signatures(two_probe_kernel):
     # Grid 2.0 floors every mass and profit to zero, so all placements
     # share the single zero configuration.
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    result = config_dp(two_probe_kernel, top, 2.0, 1.0, caps=2)
+    result = config_dp(two_probe_kernel, top, 2.0, 1.0, 1.0, caps=2)
     assert len(result.candidates) == 1
 
 
 def test_config_dp_state_cap_overflow(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     with pytest.raises(CapacityError):
-        config_dp(two_probe_kernel, top, 0.015625, 1.0, caps=2, state_cap=1)
+        config_dp(two_probe_kernel, top, 0.015625, 1.0, 1.0, caps=2, state_cap=1)
 
 
 def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
@@ -164,7 +172,7 @@ def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
     # signatures must land exactly on the unit tuples the DP recorded.
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     levels = [level for level, _, _ in top.nodes]
-    table = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2).candidates
+    table = config_dp(two_probe_kernel, top, 0.25, 1.0, 1.0, caps=2).candidates
     for i in range(len(table)):
         per_node: dict[int, list[str]] = {}
         for placed in table.placements(i):
@@ -183,17 +191,31 @@ def test_config_dp_skip_keeps_its_traceback():
     row = {0: ((0, 0.75), (1, 0.25))}
     inst = kernel([act("a", "ga", row, profit=0.25), act("b", "gb", row, profit=0.25)],
                   [0.0, 1.0], 2)
-    table = config_dp(inst, Topology(0), 0.25, 1.0, caps=2).candidates
+    table = config_dp(inst, Topology(0), 0.25, 1.0, 1.0, caps=2).candidates
     traces = [table.placements(i) for i in range(len(table))]
     one_item = [trace for trace in traces if sum(len(p) for p in trace if p) == 1]
     assert one_item == [(((0, "a"),), None)]
 
 
-def _reference_config_dp(instance, topology, grid, max_ref, caps=None, *,
+def _reference_risk_share(instance, action_id, level, eps):
+    """The item's share of a node's small-risk budget: its leave mass in
+    units of eps^2 / ``ptas._RISK_UNITS``, rounded up, or one unit more than
+    the whole budget when the mass exceeds eps^2."""
+    mu = instance.action(action_id).rows[level].risk_mass(level)
+    units = ptas._RISK_UNITS
+    if mu > eps * eps:
+        return units + 1
+    return min(math.ceil(mu * units / (eps * eps)), units)
+
+
+def _reference_config_dp(instance, topology, grid, max_ref, eps, caps=None, *,
                          state_cap=ptas.DEFAULT_STATE_CAP):
     """The configuration DP as it was before the fitting-placement lists:
     every placement is tried on every state, and one guard bit per caps
-    slot catches a placement that takes a path below zero."""
+    slot catches a placement that takes a path below zero.  A state also
+    carries each node's spent risk shares, None while the node is empty; a
+    placement fits a node only while the shares there sum to at most
+    ``ptas._RISK_UNITS``."""
     cap = instance.horizon if caps is None else min(caps, instance.horizon)
     levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
@@ -243,24 +265,40 @@ def _reference_config_dp(instance, topology, grid, max_ref, caps=None, *,
                         d += uw << (caps_bits + (i * width + w) * sb)
                 for j in covered:
                     d -= 1 << (j * cb)
-                deltas.append((d, combo))
+                shares = [(i, _reference_risk_share(instance, a, levels[i], eps))
+                          for i, a in combo]
+                deltas.append((d, combo, shares))
         deltas_by_group.append(deltas)
 
-    prev, frozen, explored = {init_key: None}, {}, 1
+    def spend(risk, shares):
+        """Per-node risk after the shares, or None if some node overflows."""
+        risk = list(risk)
+        for i, share in shares:
+            if risk[i] is not None and risk[i] + share > ptas._RISK_UNITS:
+                return None
+            risk[i] = share if risk[i] is None else risk[i] + share
+        return tuple(risk)
+
+    start = (init_key, (None,) * n_nodes)
+    prev, frozen, explored = {start: None}, {}, 1
     for g, deltas in enumerate(deltas_by_group):
         nxt = {}
-        for key, chain in prev.items():
+        for state, chain in prev.items():
+            key, risk = state
             if key & caps_all == 0:
-                if key not in frozen:
-                    frozen[key] = chain
+                if state not in frozen:
+                    frozen[state] = chain
                 continue
-            nxt[key] = chain
-            for d, placement in deltas:
+            nxt[state] = chain
+            for d, placement, shares in deltas:
                 new_key = key + d
                 if new_key & guard:
                     continue
-                if new_key not in nxt:
-                    nxt[new_key] = (g, placement, chain)
+                new_risk = spend(risk, shares)
+                if new_risk is None:
+                    continue
+                if (new_key, new_risk) not in nxt:
+                    nxt[new_key, new_risk] = (g, placement, chain)
             if len(nxt) + len(frozen) > state_cap:
                 raise CapacityError("state cap", states_explored=explored + len(nxt))
         explored += len(nxt)
@@ -268,13 +306,64 @@ def _reference_config_dp(instance, topology, grid, max_ref, caps=None, *,
 
     kept = {}
     for states in (frozen, prev):
-        for key, chain in states.items():
+        for (key, _risk), chain in states.items():
             kept.setdefault(key >> caps_bits, chain)
     sum_bytes = n_nodes * width * slot_dtype.itemsize
     raw = b"".join(sums.to_bytes(sum_bytes, "little") for sums in kept)
     units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
     return ConfigDpResult(CandidateTable(units, list(kept.values()), len(group_order)),
                           explored)
+
+
+def test_config_dp_candidates_are_the_p1_feasible_configurations():
+    # eps 0.5 splits the budget eps^2 = 1/4 into risk units of 1/32, and
+    # every leave mass here is a multiple of 1/32, so rounding shares up
+    # loses nothing: the DP keeps exactly the configurations whose
+    # multi-item nodes leave with at most 1/4 in total.  a, a2, b and c
+    # leave with 1/32 to 1/4, d with 1/2, and e never leaves.
+    def rows(mu):
+        return {0: ((0, 1.0 - mu), (1, mu)), 1: ((1, 1.0 - mu), (2, mu))}
+
+    inst = kernel([act("a", "ga", rows(1 / 32), profit=0.25),
+                   act("a2", "ga", rows(3 / 32), profit=0.5),
+                   act("b", "gb", rows(1 / 8), profit=0.125),
+                   act("c", "gc", rows(1 / 4), profit=0.375),
+                   act("d", "gd", rows(1 / 2), profit=0.0625),
+                   act("e", "ge", {0: ((0, 1.0),), 1: ((1, 1.0),)}, profit=0.5)],
+                  [0.0, 1.0, 2.0], 3)
+    eps, grid, caps = 0.5, 1 / 32, 2
+    top = Topology(0, ((0, Topology(0)), (1, Topology(1))))
+    levels = [level for level, _, _ in top.nodes]
+    paths = ((0, 1), (0, 2))
+    members = (("a", "a2"), ("b",), ("c",), ("d",), ("e",))
+    options = [[None] + [tuple(zip(chain, picks)) for chain in ((0,), (1,), (2,), (1, 2))
+                         for picks in product(group, repeat=len(chain))]
+               for group in members]
+    feasible, infeasible, shared = set(), set(), 0
+    for choice in product(*options):
+        placed = [p for p in choice if p]
+        if any(sum(any(i in path for i, _a in p) for p in placed) > caps
+               for path in paths):
+            continue
+        items = [[] for _ in levels]
+        for p in placed:
+            for i, a in p:
+                items[i].append(a)
+        mus = [[inst.action(a).rows[levels[i]].risk_mass(levels[i]) for a in its]
+               for i, its in enumerate(items)]
+        ok = all(len(m) < 2 or sum(m) <= eps * eps for m in mus)
+        sums = tuple(block_signature(inst, its, levels[i], grid, 1.0)
+                     for i, its in enumerate(items))
+        (feasible if ok else infeasible).add(sums)
+        shared += ok and any(sum(mu > 0.0 for mu in m) > 1 for m in mus)
+    table = config_dp(inst, top, grid, 1.0, eps, caps).candidates
+    got = [tuple(map(tuple, units)) for units in table.units.tolist()]
+    assert len(set(got)) == len(got)
+    assert set(got) == feasible
+    assert shared > 0 and infeasible - feasible
+    for i in range(len(table)):
+        tree = materialize(inst, top, table.placements(i))
+        assert check_block_properties(inst, tree, eps, 2).p1_ok
 
 
 def _outcome(dp, *args, **kwargs):
@@ -291,17 +380,19 @@ def _outcome(dp, *args, **kwargs):
 
 def test_config_dp_matches_guard_bit_reference():
     # Masses k/q with q = 7..10 put off-lattice unit sums in the states.
+    # Leave masses k/q up to eps^2 = 0.36 share a node at eps 0.6; at 0.3
+    # almost every item takes a node alone.
     cases = errors = 0
     for seed in range(24):
         q = 7 + seed % 4
         inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
                                                  horizon=1 + seed % 3, q=q))
-        grid, max_ref = 1.0 / q, 1.3
+        grid, max_ref, eps = 1.0 / q, 1.3, EPS_CYCLE[seed % 3]
         reach = all_levels(inst.values.level_count)
         for top in enumerate_topologies(reach, 3, 2, inst.start_level):
             for caps in (None, 0, 1, 2):
                 for state_cap in (ptas.DEFAULT_STATE_CAP, 3, 10, 40):
-                    args = (inst, top, grid, max_ref, caps)
+                    args = (inst, top, grid, max_ref, eps, caps)
                     want = _outcome(_reference_config_dp, *args, state_cap=state_cap)
                     assert _outcome(config_dp, *args, state_cap=state_cap) == want
                     cases += 1
@@ -324,7 +415,7 @@ def test_deep_flat_chain_topology():
     for _ in range(1099):
         top = Topology(0, ((0, top),))
     started = time.perf_counter()
-    result = config_dp(inst, top, 0.25, 1.0)
+    result = config_dp(inst, top, 0.25, 1.0, 0.3)
     tree, value, _surrogate = reconstruct_and_score(inst, top, result, 0.25, 1.0)
     assert time.perf_counter() - started < 5.0
     assert len(result.candidates) == 1101
@@ -386,11 +477,11 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
         q = 7 + seed % 4
         inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
                                                  horizon=1 + seed % 3, q=q))
-        grid, max_ref = 1.0 / q, 1.3
+        grid, max_ref, eps = 1.0 / q, 1.3, EPS_CYCLE[seed % 3]
         reach = all_levels(inst.values.level_count)
         for top in enumerate_topologies(reach, 3, 3, inst.start_level):
             for caps in (None, 1, 2):
-                result = config_dp(inst, top, grid, max_ref, caps)
+                result = config_dp(inst, top, grid, max_ref, eps, caps)
                 table = result.candidates
                 ref = _reference_surrogate(inst, top, grid, grid * max_ref)
                 want = [ref(sigs) for sigs in table.units.tolist()]
@@ -422,10 +513,11 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
         inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
                                                  horizon=1 + seed % 3, q=q,
                                                  flat_bias=0.5 * (seed % 2)))
-        grid, max_ref = 1.0 / q, 1.3
+        # At eps 1 the risk budget lets the most items share a node.
+        grid, max_ref, eps = 1.0 / q, 1.3, 1.0
         for top in enumerate_topologies(level_reach(inst), 3, 2, inst.start_level):
             for caps in (None, 2):
-                result = config_dp(inst, top, grid, max_ref, caps)
+                result = config_dp(inst, top, grid, max_ref, eps, caps)
                 table = result.candidates
                 scored.clear()
                 tree, value, _surrogate = reconstruct_and_score(
@@ -447,7 +539,7 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
 
 def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
-    result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2)
+    result = config_dp(two_probe_kernel, top, 0.25, 1.0, 1.0, caps=2)
     table = result.candidates
     for i in range(len(table)):
         units = table.units.copy()
@@ -461,7 +553,7 @@ def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
 
 def test_reconstruct_single_candidate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    result = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=0)
+    result = config_dp(two_probe_kernel, top, 0.25, 1.0, 0.3, caps=0)
     tree, value, _surrogate = reconstruct_and_score(
         two_probe_kernel, top, result, 0.25, 1.0)
     assert value == pytest.approx(0.0, abs=1e-12)
@@ -483,7 +575,7 @@ def test_reconstruct_exact_rescoring_beats_surrogate_order():
          act("b", "gb", {0: ((0, 0.8125), (1, 0.1875))}, profit=0.25)],
         [0.0, 1.0], 1)
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    result = config_dp(inst, top, 0.0625, 1.0, caps=1)
+    result = config_dp(inst, top, 0.0625, 1.0, 0.3, caps=1)
     tree1, value1, _surrogate1 = reconstruct_and_score(inst, top, result, 0.0625, 1.0, top_k=1)
     assert tree1.items == ("b",)
     assert value1 == pytest.approx(0.4375, abs=1e-12)
@@ -587,7 +679,7 @@ def test_reachable_topologies_keep_value_and_tree_on_probemax():
         full = enumerate_topologies(all_levels(K), knobs.block_budget,
                                     min(knobs.depth_limit, inst.horizon), start)
         for top in full:
-            result = config_dp(inst, top, knobs.grid, max_ref, knobs.caps)
+            result = config_dp(inst, top, knobs.grid, max_ref, knobs.eps, knobs.caps)
             tree, value, _surrogate = reconstruct_and_score(
                 inst, top, result, knobs.grid, max_ref, knobs.top_k)
             if value > best_value:
@@ -647,10 +739,25 @@ def test_solve_recovers_exact_optimum_on_grid_kernels():
 
 def test_materialized_trees_validate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
-    table = config_dp(two_probe_kernel, top, 0.25, 1.0, caps=2).candidates
+    table = config_dp(two_probe_kernel, top, 0.25, 1.0, 1.0, caps=2).candidates
     for i in range(len(table)):
         tree = materialize(two_probe_kernel, top, table.placements(i))
         assert block_profit_exact(two_probe_kernel, tree) >= -1e-12
+
+
+def test_materialize_keeps_leaves_for_outcomes_that_underflow():
+    # b moves to level 2 only after a stayed flat with mass 1e-200, so the
+    # batch's mass there underflows to 0.0: the outcomes drop that edge,
+    # but the tree keeps a leaf for it, with the solve table as without.
+    inst = kernel([act("a", "ga", {0: ((0, 1e-200), (1, 1.0))}),
+                   act("b", "gb", {0: ((0, 1.0), (2, 1e-200))})], [0.0, 1.0, 2.0], 2)
+    assert batch_masses_exact(inst, BlockNode(("a", "b"), 0))[0] == {1: 1.0, 2: 0.0}
+    assert [j for j, _mass in ptas._outcomes(inst, 0, ("a", "b"))[1]] == [1, 0]
+    placements = (((0, "a"),), ((0, "b"),))
+    table = ptas._SolveTable(inst, 0.25, 1.0, 0.3)
+    tree = materialize(inst, Topology(0), placements, solve_table=table)
+    assert list(tree.children) == [1, 2, 0]
+    assert repr(tree) == repr(materialize(inst, Topology(0), placements))
 
 
 def test_topology_child_index():
@@ -659,21 +766,22 @@ def test_topology_child_index():
     assert top.child_index == ({0: 1, 1: 2}, {}, {1: 3}, {})
 
 
-def _probemax_13(seed):
-    """Probemax n 3, m 2 on the 13-level greedy grid, with its greedy scale."""
-    spec = gen_random(seed, GenParams(kind="probemax", n=3, m=2, support=3,
+def _probemax_13(seed, n=3):
+    """Probemax n, m 2 on the 13-level greedy grid, with its greedy scale."""
+    spec = gen_random(seed, GenParams(kind="probemax", n=n, m=2, support=3,
                                       levels=8, q=8, step=1.0, eps=0.3))
     inst, _ = build_probemax(spec)
     assert inst.values.level_count == 13
     return inst, 0.125, estimate_max(inst, "greedy_probemax")
 
 
-def _topology_run(inst, top, grid, max_ref, caps, state_cap, **table):
+def _topology_run(inst, top, grid, max_ref, eps, caps, state_cap, **table):
     """One topology through the DP and the rescoring, as comparable data:
     candidates, order, tracebacks and states explored, then the winner; or
     the point where the DP hit its state cap."""
     try:
-        result = config_dp(inst, top, grid, max_ref, caps, state_cap=state_cap, **table)
+        result = config_dp(inst, top, grid, max_ref, eps, caps, state_cap=state_cap,
+                           **table)
     except CapacityError as err:
         return ("capacity", err.states_explored)
     cands = result.candidates
@@ -695,23 +803,25 @@ def test_shared_solve_table_matches_fresh_tables():
         inst = gen_random_kernel(seed, GenParams(n=3 + seed % 2, levels=2 + seed % 3,
                                                  horizon=1 + seed % 3, q=q))
         # A small scale puts profit units past one byte on some caps only.
-        cases.append((inst, 1.0 / q, 1.3 if seed % 2 else 0.02, 3, 2))
+        cases.append((inst, 1.0 / q, 1.3 if seed % 2 else 0.02, EPS_CYCLE[seed % 3], 3, 2))
     for seed in range(3):
-        cases.append((*_probemax_13(seed), 4, 3))
+        cases.append((*_probemax_13(seed), 0.3, 4, 3))
     settings = [(None, ptas.DEFAULT_STATE_CAP), (1, 40), (2, 12), (40, 200)]
     runs = errors = 0
-    for inst, grid, max_ref, budget, depth in cases:
+    for inst, grid, max_ref, eps, budget, depth in cases:
         tops = enumerate_topologies(level_reach(inst), budget,
                                     min(depth, inst.horizon), inst.start_level)
         jobs = [(top, caps, cap) for top in tops for caps, cap in settings]
-        want = [_topology_run(inst, top, grid, max_ref, caps, cap)
+        want = [_topology_run(inst, top, grid, max_ref, eps, caps, cap)
                 for top, caps, cap in jobs]
-        forward = ptas._SolveTable(inst, grid, max_ref)
-        got = [_topology_run(inst, top, grid, max_ref, caps, cap, solve_table=forward)
+        forward = ptas._SolveTable(inst, grid, max_ref, eps)
+        got = [_topology_run(inst, top, grid, max_ref, eps, caps, cap,
+                             solve_table=forward)
                for top, caps, cap in jobs]
         assert got == want
-        backward = ptas._SolveTable(inst, grid, max_ref)
-        got = [_topology_run(inst, top, grid, max_ref, caps, cap, solve_table=backward)
+        backward = ptas._SolveTable(inst, grid, max_ref, eps)
+        got = [_topology_run(inst, top, grid, max_ref, eps, caps, cap,
+                             solve_table=backward)
                for top, caps, cap in reversed(jobs)]
         assert got[::-1] == want
         runs += len(jobs)
@@ -722,15 +832,30 @@ def test_shared_solve_table_matches_fresh_tables():
 
 def test_solve_table_rejects_another_instance_grid_or_max_ref(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
-    table = ptas._SolveTable(two_probe_kernel, 0.25, 1.0)
-    result = config_dp(two_probe_kernel, top, 0.25, 1.0, solve_table=table)
+    table = ptas._SolveTable(two_probe_kernel, 0.25, 1.0, 0.3)
+    result = config_dp(two_probe_kernel, top, 0.25, 1.0, 0.3, solve_table=table)
     other = kernel([act("a1", "g1", {0: ((0, 0.5), (1, 0.5))})], [0.0, 1.0], 2)
     for inst, grid, max_ref in ((other, 0.25, 1.0), (two_probe_kernel, 0.125, 1.0),
                                 (two_probe_kernel, 0.25, 2.0)):
         with pytest.raises(ParameterError):
-            config_dp(inst, top, grid, max_ref, solve_table=table)
+            config_dp(inst, top, grid, max_ref, 0.3, solve_table=table)
         with pytest.raises(ParameterError):
             reconstruct_and_score(inst, top, result, grid, max_ref, solve_table=table)
+    with pytest.raises(ParameterError):
+        materialize(other, top, result.candidates.placements(0), solve_table=table)
+
+
+def test_solve_table_rejects_another_eps_in_the_dp_only(two_probe_kernel):
+    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
+    table = ptas._SolveTable(two_probe_kernel, 0.25, 1.0, 0.3)
+    with pytest.raises(ParameterError):
+        config_dp(two_probe_kernel, top, 0.25, 1.0, 0.5, solve_table=table)
+    result = config_dp(two_probe_kernel, top, 0.25, 1.0, 0.5)
+    # Rescoring reads no risk shares, so a table built for any eps serves it.
+    fresh = reconstruct_and_score(two_probe_kernel, top, result, 0.25, 1.0)
+    shared = reconstruct_and_score(two_probe_kernel, top, result, 0.25, 1.0,
+                                   solve_table=table)
+    assert repr(shared) == repr(fresh)
 
 
 def test_solve_computes_each_signature_and_batch_once(monkeypatch):
@@ -783,3 +908,27 @@ def test_max_ref_source_fallback():
     assert estimate_max(inst, "terminal_bound") == 0.0
     diag = solve_ptas(inst, PtasKnobs(grid=0.25, max_hint="terminal_bound")).diagnostics
     assert (diag.max_ref_source, diag.max_ref) == ("fallback", 1.0)
+
+
+def test_solve_winners_keep_p1_on_wide_probemax():
+    # Probemax n 4, m 2 on the 13-level greedy grid: every returned tree
+    # keeps the small-risk property at the solve's eps, and its surrogate
+    # gap is the winner's surrogate less its exact value.
+    gaps = []
+    for seed in range(8):
+        inst, grid, _max_ref = _probemax_13(seed, n=4)
+        knobs = PtasKnobs(eps=0.3, grid=grid, block_budget=4, depth_limit=3,
+                          max_hint="greedy_probemax")
+        res = solve_ptas(inst, knobs)
+        assert check_block_properties(inst, res.tree, knobs.eps, knobs.depth_limit).p1_ok
+        diag = res.diagnostics
+        assert diag.surrogate_gap == diag.best_surrogate - res.value
+        gaps.append(diag.surrogate_gap)
+    assert None not in gaps
+
+
+def test_surrogate_gap_is_none_for_the_do_nothing_policy(witness_spec):
+    inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
+    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4, caps=0)
+    diag = solve_ptas(inst, knobs).diagnostics
+    assert (diag.best_topology, diag.best_surrogate, diag.surrogate_gap) == (-1, None, None)
