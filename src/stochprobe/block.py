@@ -117,24 +117,36 @@ def batch_masses_approx(instance: Instance, node: BlockNode) -> tuple[dict[int, 
     return up, before[n], profit
 
 
+def batch_outcomes(instance: Instance, node: BlockNode, masses: Callable
+                   ) -> tuple[float, list[tuple[int, float]], list[tuple[int, float]]]:
+    """The batch profit of ``node``'s items under ``masses``
+    (``batch_masses_exact`` or ``batch_masses_approx``); its (key, mass)
+    outcomes in edge order: the up-levels ascending, then the flat key if
+    its mass is positive, with zero masses dropped; and the same outcomes
+    before the zero masses are dropped (the same list when none is).  An
+    up-mass can underflow to zero, and a block tree may still hold a child
+    for its key."""
+    up, flat, profit = masses(instance, node)
+    outcomes = sorted(up.items())
+    if flat > 0.0:
+        outcomes.append((node.level, flat))
+    if 0.0 in up.values():
+        return profit, [(j, mass) for j, mass in outcomes if mass != 0.0], outcomes
+    return profit, outcomes, outcomes
+
+
 def block_edges(instance: Instance, node: BlockNode, masses: Callable
                 ) -> tuple[float, list[tuple[float, BlockNode]]]:
     """The batch profit of an internal block and its (mass, child) edges
-    under ``masses`` (``batch_masses_exact`` or ``batch_masses_approx``):
-    the up-children by ascending level, then the flat child.
+    under ``masses``, in ``batch_outcomes`` order.
 
     This is where block trees are checked: every outcome of positive mass
     needs a child whose entry level equals its key.  Children no outcome
     reaches are allowed, since materialized topologies keep them.
     """
-    up, flat, profit = masses(instance, node)
-    outcomes = sorted(up.items())
-    if flat > 0.0:
-        outcomes.append((node.level, flat))
+    profit, outcomes, _all = batch_outcomes(instance, node, masses)
     edges = []
     for j, mass in outcomes:
-        if mass == 0.0:
-            continue
         child = node.children.get(j)
         if child is None:
             raise StructuralError(f"block at level {node.level} lacks a child for level {j}")

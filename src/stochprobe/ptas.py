@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .block import BlockNode, batch_masses_exact, block_leaf, block_profit_exact
+from .block import (BlockNode, batch_masses_exact, batch_outcomes, block_leaf,
+                    block_profit_exact)
 from .exact import max_over_starts
 from .exceptions import CapacityError, HintError, ParameterError, StructuralError
 from .model import Instance, validate_instance
@@ -241,21 +242,27 @@ class _SolveTable:
     """What every topology of one solve reads of the instance, each entry
     computed once, on first use, and dropped with the solve.
 
-    Built from (instance, grid, max_ref, eps): the groups in processing
-    order (by smallest action id) with their members ascending; each
-    (action, level) signature from ``action_signature`` and risk share from
-    ``_risk_units``, None where the action has no row; per level, each
-    group's member cells and their largest unit; those cells with each
-    signature packed into one integer per slot width (unit ``w`` at bit
-    ``w * slot_bits``); and ``_outcomes`` of each (level, items) batch.
-    Internal to ``config_dp``, ``reconstruct_and_score`` and
-    ``materialize``; a table that only rescoring reads may have eps None.
-    It lives for one solve only and is never stored on the instance, so a
-    repeated solve computes everything again.
+    Built from (instance, grid, max_ref, eps), which it checks once: grid
+    and max_ref must be positive and eps must lie in (0, 1].  It holds the
+    groups in processing order (by smallest action id) with their members
+    ascending; each (action, level) signature from ``action_signature``
+    and risk share from ``_risk_units``, None where the action has no row;
+    per level, each group's member cells and their largest unit; those
+    cells with each signature packed into one integer per slot width (unit
+    ``w`` at bit ``w * slot_bits``); and ``_outcomes`` of each (level,
+    items) batch.  It is the one input every per-topology stage reads the
+    instance, grid, max_ref and eps from.  It lives for one solve only and
+    is never stored on the instance, so a repeated solve computes
+    everything again.
     """
 
-    def __init__(self, instance: Instance, grid: float, max_ref: float,
-                 eps: float | None):
+    def __init__(self, instance: Instance, grid: float, max_ref: float, eps: float):
+        if grid <= 0.0:
+            raise ParameterError("grid must be positive")
+        if max_ref <= 0.0:
+            raise ParameterError("max_ref must be positive")
+        if not (0.0 < eps <= 1.0):
+            raise ParameterError("eps must lie in (0, 1]")
         self.instance = instance
         self.grid = grid
         self.max_ref = max_ref
@@ -298,21 +305,6 @@ class _SolveTable:
         return hit
 
 
-def _table_for(solve_table: _SolveTable | None, instance: Instance, grid: float,
-               max_ref: float, eps: float | None = None) -> _SolveTable:
-    """``solve_table``, checked against the call's arguments, or a new one.
-    A caller that reads no risk units passes no eps and takes a table
-    built for any."""
-    if solve_table is None:
-        return _SolveTable(instance, grid, max_ref, eps)
-    if (solve_table.instance is not instance or solve_table.grid != grid
-            or solve_table.max_ref != max_ref
-            or (eps is not None and solve_table.eps != eps)):
-        raise ParameterError("solve_table was built for another instance, grid, "
-                             "max_ref or eps")
-    return solve_table
-
-
 def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     comparable = [set(anc) for anc in ancestors]
     for i, anc in enumerate(ancestors):
@@ -332,10 +324,8 @@ def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...
     return out
 
 
-def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: float,
-              eps: float, caps: int | None = None, *,
-              state_cap: int = DEFAULT_STATE_CAP,
-              solve_table: _SolveTable | None = None) -> ConfigDpResult:
+def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *,
+              state_cap: int = DEFAULT_STATE_CAP) -> ConfigDpResult:
     """Forward reachability over configurations.
 
     Groups are folded in one at a time (ordered by their smallest action
@@ -344,17 +334,16 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     one cap unit on each root-to-leaf path through the antichain (``caps``
     per path, at most the horizon).  A placement also keeps the small-risk
     property P1 of every node it touches: a node holds one item of any
-    leave mass, or several whose risk shares (``_risk_units`` at eps) sum
-    to at most ``_RISK_UNITS``, so their leave masses sum to at most eps^2.
+    leave mass, or several whose risk shares (``_risk_units`` at the
+    table's eps) sum to at most ``_RISK_UNITS``, so their leave masses sum
+    to at most eps^2.
     States are per-node signature sums plus residual caps and risk.  A
     state reached by skipping a group keeps that skip as its traceback;
     otherwise the first placement to reach it wins.
 
-    The groups, signatures, risk shares, member cells and packed signature
-    words come from ``solve_table``, a per-solve table that ``solve_ptas``
-    builds once and shares among its topologies; it is internal, and a
-    table built for another (instance, grid, max_ref, eps) raises
-    ``ParameterError``.  Without one, the call builds its own.  What
+    The instance, groups, signatures, risk shares, member cells and packed
+    signature words come from ``table``, the per-solve table that
+    ``solve_ptas`` builds once and shares among its topologies.  What
     depends on the topology is done here: antichains, paths, placement
     combinations, and shifting each packed word to its node's slots.
 
@@ -371,14 +360,10 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     pass, and their traceback chains; nothing is traced back until a
     candidate is read.
     """
-    if grid <= 0.0:
-        raise ParameterError("grid must be positive")
-    if not (0.0 < eps <= 1.0):
-        raise ParameterError("eps must lie in (0, 1]")
+    instance = table.instance
     cap = instance.horizon if caps is None else min(caps, instance.horizon)
     if cap < 0:
         raise ParameterError("caps must be nonnegative")
-    solve_table = _table_for(solve_table, instance, grid, max_ref, eps)
     levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
     ancestors: list[tuple[int, ...]] = []
@@ -414,7 +399,7 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
         init_key |= risk_empty << shift
     low_bits = caps_bits + n_nodes * rb
     low_all = (1 << low_bits) - 1
-    unit_max = max(solve_table.cells(level)[1] for level in set(levels))
+    unit_max = max(table.cells(level)[1] for level in set(levels))
     sum_bits = (cap * unit_max).bit_length()
     if sum_bits > 64:
         raise ParameterError("unit sums do not fit 64 bits; the grid is too fine")
@@ -438,11 +423,11 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     # then member order node by node.  The delta adds the unit sums and
     # subtracts the covered caps and the risk shares in one integer add; a
     # node's first item spends one more risk unit, per residual word.
-    packed = [solve_table.packed(level, sb) for level in levels]
-    risk = solve_table.risk
+    packed = [table.packed(level, sb) for level in levels]
+    risk = table.risk
     deltas_by_group: list[list[tuple[int, int, tuple[tuple[int, str], ...],
                                      tuple[tuple[int, int, int], ...]]]] = []
-    for g in range(len(solve_table.members)):
+    for g in range(len(table.members)):
         # Per node: (packed word shifted to the node's slots, less its risk
         # share, (node, action), (node, risk share, risk unit)) of each
         # member with a row at the node's level.
@@ -525,18 +510,18 @@ def config_dp(instance: Instance, topology: Topology, grid: float, max_ref: floa
     sum_bytes = n_nodes * width * slot_dtype.itemsize
     raw = b"".join(map(int.to_bytes, kept, repeat(sum_bytes), repeat("little")))
     units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
-    table = CandidateTable(units, list(kept.values()), len(solve_table.members))
-    return ConfigDpResult(table, explored)
+    candidates = CandidateTable(units, list(kept.values()), len(table.members))
+    return ConfigDpResult(candidates, explored)
 
 
 # --- reconstruction and scoring ---------------------------------------------
 
 
-def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
-                       profit_grid: float):
+def _compile_surrogate(table: _SolveTable, topology: Topology):
     """Flatten the topology into a children-first program over its reversed
     preorder table, and return a scorer that runs it over an ``(N, nodes,
     K+1)`` unit array: one surrogate value per row, without recursion.
+    Mass units are worth the table's grid, profit units grid times max_ref.
 
     Per node: profit is the rounded sum, upward masses are the rounded sums
     clipped to 1, and the flat mass is whatever is left; transitions without
@@ -545,8 +530,11 @@ def _compile_surrogate(instance: Instance, topology: Topology, grid: float,
     unit adds a zero product and a nonpositive flat mass a zero, which leave
     every sum bit for bit as it was.
     """
+    instance = table.instance
     K = instance.values.level_count
     terminal = instance.terminal
+    grid = table.grid
+    profit_grid = grid * table.max_ref
     nodes = topology.nodes
     n = len(nodes)
     prog: list[tuple[int, int, tuple[tuple[int, int | None], ...], int | None]] = []
@@ -587,24 +575,16 @@ def _items_at(n_nodes: int, placements: Placements) -> list[tuple[str, ...]]:
     return items_at
 
 
-def materialize(instance: Instance, topology: Topology, placements: Placements, *,
-                solve_table: _SolveTable | None = None) -> BlockNode:
+def materialize(table: _SolveTable, topology: Topology, placements: Placements
+                ) -> BlockNode:
     """Build the concrete block tree a traceback describes, children first
     over the reversed preorder table.
 
     Items land on their nodes in group-processing order; transitions the
     items can realize but the topology does not cover become terminal
     leaves, and a node that can stay flat keeps a flat child.  Each node's
-    outcome keys come from ``_outcomes``, through ``solve_table`` when one
-    is passed (the internal per-solve table of ``config_dp``; one built for
-    another instance raises ``ParameterError``).
+    outcome keys come from the table's ``outcomes``.
     """
-    if solve_table is None:
-        outcomes = partial(_outcomes, instance)
-    elif solve_table.instance is not instance:
-        raise ParameterError("solve_table was built for another instance")
-    else:
-        outcomes = solve_table.outcomes
     nodes = topology.nodes
     items_at = _items_at(len(nodes), placements)
 
@@ -616,8 +596,8 @@ def materialize(instance: Instance, topology: Topology, placements: Placements, 
         items = items_at[idx]
         children = dict(reversed(built[idx]))
         node = BlockNode(items, level, children)
-        _profit, _edges, keys = outcomes(level, items)
-        for j in keys:
+        _profit, _edges, outcomes = table.outcomes(level, items)
+        for j, _mass in outcomes:
             if j not in children:
                 children[j] = block_leaf(j)
         if parent >= 0:
@@ -659,35 +639,30 @@ def _check_signature_sums(levels: list[int], traced: list[Placements],
 
 
 def _outcomes(instance: Instance, level: int, items: tuple[str, ...]
-              ) -> tuple[float, list[tuple[int, float]], tuple[int, ...]]:
-    """The exact batch profit of ``items`` probed from ``level`` in that
-    order, its (key, mass) outcomes in ``block_edges`` order (up-levels
-    ascending, then the flat key if its mass is positive, zero masses
-    dropped), and the keys of those outcomes before the zero masses are
-    dropped: every key ``materialize`` gives a child."""
-    up, flat, profit = batch_masses_exact(instance, BlockNode(items, level))
-    outcomes = sorted(up.items())
-    if flat > 0.0:
-        outcomes.append((level, flat))
-    return (profit, [(j, mass) for j, mass in outcomes if mass != 0.0],
-            tuple(j for j, _mass in outcomes))
+              ) -> tuple[float, list[tuple[int, float]], list[tuple[int, float]]]:
+    """``batch_outcomes`` of ``items`` probed from ``level`` in that order,
+    under exact masses: the batch profit, its (key, mass) outcomes in edge
+    order, and those outcomes before zero masses are dropped, whose keys
+    ``materialize`` gives a child."""
+    return batch_outcomes(instance, BlockNode(items, level), batch_masses_exact)
 
 
-def _exact_value(instance: Instance, topology: Topology, placements: Placements,
-                 outcomes: Callable[[int, tuple[str, ...]], tuple]) -> float:
+def _exact_value(table: _SolveTable, topology: Topology, placements: Placements
+                 ) -> float:
     """Exact block value of the tree ``materialize`` builds from
     ``placements``, computed over the reversed preorder table without
     building it.
 
-    ``outcomes(level, items)`` gives ``_outcomes`` of a node's items in
-    group order.  Each node adds mass times child value to its batch
-    profit, outcome by outcome, as ``block_profit_exact`` does; a key
+    The table's ``outcomes(level, items)`` gives ``_outcomes`` of a node's
+    items in group order.  Each node adds mass times child value to its
+    batch profit, outcome by outcome, as ``block_profit_exact`` does; a key
     without a topology child takes its terminal payoff.  The float
     operations are the same, so the value is the same bit for bit.
     """
+    outcomes = table.outcomes
     nodes = topology.nodes
     child_index = topology.child_index
-    terminal = instance.terminal
+    terminal = table.instance.terminal
     items_at = _items_at(len(nodes), placements)
     values = [0.0] * len(nodes)
     for idx in range(len(nodes) - 1, -1, -1):
@@ -704,67 +679,50 @@ def _exact_value(instance: Instance, topology: Topology, placements: Placements,
 _STAGES = ("enumerate", "dp", "rank", "rescore", "materialize")
 
 
-def reconstruct_and_score(instance: Instance, topology: Topology,
-                          result: ConfigDpResult, grid: float, max_ref: float,
-                          top_k: int = 32, *, solve_table: _SolveTable | None = None
-                          ) -> tuple[BlockNode, float, float | None]:
+def _reconstruct(table: _SolveTable, topology: Topology, result: ConfigDpResult,
+                 top_k: int, lap: Callable[[str], None] = lambda _stage: None
+                 ) -> tuple[BlockNode, float, float | None]:
     """Rescore the top-k surrogate-ranked configurations exactly and return
     the best as (tree, value, its surrogate value); with no candidates, the
-    do-nothing policy and no surrogate.
+    do-nothing policy and no surrogate.  ``lap`` is called with each
+    stage's name ("rank", "rescore", "materialize") as it ends.
 
-    All candidates are scored in one batched pass over the table's unit
-    array and ranked by descending surrogate, ties in table order (a stable
-    sort).  Only the ``top_k`` best are traced back; each is checked
-    against its unit sums and valued by ``_exact_value`` from its
-    placements, without building a tree.  The first strictly best exact
-    value wins, and only the winner is materialized; its tree must score
-    that value under ``block_profit_exact``, else ``StructuralError``.
-    ``solve_table`` is the internal per-solve table of ``config_dp``; the
-    call builds its own when none is passed.
-    """
-    return _reconstruct(instance, topology, result, top_k, lambda _stage: None,
-                        _table_for(solve_table, instance, grid, max_ref))
-
-
-def _reconstruct(instance: Instance, topology: Topology, result: ConfigDpResult,
-                 top_k: int, lap: Callable[[str], None], solve_table: _SolveTable
-                 ) -> tuple[BlockNode, float, float | None]:
-    """``reconstruct_and_score`` with the grid and max_ref of
-    ``solve_table``, calling ``lap`` with each stage's name ("rank",
-    "rescore", "materialize") as it ends.
-
-    The signatures of the unit-sum check and the outcomes of each node
-    batch come from ``solve_table``, so each is computed once per solve,
-    however many candidates and topologies read it.  The top_k are traced
-    back once; the check adds up all their placements in one pass, and
-    ``_exact_value`` regroups each candidate's placements by node once.
+    All candidates are scored in one batched pass over the candidates'
+    unit array and ranked by descending surrogate, ties in table order (a
+    stable sort).  Only the ``top_k`` best are traced back; the check that
+    each reproduces its unit sums adds up all their placements in one
+    pass, and each is valued by ``_exact_value`` from its placements,
+    without building a tree.  The first strictly best exact value wins,
+    and only the winner is materialized; its tree must score that value
+    under ``block_profit_exact``, else ``StructuralError``.  Signatures and
+    batch outcomes come from ``table``, so each is computed once per solve,
+    however many candidates and topologies read it.
     """
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
+    instance = table.instance
     start = instance.start_level
-    table = result.candidates
-    if len(table) == 0:
+    candidates = result.candidates
+    if len(candidates) == 0:
         return block_leaf(start), instance.terminal[start], None
-    grid = solve_table.grid
-    score = _compile_surrogate(instance, topology, grid, grid * solve_table.max_ref)
-    surrogates = score(table.units)
+    surrogates = _compile_surrogate(table, topology)(candidates.units)
     ranked = np.argsort(-surrogates, kind="stable")
     lap("rank")
 
     top = ranked[:top_k].tolist()
-    traced = [table.placements(i) for i in top]
+    traced = [candidates.placements(i) for i in top]
     _check_signature_sums([level for level, _, _ in topology.nodes], traced,
-                          table.units[top], solve_table.signature)
+                          candidates.units[top], table.signature)
     best_i = -1
     best_placements: Placements = ()
     best_value = float("-inf")
     for i, placements in zip(top, traced):
-        value = _exact_value(instance, topology, placements, solve_table.outcomes)
+        value = _exact_value(table, topology, placements)
         if value > best_value:
             best_i, best_placements, best_value = i, placements, value
     lap("rescore")
 
-    tree = materialize(instance, topology, best_placements, solve_table=solve_table)
+    tree = materialize(table, topology, best_placements)
     if block_profit_exact(instance, tree) != best_value:
         raise StructuralError("the materialized tree does not score its "
                               "rescored value")
@@ -805,7 +763,6 @@ class PtasKnobs:
     grid: float = 0.05
     block_budget: int = 4
     depth_limit: int = 3
-    caps: int | None = None
     top_k: int = 32
     max_hint: str = "exact"
     state_cap: int = DEFAULT_STATE_CAP
@@ -888,7 +845,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     start = instance.start_level
     if instance.horizon == 0:
         return PtasResult(block_leaf(start), instance.terminal[start], diag)
-    solve_table = _SolveTable(instance, knobs.grid, max_ref, knobs.eps)
+    table = _SolveTable(instance, knobs.grid, max_ref, knobs.eps)
     clock = [perf_counter()]
 
     def lap(stage: str) -> None:
@@ -905,9 +862,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     best_value = instance.terminal[start]
     for ti, topo in enumerate(topologies):
         try:
-            result = config_dp(instance, topo, knobs.grid, max_ref, knobs.eps,
-                               knobs.caps, state_cap=knobs.state_cap,
-                               solve_table=solve_table)
+            result = config_dp(table, topo, state_cap=knobs.state_cap)
         except CapacityError as err:
             diag.capacity_errors += 1
             diag.states_explored += err.states_explored
@@ -916,8 +871,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
             continue
         lap("dp")
         diag.states_explored += result.states_explored
-        tree, value, surrogate = _reconstruct(
-            instance, topo, result, knobs.top_k, lap, solve_table)
+        tree, value, surrogate = _reconstruct(table, topo, result, knobs.top_k, lap)
         diag.completed += 1
         diag.candidates += len(result.candidates)
         diag.materialized += min(knobs.top_k, len(result.candidates))
