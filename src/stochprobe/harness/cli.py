@@ -13,10 +13,11 @@ non-tree JSON, such as a deeply nested ``meta``, gets there.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from ..exact import optimal_policy, optimal_value
+from ..exact import optimal_policy, solve
 from ..exceptions import (CapacityError, ClampError, HintError, ParameterError,
                           ParseError, StructuralError, UnknownActionError,
                           UsageError)
@@ -88,7 +89,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     instance = _load_kernel(args.path)
-    _emit({"optimal_value": optimal_value(instance)})
+    value, stats = solve(instance)
+    _emit({"optimal_value": value, **dataclasses.asdict(stats)})
     return 0
 
 
@@ -208,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.set_defaults(handler=_cmd_gen)
 
-    exact = subs.add_parser("exact", help="exact optimum of an instance")
+    exact = subs.add_parser("exact", help="exact optimum of an instance, with solver stats")
     _in_arg(exact)
     exact.set_defaults(handler=_cmd_exact)
 

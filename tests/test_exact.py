@@ -1,8 +1,12 @@
 """Exact finite-horizon solver: oracle identities and state-space limits."""
 
+import math
 import time
 import tracemalloc
+from dataclasses import fields
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from stochprobe import (
@@ -22,8 +26,9 @@ from stochprobe import (
     subtree_values,
     walk_reach,
 )
-from stochprobe.exact import CELL_CAP
-from stochprobe.harness import GenParams, gen_random_kernel
+from stochprobe import exact
+from stochprobe.exact import CELL_CAP, ExactStats, _Kernel, solve
+from stochprobe.harness import GenParams, gen_random, gen_random_kernel
 from stochprobe.model import leaf_node
 
 from conftest import act, kernel
@@ -284,3 +289,197 @@ def test_wide_group_counts_match_reference_recursion_exactly():
             ref.value(1, level, ref.full) for level in range(len(inst.terminal)))
         assert _shape(optimal_policy(inst)) == _shape(ref.policy(1, 0, ref.full))
     assert len(cases[-1].groups()) == 63
+
+
+# --- the sweep before dominated rows were pruned, kept verbatim as the
+# reference for the tables of the pruned, level-restricted sweep.
+
+class _Rows:
+    """One action's rows, term-major for the sweep.
+
+    Rows are ordered by support size, largest first, so the rows that have
+    a ``k``-th positive-mass outcome are a prefix; ``terms[k]`` holds its
+    length and those outcomes' levels and masses.
+    """
+
+    def __init__(self, spec: ActionSpec):
+        rows = sorted(spec.rows.items(), key=lambda item: -len(item[1].support))
+        self.levels = np.array([level for level, _ in rows], dtype=np.intp)
+        self.profit = np.array([row.profit for _, row in rows], dtype=float)[:, None]
+        self.terms = []
+        for k in range(len(rows[0][1].support) if rows else 0):
+            live = [row.support[k] for _, row in rows if len(row.support) > k]
+            self.terms.append((len(live), np.array([j for j, _ in live], dtype=np.intp),
+                               np.array([p for _, p in live], dtype=float)[:, None]))
+
+    def improve(self, best: np.ndarray, child: np.ndarray) -> None:
+        """Raise ``best`` (levels x masks) to this action's values where they
+        are strictly larger, given the child rows (levels x masks, or levels
+        x 1 when every mask has the same child row)."""
+        if not len(self.levels):
+            return
+        q = np.repeat(self.profit, child.shape[1], axis=1)
+        for m, targets, probs in self.terms:
+            term = child[targets]
+            term *= probs
+            q[:m] += term
+        old = best[self.levels]
+        best[self.levels] = np.where(q > old, q, old)
+
+
+def _sweep(kernel: _Kernel):
+    """Yield the value table of every layer, bottom layer first, as a
+    (levels x masks) array whose columns follow the layer's masks."""
+    terminal = np.array(kernel.terminal, dtype=float)[:, None]
+    groups = [(bit, [_Rows(spec) for spec in members]) for bit, members in kernel.groups]
+    layers, depth = kernel.layers, kernel.depth
+    # The bottom layer, the widest, is terminal in every column: it is kept
+    # as a read-only broadcast and never gathered from.
+    table = np.broadcast_to(terminal, (len(terminal), len(layers[depth])))
+    yield table
+    for u in range(depth - 1, -1, -1):
+        child = table
+        used = layers[u]
+        table = np.repeat(terminal, len(used), axis=1)
+        for bit, members in groups:
+            sel = np.flatnonzero((used & bit) == 0)
+            if not len(sel):
+                continue
+            if u + 1 == depth:
+                rows = terminal
+            else:
+                rows = child[:, np.searchsorted(layers[u + 1], used[sel] | bit)]
+            best = table[:, sel]
+            for member in members:
+                member.improve(best, rows)
+            table[:, sel] = best
+        yield table
+
+
+def _reference_tables(inst):
+    """Every layer's table from the reference sweep, on the solver's masks."""
+    kernel = exact._Kernel(inst)
+    return list(_sweep(SimpleNamespace(groups=kernel.groups, terminal=inst.terminal,
+                                       layers=kernel.layers, depth=kernel.depth)))
+
+
+def _assert_tables_match_reference(inst):
+    """Every layer's table equals the reference bit for bit; returns the
+    number of rows the sweep pruned."""
+    kernel = exact._Kernel(inst)
+    tables = list(exact._sweep(kernel))
+    reference = _reference_tables(inst)
+    assert len(tables) == len(reference) == kernel.depth + 1
+    for table, want in zip(tables, reference):
+        assert table.shape == want.shape
+        assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
+    return kernel.rows_pruned
+
+
+def _probemax13(seed, n, m):
+    """Probemax on the default greedy-tied grid, 13 levels at eps 0.3."""
+    spec = gen_random(seed, GenParams(kind="probemax", n=n, m=m, support=3, levels=8,
+                                      q=8, step=1.0, eps=0.3))
+    inst, _ = build_probemax(spec)
+    assert len(inst.terminal) == 13
+    return inst
+
+
+def test_pruned_sweep_tables_match_the_reference_bit_for_bit():
+    cases = [_probemax13(seed, n, m)
+             for seed in (501, 502) for n, m in ((10, 3), (12, 4), (16, 4))]
+    for seed in range(24):
+        for bias in (0.5, 0.8):
+            cases.append(gen_random_kernel(seed, GenParams(
+                n=5 + seed % 4, levels=3 + seed % 4, q=5 + seed % 5, flat_bias=bias)))
+    pruned = {"probemax": 0, "kernel": 0}
+    for k, base in enumerate(cases):
+        for inst in (base, _flipped(base)):
+            pruned["probemax" if k < 6 else "kernel"] += _assert_tables_match_reference(inst)
+    # Pruning must really happen on both kinds, or the test compares nothing.
+    assert pruned["probemax"] >= 1000
+    assert pruned["kernel"] >= 200
+
+
+def _check_against_reference(inst):
+    ref = _Reference(inst)
+    assert optimal_value(inst) == ref.value(1, inst.start_level, ref.full)
+    assert _shape(optimal_policy(inst)) == _shape(ref.policy(1, inst.start_level, ref.full))
+    _assert_tables_match_reference(inst)
+    return exact._Kernel(inst)
+
+
+def test_a_stay_row_with_positive_profit_is_kept():
+    stay = act("s", "gs", {1: ((1, 1.0),)}, profit=0.25)
+    move = act("b", "gb", {0: ((0, 0.5), (1, 0.5))})
+    kernel_ = _check_against_reference(kernel([stay, move], [0.0, 2.0], 2, start_level=1))
+    assert (kernel_.rows_swept, kernel_.rows_pruned) == (2, 0)
+    assert optimal_value(kernel([stay, move], [0.0, 2.0], 2), 1) == 2.25
+
+
+def test_a_stay_row_with_zero_mass_entries_is_pruned():
+    stay = act("s", "gs", {1: ((1, 1.0), (0, 0.0), (2, 0.0))})
+    move = act("b", "gb", {0: ((0, 0.5), (1, 0.5)), 1: ((1, 0.5), (2, 0.5))})
+    for start in (0, 1):
+        kernel_ = _check_against_reference(kernel([stay, move], [0.0, 1.0, 3.0], 2, start))
+        assert (kernel_.rows_swept, kernel_.rows_pruned) == (2, 1)
+
+
+def test_a_lone_stay_mass_below_one_is_kept():
+    # Not a compliant row (its masses sum to 3/4), so the pruning rule does
+    # not apply, even though the row never leaves its level.
+    stay = act("s", "gs", {1: ((1, 0.75),)}, profit=-0.5)
+    move = act("b", "gb", {0: ((0, 0.5), (1, 0.5))})
+    kernel_ = _check_against_reference(kernel([stay, move], [0.0, 2.0], 2))
+    assert (kernel_.rows_swept, kernel_.rows_pruned) == (2, 0)
+
+
+def test_a_pruned_row_that_ties_the_optimum_keeps_the_reference_tree():
+    # From level 0 with two steps, staying first (worth the one step of b
+    # left afterwards, 1.0) ties probing b first (0.5 * 0 + 0.5 * 2).  The
+    # stay row's group comes first in the action list, so both the solver
+    # and the reference recursion take it, then b.
+    stay = act("s", "ga", {0: ((0, 1.0),)})
+    move = act("b", "gb", {0: ((0, 0.5), (2, 0.5))})
+    inst = kernel([stay, move], [0.0, 1.0, 2.0], 2)
+    kernel_ = _check_against_reference(inst)
+    assert kernel_.rows_pruned == 1
+    tree = optimal_policy(inst)
+    assert (tree.action, tree.children[0].action) == ("s", "b")
+    assert optimal_value(inst) == 1.0
+
+
+def test_solve_returns_the_value_and_its_stats():
+    inst = _probemax13(503, 12, 4)
+    value, stats = solve(inst)
+    assert isinstance(stats, ExactStats)
+    assert value == optimal_value(inst)
+    assert solve(inst, 5)[0] == optimal_value(inst, 5)
+    kernel_ = exact._Kernel(inst)
+    groups, K = len(inst.groups()), len(inst.terminal)
+    assert (stats.groups, stats.layers) == (groups, 5)
+    assert stats.cells == sum(math.comb(groups, u) for u in range(5)) * K
+    dominated = sum(row.profit <= 0.0 and row.support == ((level, 1.0),)
+                    for spec in inst.actions for level, row in spec.rows.items())
+    assert dominated > 0
+    assert stats.rows_pruned == dominated == kernel_.rows_pruned
+    assert stats.rows_swept == sum(len(spec.rows) for spec in inst.actions) - dominated
+    # The layer being filled plus the one it reads; the bottom layer is a
+    # broadcast of the terminal column.
+    tables = list(exact._sweep(kernel_))
+    held = [t.shape[1] for t in tables[1:]] + [1]
+    assert stats.peak_table_bytes == 8 * K * max(a + b for a, b in zip(held[1:], held))
+    assert stats.seconds > 0.0
+    with pytest.raises(ParameterError):
+        solve(inst, K)
+
+
+def test_solve_stats_on_a_horizon_zero_instance():
+    inst = kernel([act("a", "g", {0: ((1, 1.0),)}, profit=0.5)], [0.0, 2.0], 0)
+    value, stats = solve(inst)
+    assert value == 0.0
+    assert (stats.groups, stats.layers, stats.cells) == (1, 1, 2)
+    assert (stats.rows_swept, stats.rows_pruned, stats.peak_table_bytes) == (1, 0, 16)
+    assert [f.name for f in fields(ExactStats)] == [
+        "groups", "layers", "cells", "rows_swept", "rows_pruned", "peak_table_bytes",
+        "seconds"]

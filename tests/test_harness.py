@@ -44,7 +44,7 @@ from stochprobe.harness import (
     simulate,
     stream,
 )
-from stochprobe.harness.cli import main
+from stochprobe.harness.cli import _load_kernel, main
 
 from conftest import act, kernel
 
@@ -351,6 +351,19 @@ def test_cli_gen_then_exact(tmp_path, capsys):
     assert isinstance(spec, ProblemSpec) and spec.kind == "probemax"
     assert main(["exact", "--in", str(spec_path)]) == 0
     assert cli_json(capsys)["optimal_value"] >= 0.0
+
+
+def test_cli_exact_prints_solver_stats(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    assert main(["gen", "--kind", "probemax", "--n", "6", "--m", "3", "--seed", "0",
+                 "--out", str(spec_path)]) == 0
+    assert main(["exact", "--in", str(spec_path)]) == 0
+    doc = cli_json(capsys)
+    assert sorted(doc) == ["cells", "groups", "layers", "optimal_value", "peak_table_bytes",
+                           "rows_pruned", "rows_swept", "seconds"]
+    assert (doc["groups"], doc["layers"]) == (6, 4)
+    assert doc["rows_pruned"] > 0 and doc["rows_swept"] > 0
+    assert doc["optimal_value"] == optimal_value(_load_kernel(str(spec_path)))
 
 
 def small_kernel_doc(tmp_path):
