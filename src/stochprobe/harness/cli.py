@@ -104,7 +104,8 @@ def _cmd_ptas(args: argparse.Namespace) -> int:
            "max_ref_source": diag.max_ref_source,
            "topologies": diag.topologies, "completed": diag.completed,
            "capacity_errors": diag.capacity_errors,
-           "states_explored": diag.states_explored, "candidates": diag.candidates,
+           "states_explored": diag.states_explored, "dp_runs": diag.dp_runs,
+           "candidates": diag.candidates,
            "materialized": diag.materialized,
            "surrogate_gap": diag.surrogate_gap, "partial": diag.partial,
            "seconds": diag.seconds})

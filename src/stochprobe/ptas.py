@@ -6,10 +6,11 @@ are entrywise sums of action signatures.  The solver enumerates small block
 topologies over the levels the instance's rows can reach, runs a forward
 reachability DP over per-node signature sums under per-path placement caps
 and the small-risk property P1 (a node holds one item of any leave mass, or
-several whose leave masses sum to at most eps^2), ranks all resulting
-configurations by a batched surrogate, rescores only the most promising
-exactly from their placements, and builds the best of them into a concrete
-block tree.
+several whose leave masses sum to at most eps^2), once per topology that no
+other extends and read off by every topology it extends, ranks each
+topology's configurations by a batched surrogate, rescores only the most
+promising exactly from their placements, and builds the best of them into a
+concrete block tree.
 """
 
 from __future__ import annotations
@@ -172,38 +173,154 @@ Placements = tuple[tuple[tuple[int, str], ...] | None, ...]
 
 
 class CandidateTable:
-    """The configurations a configuration DP kept, in order, held lazily.
+    """The configurations one topology keeps, in order, read off a
+    configuration DP run lazily.
 
-    ``units`` is an ``(N, nodes, K+1)`` integer array of every candidate's
-    per-node unit sums, ``chains`` its traceback chains (None, or (group
-    index, placement, rest)); a chain is unwound only by ``placements``.
+    ``states`` gives each candidate's final state in ``run``, a run of
+    this topology or of one it is a sub-topology of; ``nodes`` gives each
+    of this topology's nodes as a node of the run's topology, or is None
+    when the two are the same.  ``units`` is the ``(N, nodes, K+1)``
+    integer array of every candidate's per-node unit sums.  A traceback
+    chain is unwound only by ``placements``; surrogates and exact values
+    come from the run, which computes each once however many topologies
+    read it.
     """
 
-    def __init__(self, units: np.ndarray, chains: Sequence[tuple | None],
-                 group_count: int):
-        self.units = units
-        self.chains = chains
-        self.group_count = group_count
+    def __init__(self, run: ConfigDpResult, states: np.ndarray,
+                 nodes: tuple[int, ...] | None = None):
+        self.run = run
+        self.states = states
+        self.nodes = nodes
 
     def __len__(self) -> int:
-        return len(self.chains)
+        return len(self.states)
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        units = self.run.sums[self.run.sum_ids[self.states]]
+        return units if self.nodes is None else units[:, self.nodes]
+
+    def surrogates(self) -> np.ndarray:
+        """Every candidate's surrogate value, in table order."""
+        return self.run.surrogates[self.run.sum_ids[self.states]]
+
+    def exact_values(self, indices: Sequence[int]) -> list[float]:
+        """The exact values of the candidates at ``indices``, from the run
+        (see ``ConfigDpResult.exact_values``)."""
+        return self.run.exact_values(self.states[list(indices)].tolist())
 
     def placements(self, i: int) -> Placements:
-        """Candidate ``i``'s traceback chain unwound into per-group placements."""
-        chain = self.chains[i]
-        trace: list[tuple[tuple[int, str], ...] | None] = [None] * self.group_count
+        """Candidate ``i``'s traceback chain unwound into per-group
+        placements, on this topology's nodes."""
+        trace = self.run.placements(int(self.states[i]))
+        if self.nodes is None:
+            return trace
+        rename = self._rename
+        return tuple(None if p is None else tuple((rename[c], a) for c, a in p)
+                     for p in trace)
+
+    @cached_property
+    def _rename(self) -> dict[int, int]:
+        return {c: s for s, c in enumerate(self.nodes)}
+
+
+class ConfigDpResult:
+    """One configuration DP run of ``topology`` under ``table``.
+
+    Per final state, in the last stage's insertion order: ``sum_ids``
+    gives its row of ``sums``, the ``(U, nodes, K+1)`` array of the
+    distinct per-node unit sums (first found first); ``chains`` its
+    traceback chain (None, or (group index, placement, rest)); and
+    ``word_ids`` its row of ``words``, the distinct occupancy words (bit
+    ``i`` set once node ``i`` holds an item).  ``states_explored`` counts
+    the states of all stages.
+
+    ``candidates`` are the topology's own configurations and ``project``
+    reads those of any sub-topology off the same states.  Surrogates of
+    ``sums`` and checked exact values of final states are computed on
+    first use and kept, so every topology read off the run shares them.
+    """
+
+    def __init__(self, table: _SolveTable, topology: Topology, sums: np.ndarray,
+                 sum_ids: np.ndarray, chains: Sequence[tuple | None],
+                 words: Sequence[int], word_ids: np.ndarray, states_explored: int):
+        self.table = table
+        self.topology = topology
+        self.sums = sums
+        self.sum_ids = sum_ids
+        self.chains = chains
+        self.words = words
+        self.word_ids = word_ids
+        self.states_explored = states_explored
+        self._exact: dict[int, float] = {}
+
+    @cached_property
+    def candidates(self) -> CandidateTable:
+        """The final states collapsed on equal unit sums, first found."""
+        return CandidateTable(self, np.unique(self.sum_ids, return_index=True)[1])
+
+    def project(self, topology: Topology) -> CandidateTable:
+        """The candidates ``topology``'s own run keeps, in its order, where
+        ``topology`` is this run's topology with whole subtrees removed.
+
+        A configuration of ``topology`` is one of this run's with the
+        removed nodes left empty, and such states are reached, ordered and
+        traced back in both runs alike (see ``solve_ptas``).  So the
+        candidates are the final states whose occupied nodes all lie in
+        ``topology``, collapsed on equal unit sums, first found.
+        """
+        if topology.nodes == self.topology.nodes:
+            return self.candidates
+        nodes = _embedding(topology, self.topology)
+        if nodes is None:
+            raise ParameterError("the topology is not a sub-topology of the run's")
+        outside = ~sum(1 << c for c in nodes)
+        inside = np.array([not word & outside for word in self.words], bool)
+        states = np.flatnonzero(inside[self.word_ids])
+        _ids, first = np.unique(self.sum_ids[states], return_index=True)
+        return CandidateTable(self, states[np.sort(first)], nodes)
+
+    @cached_property
+    def surrogates(self) -> np.ndarray:
+        """The surrogate value of every row of ``sums``."""
+        return _compile_surrogate(self.table, self.topology)(self.sums)
+
+    def placements(self, state: int) -> Placements:
+        """Final state ``state``'s traceback chain unwound into per-group
+        placements."""
+        chain = self.chains[state]
+        trace: list[tuple[tuple[int, str], ...] | None] = [None] * len(self.table.members)
         while chain is not None:
             g, placement, chain = chain
             trace[g] = placement
         return tuple(trace)
 
+    def exact_values(self, states: Sequence[int]) -> list[float]:
+        """``_exact_value`` of each final state in ``states``, computed once
+        per state.  The states not valued yet are traced back first, and
+        their placements must reproduce their unit sums
+        (``_check_signature_sums``, one pass for all of them)."""
+        todo = [state for state in dict.fromkeys(states) if state not in self._exact]
+        if todo:
+            traced = [self.placements(state) for state in todo]
+            _check_signature_sums([level for level, _, _ in self.topology.nodes], traced,
+                                  self.sums[self.sum_ids[todo]], self.table.signature)
+            for state, placements in zip(todo, traced):
+                self._exact[state] = _exact_value(self.table, self.topology, placements)
+        return [self._exact[state] for state in states]
 
-@dataclass(frozen=True)
-class ConfigDpResult:
-    """Kept configurations and states explored over all stages."""
 
-    candidates: CandidateTable
-    states_explored: int
+def _embedding(member: Topology, cover: Topology) -> tuple[int, ...] | None:
+    """Per node of ``member``, in order, the node of ``cover`` it is, when
+    ``member`` is ``cover`` with whole subtrees removed (so the indices
+    ascend); else None."""
+    nodes: list[int] = []
+    for level, parent, key in member.nodes:
+        idx = 0 if parent < 0 else cover.child_index[nodes[parent]].get(key, -1)
+        if idx < 0 or cover.nodes[idx][0] != level or (nodes and idx <= nodes[-1]):
+            return None
+        nodes.append(idx)
+    return tuple(nodes)
 
 
 def _row_signature(instance: Instance, grid: float, max_ref: float, action_id: str,
@@ -352,13 +469,17 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
     the risk left.  States share their residual caps and risk often, so
     each stage lists the fitting placements (in placement order) once per
     distinct residual word, when that word first appears.  A state with no
-    cap left on any path is parked and carried no further.
+    cap left is carried like any other: its skip keeps it, and no
+    placement fits it.  So the run of a sub-topology (whole subtrees
+    removed) is this run restricted to the states whose removed nodes are
+    empty, state for state and in order, which ``ConfigDpResult.project``
+    reads off; a state's occupancy word says which nodes hold an item.
 
-    Final states with equal unit sums collapse to the first found (parked
-    states first, then the last stage in insertion order).  The result's
-    ``CandidateTable`` holds the sums of all of them, unpacked in one numpy
-    pass, and their traceback chains; nothing is traced back until a
-    candidate is read.
+    The result holds the final states in the last stage's insertion order:
+    their distinct unit sums, unpacked in one numpy pass, and per state its
+    sums' row, occupancy word and traceback chain.  Its ``candidates``
+    collapse states with equal unit sums to the first found; nothing is
+    traced back until a candidate is read.
     """
     instance = table.instance
     cap = instance.horizon if caps is None else min(caps, instance.horizon)
@@ -374,12 +495,13 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
     width = instance.values.level_count + 1
 
     # States are packed into single integers.  The low word holds the
-    # residual caps (one slot per path) and then the residual risk (one
-    # slot per node); the high bits hold the per-node unit sums (slots of a
-    # whole unsigned dtype, wide enough that no reachable sum can carry
-    # between them, so the sums unpack as that dtype).  Only placements
-    # that leave every covered path a unit and every touched node its risk
-    # are ever added, so no low slot underflows.
+    # residual caps (one slot per path), then the residual risk (one slot
+    # per node), then the occupancy word (one bit per node, set with the
+    # node's first item); the high bits hold the per-node unit sums (slots
+    # of a whole unsigned dtype, wide enough that no reachable sum can
+    # carry between them, so the sums unpack as that dtype).  Only
+    # placements that leave every covered path a unit and every touched
+    # node its risk are ever added, so no low slot underflows.
     cb = max(cap.bit_length(), 1)
     caps_bits = len(paths) * cb
     caps_all = (1 << caps_bits) - 1
@@ -397,7 +519,9 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
     risk_shift = [caps_bits + i * rb for i in range(n_nodes)]
     for shift in risk_shift:
         init_key |= risk_empty << shift
-    low_bits = caps_bits + n_nodes * rb
+    occ_shift = caps_bits + n_nodes * rb
+    occ_all = (1 << n_nodes) - 1
+    low_bits = occ_shift + n_nodes
     low_all = (1 << low_bits) - 1
     unit_max = max(table.cells(level)[1] for level in set(levels))
     sum_bits = (cap * unit_max).bit_length()
@@ -419,26 +543,28 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
                                         if mask >> j & 1)))
 
     # Per group: (covered path mask, packed delta, placement tuple, per
-    # touched node its (index, risk share, risk unit)), in antichain order,
-    # then member order node by node.  The delta adds the unit sums and
-    # subtracts the covered caps and the risk shares in one integer add; a
-    # node's first item spends one more risk unit, per residual word.
+    # touched node its (index, risk share, first-item delta)), in antichain
+    # order, then member order node by node.  The delta adds the unit sums
+    # and subtracts the covered caps and the risk shares in one integer
+    # add; a node's first item also spends one more risk unit and sets the
+    # node's occupancy bit, per residual word.
     packed = [table.packed(level, sb) for level in levels]
     risk = table.risk
     deltas_by_group: list[list[tuple[int, int, tuple[tuple[int, str], ...],
                                      tuple[tuple[int, int, int], ...]]]] = []
     for g in range(len(table.members)):
         # Per node: (packed word shifted to the node's slots, less its risk
-        # share, (node, action), (node, risk share, risk unit)) of each
-        # member with a row at the node's level.
+        # share, (node, action), (node, risk share, first-item delta)) of
+        # each member with a row at the node's level.
         at_node = []
         for i in range(n_nodes):
             unit = 1 << risk_shift[i]
+            first = (1 << (occ_shift + i)) - unit
             cell = []
             for a, word in packed[i][g]:
                 share = risk(a, levels[i])
                 cell.append(((word << (low_bits + i * width * sb)) - share * unit,
-                             (i, a), (i, share, unit)))
+                             (i, a), (i, share, first)))
             at_node.append(cell)
         deltas = []
         for chain, mask, spent in covers:
@@ -454,7 +580,6 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
     # (group index, placement, the chain it extends).  A skip reuses its
     # state's chain, so only placements add links.
     prev: dict[int, tuple | None] = {init_key: None}
-    frozen: dict[int, tuple | None] = {}  # parked key -> its chain
     explored = 1
     for g, deltas in enumerate(deltas_by_group):
         nxt: dict[int, tuple | None] = {}
@@ -466,15 +591,9 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
         fitting: dict[int, list[tuple[int, tuple[tuple[int, str], ...]]]] = {}
         for key, chain in prev.items():
             word = key & low_all
-            caps_word = word & caps_all
-            if caps_word == 0:
-                # No placement can ever fit again; park the state and stop
-                # carrying it through the remaining stages.
-                if key not in frozen:
-                    frozen[key] = chain
-                continue
             fits = fitting.get(word)
             if fits is None:
+                caps_word = word & caps_all
                 open_deltas = opened.get(caps_word)
                 if open_deltas is None:
                     open_paths = sum(1 << j for j in range(len(paths))
@@ -484,9 +603,9 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
                 left = [word >> shift & risk_all for shift in risk_shift]
                 fits = fitting[word] = []
                 for _covered, d, placement, need in open_deltas:
-                    for i, share, unit in need:
+                    for i, share, first in need:
                         if left[i] == risk_empty:
-                            d -= unit
+                            d += first
                         elif left[i] <= share:
                             break
                     else:
@@ -496,22 +615,25 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
                 new_key = key + d
                 if new_key not in nxt:
                     nxt[new_key] = (g, placement, chain)
-            if len(nxt) + len(frozen) > state_cap:
+            if len(nxt) > state_cap:
                 raise CapacityError(
                     f"configuration DP exceeded the state cap of {state_cap}",
                     states_explored=explored + len(nxt))
         explored += len(nxt)
         prev = nxt
 
-    kept: dict[int, tuple | None] = {}
-    for states in (frozen, prev):
-        for key, chain in states.items():
-            kept.setdefault(key >> low_bits, chain)
+    # Distinct unit sums and occupancy words get ids in first-found order.
+    sum_index: dict[int, int] = {}
+    sum_ids = [sum_index.setdefault(key >> low_bits, len(sum_index)) for key in prev]
+    word_index: dict[int, int] = {}
+    word_ids = [word_index.setdefault(key >> occ_shift & occ_all, len(word_index))
+                for key in prev]
     sum_bytes = n_nodes * width * slot_dtype.itemsize
-    raw = b"".join(map(int.to_bytes, kept, repeat(sum_bytes), repeat("little")))
-    units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
-    candidates = CandidateTable(units, list(kept.values()), len(table.members))
-    return ConfigDpResult(candidates, explored)
+    raw = b"".join(map(int.to_bytes, sum_index, repeat(sum_bytes), repeat("little")))
+    sums = np.frombuffer(raw, slot_dtype).reshape(len(sum_index), n_nodes, width)
+    return ConfigDpResult(table, topology, sums, np.array(sum_ids, np.intp),
+                          list(prev.values()), tuple(word_index),
+                          np.array(word_ids, np.intp), explored)
 
 
 # --- reconstruction and scoring ---------------------------------------------
@@ -675,54 +797,77 @@ def _exact_value(table: _SolveTable, topology: Topology, placements: Placements
     return values[0]
 
 
+def _covers(topologies: Sequence[Topology]) -> list[int]:
+    """Per topology, the index of its cover: itself when no other topology
+    in ``topologies`` extends it by a leaf, else the cover of the first
+    such extension.  Topologies are visited largest first, so an
+    extension's cover is known before the topologies it extends."""
+    index = {top.nodes: i for i, top in enumerate(topologies)}
+    cover = [-1] * len(topologies)
+    for i in sorted(range(len(topologies)), key=lambda i: -len(topologies[i].nodes)):
+        if cover[i] < 0:
+            cover[i] = i
+        nodes = topologies[i].nodes
+        inner = {parent for _level, parent, _key in nodes}
+        for leaf in range(1, len(nodes)):
+            if leaf in inner:
+                continue
+            # Removing a leaf shifts every later row, and every parent
+            # index past it, down by one.
+            sub = nodes[:leaf] + tuple((level, parent - (parent > leaf), key)
+                                       for level, parent, key in nodes[leaf + 1:])
+            j = index.get(sub)
+            if j is not None and cover[j] < 0:
+                cover[j] = cover[i]
+    return cover
+
+
 #: The stages ``PtasDiagnostics.seconds`` times, in pipeline order.
 _STAGES = ("enumerate", "dp", "rank", "rescore", "materialize")
 
 
-def _reconstruct(table: _SolveTable, topology: Topology, result: ConfigDpResult,
+def _reconstruct(table: _SolveTable, topology: Topology, candidates: CandidateTable,
                  top_k: int, lap: Callable[[str], None] = lambda _stage: None
                  ) -> tuple[BlockNode, float, float | None]:
-    """Rescore the top-k surrogate-ranked configurations exactly and return
-    the best as (tree, value, its surrogate value); with no candidates, the
-    do-nothing policy and no surrogate.  ``lap`` is called with each
-    stage's name ("rank", "rescore", "materialize") as it ends.
+    """Rescore the top-k surrogate-ranked candidates of ``topology``
+    exactly and return the best as (tree, value, its surrogate value);
+    with no candidates, the do-nothing policy and no surrogate.  ``lap``
+    is called with each stage's name ("rank", "rescore", "materialize") as
+    it ends.
 
-    All candidates are scored in one batched pass over the candidates'
-    unit array and ranked by descending surrogate, ties in table order (a
-    stable sort).  Only the ``top_k`` best are traced back; the check that
-    each reproduces its unit sums adds up all their placements in one
-    pass, and each is valued by ``_exact_value`` from its placements,
-    without building a tree.  The first strictly best exact value wins,
-    and only the winner is materialized; its tree must score that value
-    under ``block_profit_exact``, else ``StructuralError``.  Signatures and
-    batch outcomes come from ``table``, so each is computed once per solve,
-    however many candidates and topologies read it.
+    Candidates are ranked by descending surrogate, ties in table order (a
+    stable sort); their run scores the unit sums of all its final states
+    in one batched pass.  Only the ``top_k`` best are traced back and
+    checked to reproduce their unit sums, and each is valued by
+    ``_exact_value`` in the run's topology, without building a tree; the
+    run does both once per final state (a node left empty passes its
+    entry level's value through, so the value is the same in every
+    topology read off the run).  The first strictly best
+    exact value wins, and only the winner is materialized, on
+    ``topology``; its tree must score that value under
+    ``block_profit_exact``, else ``StructuralError``.  Signatures and
+    batch outcomes come from ``table``, so each is computed once per
+    solve, however many candidates and topologies read it.
     """
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
     instance = table.instance
     start = instance.start_level
-    candidates = result.candidates
     if len(candidates) == 0:
         return block_leaf(start), instance.terminal[start], None
-    surrogates = _compile_surrogate(table, topology)(candidates.units)
+    surrogates = candidates.surrogates()
     ranked = np.argsort(-surrogates, kind="stable")
     lap("rank")
 
     top = ranked[:top_k].tolist()
-    traced = [candidates.placements(i) for i in top]
-    _check_signature_sums([level for level, _, _ in topology.nodes], traced,
-                          candidates.units[top], table.signature)
     best_i = -1
-    best_placements: Placements = ()
     best_value = float("-inf")
-    for i, placements in zip(top, traced):
-        value = _exact_value(table, topology, placements)
+    for i, value in zip(top, candidates.exact_values(top)):
         if value > best_value:
-            best_i, best_placements, best_value = i, placements, value
+            best_i, best_value = i, value
     lap("rescore")
 
-    tree = materialize(table, topology, best_placements)
+    tree = materialize(table, topology, candidates.placements(best_i))
     if block_profit_exact(instance, tree) != best_value:
         raise StructuralError("the materialized tree does not score its "
                               "rescored value")
@@ -774,15 +919,20 @@ class PtasDiagnostics:
     """Counts of one solve.  ``max_ref_source`` names where ``max_ref``
     came from: the ``max_hint`` that estimated it ("exact",
     "greedy_probemax" or "terminal_bound"), or "fallback" when that
-    estimate was not positive and 1.0 was used instead.  ``candidates``
-    (configurations kept) and ``materialized`` (configurations exactly
-    rescored: at most ``top_k`` per topology, of which only the winner is
-    built into a tree) are summed over the completed topologies.
+    estimate was not positive and 1.0 was used instead.  ``dp_runs``
+    counts the configuration DP runs the solve made (one per cover, plus
+    one per member of a cover whose run hit the state cap, failed runs
+    included) and ``states_explored`` the states of those runs.
+    ``candidates`` (configurations kept) and ``materialized``
+    (configurations exactly rescored: at most ``top_k`` per topology, of
+    which only the winner is built into a tree) are summed over the
+    completed topologies.
     ``best_surrogate`` is the surrogate value of the returned tree's
     configuration and ``surrogate_gap`` that minus the returned value; both
     are None when the do-nothing policy is returned.  ``seconds`` holds
     the ``perf_counter`` seconds of the stages enumerate, dp, rank, rescore
-    and materialize, summed over topologies; it is wall time, so it
+    and materialize, summed over topologies (reading a topology's
+    candidates off its cover's run counts as dp); it is wall time, so it
     differs between runs."""
 
     max_ref: float
@@ -791,6 +941,7 @@ class PtasDiagnostics:
     completed: int = 0
     capacity_errors: int = 0
     states_explored: int = 0
+    dp_runs: int = 0
     candidates: int = 0
     materialized: int = 0
     best_topology: int = -1
@@ -815,8 +966,27 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     child at a level its parent's rows never reach is entered only below an
     item-less parent, whose subtree a smaller topology already offers, so
     those topologies are not searched.  Every other topology is searched
-    and rescored on its own, and the best exact value over all of them
-    wins.  The DP keeps the small-risk property P1 at ``knobs.eps``, so
+    and rescored, and the first strictly best exact value in enumeration
+    order wins.
+
+    The configuration DP runs once per cover: an enumerated topology that
+    no other enumerated topology extends (by adding whole subtrees), found
+    by removing single leaves, largest topologies first (``_covers``).
+    Every other topology is a member of one cover, and its configurations
+    are the cover's with the nodes it lacks left empty.  Since the DP
+    carries every state it reaches (none is parked), a member's own run
+    would reach, order and trace back exactly the cover's states with
+    those nodes empty; an empty node passes its entry level's value
+    through, so surrogates and exact values agree too.  So each member
+    reads its candidates off the cover's run (``ConfigDpResult.project``),
+    ranks them by the surrogates the cover scores once, and rescores its
+    top_k from the cover's exact values, cached per final state; only
+    its winner is materialized on the member itself.  A cover's run is
+    dropped once its members are done.  If a cover's run hits the state
+    cap, each of its members runs its own DP, with the same result as
+    reading it off.
+
+    The DP keeps the small-risk property P1 at ``knobs.eps``, so
     every candidate, and so the returned tree, passes
     ``check_block_properties(...).p1_ok``; and a multi-item block leaves
     its level with at most eps^2, which bounds how far the surrogate's
@@ -857,28 +1027,49 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     topologies = enumerate_topologies(level_reach(instance), knobs.block_budget,
                                       depth_eff, start, count_cap=knobs.topology_cap)
     diag.topologies = len(topologies)
+    members: dict[int, list[int]] = {}
+    for ti, ci in enumerate(_covers(topologies)):
+        members.setdefault(ci, []).append(ti)
     lap("enumerate")
-    best_tree: BlockNode = block_leaf(start)
-    best_value = instance.terminal[start]
-    for ti, topo in enumerate(topologies):
+
+    def run(topo: Topology) -> ConfigDpResult | None:
+        diag.dp_runs += 1
         try:
             result = config_dp(table, topo, state_cap=knobs.state_cap)
         except CapacityError as err:
-            diag.capacity_errors += 1
             diag.states_explored += err.states_explored
-            diag.partial = True
+            return None
+        finally:
             lap("dp")
-            continue
-        lap("dp")
         diag.states_explored += result.states_explored
-        tree, value, surrogate = _reconstruct(table, topo, result, knobs.top_k, lap)
-        diag.completed += 1
-        diag.candidates += len(result.candidates)
-        diag.materialized += min(knobs.top_k, len(result.candidates))
-        if value > best_value:
-            best_tree, best_value = tree, value
+        return result
+
+    found: list[tuple[BlockNode, float, float | None] | None] = [None] * len(topologies)
+    for ci, group in members.items():
+        cover = run(topologies[ci])
+        for ti in group:
+            topo = topologies[ti]
+            if cover is not None:
+                candidates = cover.project(topo)
+                lap("dp")
+            elif ti != ci and (own := run(topo)) is not None:
+                candidates = own.candidates
+            else:
+                diag.capacity_errors += 1
+                diag.partial = True
+                continue
+            found[ti] = _reconstruct(table, topo, candidates, knobs.top_k, lap)
+            diag.completed += 1
+            diag.candidates += len(candidates)
+            diag.materialized += min(knobs.top_k, len(candidates))
+        # Drop this cover's run before the next one starts.
+        cover = candidates = None
+    best_tree: BlockNode = block_leaf(start)
+    best_value = instance.terminal[start]
+    for ti, outcome in enumerate(found):
+        if outcome is not None and outcome[1] > best_value:
+            best_tree, best_value, diag.best_surrogate = outcome
             diag.best_topology = ti
-            diag.best_surrogate = surrogate
     if diag.best_surrogate is not None:
         diag.surrogate_gap = diag.best_surrogate - best_value
     return PtasResult(best_tree, best_value, diag)

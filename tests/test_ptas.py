@@ -214,14 +214,41 @@ def _reference_risk_share(instance, action_id, level, eps):
     return min(math.ceil(mu * units / (eps * eps)), units)
 
 
+class _ReferenceRun:
+    """A reference DP run's kept configurations: the ``candidates`` and
+    ``states_explored`` of a ``ConfigDpResult``, as plain data."""
+
+    def __init__(self, units, chains, group_count, states_explored):
+        self.candidates = self
+        self.units = units
+        self.chains = chains
+        self.group_count = group_count
+        self.states_explored = states_explored
+
+    def __len__(self):
+        return len(self.chains)
+
+    def placements(self, i):
+        chain, trace = self.chains[i], [None] * self.group_count
+        while chain is not None:
+            g, placement, chain = chain
+            trace[g] = placement
+        return tuple(trace)
+
+
 def _reference_config_dp(instance, topology, grid, max_ref, eps, caps=None, *,
-                         state_cap=ptas.DEFAULT_STATE_CAP):
+                         state_cap=ptas.DEFAULT_STATE_CAP, park=False):
     """The configuration DP as it was before the fitting-placement lists:
     every placement is tried on every state, and one guard bit per caps
     slot catches a placement that takes a path below zero.  A state also
     carries each node's spent risk shares, None while the node is empty; a
     placement fits a node only while the shares there sum to at most
-    ``ptas._RISK_UNITS``."""
+    ``ptas._RISK_UNITS``.
+
+    With ``park`` a state with no cap left is parked: carried no further,
+    counted against the state cap beside each stage's states, and kept
+    ahead of the last stage's states among the candidates, as the DP did
+    before covers shared their runs."""
     cap = instance.horizon if caps is None else min(caps, instance.horizon)
     levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
@@ -291,7 +318,7 @@ def _reference_config_dp(instance, topology, grid, max_ref, eps, caps=None, *,
         nxt = {}
         for state, chain in prev.items():
             key, risk = state
-            if key & caps_all == 0:
+            if park and key & caps_all == 0:
                 if state not in frozen:
                     frozen[state] = chain
                 continue
@@ -317,8 +344,7 @@ def _reference_config_dp(instance, topology, grid, max_ref, eps, caps=None, *,
     sum_bytes = n_nodes * width * slot_dtype.itemsize
     raw = b"".join(sums.to_bytes(sum_bytes, "little") for sums in kept)
     units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
-    return ConfigDpResult(CandidateTable(units, list(kept.values()), len(group_order)),
-                          explored)
+    return _ReferenceRun(units, list(kept.values()), len(group_order), explored)
 
 
 def test_config_dp_candidates_are_the_p1_feasible_configurations():
@@ -389,7 +415,7 @@ def test_config_dp_matches_guard_bit_reference():
     # Masses k/q with q = 7..10 put off-lattice unit sums in the states.
     # Leave masses k/q up to eps^2 = 0.36 share a node at eps 0.6; at 0.3
     # almost every item takes a node alone.
-    cases = errors = 0
+    cases = errors = same_sums = reordered = 0
     for seed in range(24):
         q = 7 + seed % 4
         inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
@@ -406,8 +432,18 @@ def test_config_dp_matches_guard_bit_reference():
                     assert got == want
                     cases += 1
                     errors += want[0] == "capacity"
+                    # Parking changes the order and the state counts, so
+                    # also where the state cap stops a run, but not which
+                    # unit sums are reachable.
+                    parked = _outcome(_reference_config_dp, inst, top, grid, max_ref,
+                                      eps, caps, state_cap=state_cap, park=True)
+                    if "capacity" not in (parked[0], want[0]):
+                        assert sorted(parked[1]) == sorted(want[1])
+                        same_sums += 1
+                        reordered += parked[1] != want[1]
     assert cases >= 2000
     assert cases // 4 <= errors <= 3 * cases // 4
+    assert same_sums >= cases // 2 and reordered >= cases // 4
 
 
 def test_topology_preorder_table():
@@ -426,7 +462,7 @@ def test_deep_flat_chain_topology():
     started = time.perf_counter()
     table = _SolveTable(inst, 0.25, 1.0, 0.3)
     result = config_dp(table, top)
-    tree, value, _surrogate = _reconstruct(table, top, result, 32)
+    tree, value, _surrogate = _reconstruct(table, top, result.candidates, 32)
     assert time.perf_counter() - started < 5.0
     assert len(result.candidates) == 1101
     assert tree.items == ("a",)
@@ -500,7 +536,7 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
                 assert got.tolist() == want
                 order = sorted(range(len(want)), key=lambda i: -want[i])
                 ranked.clear()
-                _reconstruct(solve_table, top, result, len(table))
+                _reconstruct(solve_table, top, table, len(table))
                 assert ranked == [table.placements(i) for i in order]
                 cases += 1
                 ties += len(set(want)) < len(want)
@@ -532,7 +568,7 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
                 result = config_dp(solve_table, top, caps)
                 table = result.candidates
                 scored.clear()
-                tree, value, _surrogate = _reconstruct(solve_table, top, result, len(table))
+                tree, value, _surrogate = _reconstruct(solve_table, top, table, len(table))
                 assert len(scored) == len(table)
                 for placements, got in scored:
                     built = materialize(solve_table, top, placements)
@@ -553,27 +589,27 @@ def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     solve_table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
     result = config_dp(solve_table, top, caps=2)
-    table = result.candidates
-    for i in range(len(table)):
-        units = table.units.copy()
-        units[i, 0, 1] += 1
-        changed = ConfigDpResult(CandidateTable(units, table.chains, table.group_count),
-                                 result.states_explored)
+    for i in range(len(result.sums)):
+        sums = result.sums.copy()
+        sums[i, 0, 1] += 1
+        changed = ConfigDpResult(solve_table, top, sums, result.sum_ids, result.chains,
+                                 result.words, result.word_ids, result.states_explored)
         with pytest.raises(StructuralError):
-            _reconstruct(solve_table, top, changed, len(table))
+            _reconstruct(solve_table, top, changed.candidates, len(result.sums))
 
 
 def test_reconstruct_single_candidate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 0.3)
-    tree, value, _surrogate = _reconstruct(table, top, config_dp(table, top, caps=0), 32)
+    tree, value, _surrogate = _reconstruct(table, top,
+                                           config_dp(table, top, caps=0).candidates, 32)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reconstruct_empty_candidates_is_noop(two_probe_kernel):
-    empty = ConfigDpResult(CandidateTable(np.zeros((0, 1, 3), np.uint8), [], 2), 0)
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 0.3)
+    empty = CandidateTable(config_dp(table, top), np.zeros(0, np.intp))
     tree, value, _surrogate = _reconstruct(table, top, empty, 32)
     assert value == pytest.approx(two_probe_kernel.terminal[0], abs=1e-12)
 
@@ -588,7 +624,7 @@ def test_reconstruct_exact_rescoring_beats_surrogate_order():
         [0.0, 1.0], 1)
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     table = _SolveTable(inst, 0.0625, 1.0, 0.3)
-    result = config_dp(table, top, caps=1)
+    result = config_dp(table, top, caps=1).candidates
     tree1, value1, _surrogate1 = _reconstruct(table, top, result, 1)
     assert tree1.items == ("b",)
     assert value1 == pytest.approx(0.4375, abs=1e-12)
@@ -692,8 +728,8 @@ def test_reachable_topologies_keep_value_and_tree_on_probemax():
         full = enumerate_topologies(all_levels(K), knobs.block_budget,
                                     min(knobs.depth_limit, inst.horizon), start)
         for top in full:
-            tree, value, _surrogate = _reconstruct(table, top, config_dp(table, top),
-                                                   knobs.top_k)
+            tree, value, _surrogate = _reconstruct(
+                table, top, config_dp(table, top).candidates, knobs.top_k)
             if value > best_value:
                 best_tree, best_value = tree, value
         assert res.diagnostics.topologies < len(full)
@@ -797,7 +833,7 @@ def _topology_run(table, top, caps, state_cap):
     except CapacityError as err:
         return ("capacity", err.states_explored)
     cands = result.candidates
-    tree, value, surrogate = _reconstruct(table, top, result, 32)
+    tree, value, surrogate = _reconstruct(table, top, cands, 32)
     return (cands.units.dtype, cands.units.tolist(),
             [cands.placements(i) for i in range(len(cands))], result.states_explored,
             repr(tree), value, surrogate)
@@ -845,10 +881,12 @@ def test_solve_table_rejects_bad_grid_max_ref_or_eps(two_probe_kernel):
     _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
 
 
-def test_solve_runs_the_dp_per_topology_and_materializes_per_completed_one(
+def test_solve_runs_the_dp_per_cover_and_materializes_per_completed_topology(
         witness_spec, monkeypatch):
-    # A small state cap stops some topologies in the DP; only the others
-    # reach the rescoring, and each builds one tree, its winner's.
+    # Without a binding state cap one run serves all 16 topologies.  A
+    # small cap stops the cover's run, so each member runs its own and
+    # some of those stop too; only the others reach the rescoring, and
+    # each builds one tree, its winner's.
     calls = {"config_dp": 0, "materialize": 0}
     for name in calls:
         original = getattr(ptas, name)
@@ -859,10 +897,15 @@ def test_solve_runs_the_dp_per_topology_and_materializes_per_completed_one(
 
         monkeypatch.setattr(ptas, name, counted)
     inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
-    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4, state_cap=200)
+    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4)
     diag = solve_ptas(inst, knobs).diagnostics
+    assert (diag.dp_runs, diag.completed, diag.topologies) == (1, 16, 16)
+    assert calls == {"config_dp": 1, "materialize": 16}
+    calls.update(config_dp=0, materialize=0)
+    diag = solve_ptas(inst, dataclasses.replace(knobs, state_cap=200)).diagnostics
     assert 0 < diag.completed < diag.topologies
-    assert calls == {"config_dp": diag.topologies, "materialize": diag.completed}
+    assert 1 < diag.dp_runs <= diag.topologies
+    assert calls == {"config_dp": diag.dp_runs, "materialize": diag.completed}
 
 
 def test_rescoring_beats_the_surrogate_winner_off_grid():
@@ -955,3 +998,139 @@ def test_surrogate_gap_is_none_for_the_do_nothing_policy(witness_spec):
     knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4)
     diag = solve_ptas(dataclasses.replace(inst, horizon=0), knobs).diagnostics
     assert (diag.best_topology, diag.best_surrogate, diag.surrogate_gap) == (-1, None, None)
+
+
+def _per_topology_solve(inst, knobs):
+    """``solve_ptas`` as the loop it was before covers: every topology
+    through its own ``config_dp`` and ``_reconstruct``, the first strictly
+    better exact value winning.  Returns the fields the solve must
+    reproduce, and the indices of the topologies whose run hit the state
+    cap."""
+    max_ref = estimate_max(inst, knobs.max_hint)
+    if max_ref <= 0.0:
+        max_ref = 1.0
+    table = _SolveTable(inst, knobs.grid, max_ref, knobs.eps)
+    start = inst.start_level
+    tops = enumerate_topologies(level_reach(inst), knobs.block_budget,
+                                min(knobs.depth_limit, inst.horizon), start)
+    value, tree, best_topology, best_surrogate = inst.terminal[start], block_leaf(start), -1, None
+    completed = candidates = materialized = 0
+    failed = []
+    for ti, top in enumerate(tops):
+        try:
+            cands = config_dp(table, top, state_cap=knobs.state_cap).candidates
+        except CapacityError:
+            failed.append(ti)
+            continue
+        got_tree, got_value, surrogate = _reconstruct(table, top, cands, knobs.top_k)
+        completed += 1
+        candidates += len(cands)
+        materialized += min(knobs.top_k, len(cands))
+        if got_value > value:
+            value, tree, best_topology, best_surrogate = got_value, got_tree, ti, surrogate
+    fields = (value, repr(tree), best_topology, best_surrogate, completed, candidates,
+              materialized, len(failed))
+    return fields, failed, tops
+
+
+def _flat_chain_kernel(horizon):
+    """One level and two items that never leave it: with a block budget
+    past 63 the topologies are chains of up to that many nodes, all of
+    them members of the longest."""
+    return kernel([act("a", "ga", {0: ((0, 1.0),)}, profit=0.25),
+                   act("b", "gb", {0: ((0, 1.0),)}, profit=0.5)], [1.0], horizon)
+
+
+def _e2e_shaped(seed, n, m, levels, q):
+    """An input of the ``ptas_e2e`` suite's shape, with its knobs."""
+    spec = gen_random(seed, GenParams(kind="probemax", n=n, m=m, support=3, levels=levels,
+                                      q=q, step=1.0, lossless=True))
+    inst, _ = build_probemax(spec, step=1.0, theta=float(levels - 1))
+    return inst, PtasKnobs(eps=0.3, grid=1.0 / q, block_budget=6, depth_limit=4, top_k=32,
+                           max_hint="exact")
+
+
+def test_solve_reads_every_topology_off_its_cover_like_a_per_topology_loop():
+    cases = []
+    for seed in range(12):
+        q = 7 + seed % 4
+        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
+                                                 horizon=1 + seed % 3, q=q,
+                                                 flat_bias=0.5 * (seed % 2)))
+        cases.append((inst, PtasKnobs(eps=EPS_CYCLE[seed % 3], grid=1.0 / q, block_budget=4,
+                                      depth_limit=3, top_k=(1, 4, 32)[seed % 3],
+                                      max_hint="exact")))
+    for seed in range(4):
+        inst, grid, _max_ref = _probemax_13(seed, n=3 + seed % 2)
+        cases.append((inst, PtasKnobs(eps=0.3, grid=grid, block_budget=4, depth_limit=3,
+                                      max_hint="greedy_probemax")))
+    for seed, shape in enumerate(((5, 2, 4, 8), (6, 2, 3, 4), (8, 2, 4, 4), (4, 3, 3, 4),
+                                  (5, 3, 3, 4))):
+        cases.append(_e2e_shaped(seed, *shape))
+    cases.append((_flat_chain_kernel(70), PtasKnobs(eps=0.3, grid=0.125, block_budget=65,
+                                                    depth_limit=70,
+                                                    max_hint="terminal_bound")))
+    # Small state caps stop some covers, whose members then run their own
+    # DP, and some of those members too.
+    cases += [(inst, dataclasses.replace(knobs, state_cap=cap))
+              for inst, knobs in cases[12:21:2] for cap in (60, 400)]
+    fallbacks = member_errors = shared = largest = 0
+    for inst, knobs in cases:
+        want, failed, tops = _per_topology_solve(inst, knobs)
+        diag = (res := solve_ptas(inst, knobs)).diagnostics
+        got = (res.value, repr(res.tree), diag.best_topology, diag.best_surrogate,
+               diag.completed, diag.candidates, diag.materialized, diag.capacity_errors)
+        assert got == want
+        # One run per cover, plus one per member of a cover whose run
+        # stopped at the state cap.
+        covers = ptas._covers(tops)
+        fallback = [ti for ti, ci in enumerate(covers) if ci != ti and ci in failed]
+        assert diag.dp_runs == len(set(covers)) + len(fallback)
+        fallbacks += bool(fallback)
+        member_errors += any(covers[ti] != ti for ti in failed)
+        shared += diag.dp_runs < diag.topologies
+        largest = max(largest, max(len(top.nodes) for top in tops))
+    assert largest > 63
+    assert fallbacks >= 3 and member_errors >= 3
+    assert shared >= len(cases) // 2
+
+
+def test_projected_candidates_match_each_members_own_run():
+    # Every member's candidates read off its cover's run (units, order and
+    # tracebacks) equal its own run's.  Grid 1 floors every mass below one
+    # to zero, so nodes hold items and sum to zero: only their occupancy
+    # bits keep those states out of a member that lacks the node.
+    cases = []
+    for seed in range(8):
+        q = 7 + seed % 4
+        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 2, levels=2 + seed % 3,
+                                                 horizon=1 + seed % 3, q=q))
+        for grid in (1.0 / q, 1.0):
+            cases.append((inst, grid, 1.3, EPS_CYCLE[seed % 3],
+                          all_levels(inst.values.level_count), 4, 3))
+    inst, grid, max_ref = _probemax_13(0)
+    cases.append((inst, grid, max_ref, 0.3, level_reach(inst), 4, 3))
+    cases.append((_flat_chain_kernel(66), 0.125, 1.0, 0.3, ((0,),), 66, 66))
+    members = zero_items = 0
+    for inst, grid, max_ref, eps, reach, budget, depth in cases:
+        table = _SolveTable(inst, grid, max_ref, eps)
+        tops = enumerate_topologies(reach, budget, min(depth, inst.horizon),
+                                    inst.start_level)
+        covers = ptas._covers(tops)
+        for caps in (None, 1):
+            runs = {ci: config_dp(table, tops[ci], caps) for ci in set(covers)}
+            for run in runs.values():
+                occupied = [[(word >> i & 1) for i in range(len(run.topology.nodes))]
+                            for word in run.words]
+                zero_items += any(occupied[w][i] and not run.sums[s, i].any()
+                                  for s, w in zip(run.sum_ids, run.word_ids)
+                                  for i in range(len(run.topology.nodes)))
+            for ti, top in enumerate(tops):
+                got = runs[covers[ti]].project(top)
+                want = config_dp(table, top, caps).candidates
+                assert np.array_equal(got.units, want.units)
+                assert ([got.placements(i) for i in range(len(got))]
+                        == [want.placements(i) for i in range(len(want))])
+                members += covers[ti] != ti
+    assert members >= 400
+    assert zero_items >= 10
