@@ -17,10 +17,6 @@ from typing import Callable, Iterator, Mapping
 from .exceptions import ParameterError, StructuralError
 from .model import Instance, PolicyNode, TransitionRow, subtree_values
 
-#: Tolerance for the per-block probability accounting check.
-MASS_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class BlockNode:
     """A batch of action ids probed from a common entry level.

@@ -23,7 +23,7 @@ from ..exact import max_over_starts, optimal_policy, optimal_value
 from ..exceptions import ParameterError, UsageError
 from ..model import (ActionSpec, Instance, Pmf, PolicyNode, TransitionRow, ValueSpace,
                      evaluate_policy, leaf_node, truncate_policy, truncation_cut_set,
-                     walk_reach)
+                     walk_policy, walk_reach)
 from ..problems import (ProblemSpec, build_committed, build_probemax, build_target,
                         discretize_size_li, discretize_value, expected_max,
                         greedy_probemax, pandora_uncommitted_kernel, sbk_from_skp,
@@ -430,31 +430,36 @@ def _suite_committed(config: RunConfig) -> tuple[list[Row], dict[str, object]]:
 def _replay_target(inst: Instance, maps, tree: PolicyNode) -> tuple[float, float]:
     """Couple the kernel policy with the true size draws: returns (total
     path mass, mass of paths whose true and grid totals differ by at least
-    2*eps, both capped at the grid top)."""
+    2*eps, both capped at the grid top).
+
+    Each node's state is (true size sum, path mass).  A node's draws are
+    visited in reverse image order: the float sums depend on the order the
+    leaves come in, and the suite's report bytes on those sums."""
     step = float(inst.meta["step"])
     threshold = 1.0 - float(inst.meta["relaxed_target"])
     top = inst.values.level_count - 1
     top_rep = inst.values.value_of(top)
+
+    def draws(node: PolicyNode, _row, _children, state: tuple[float, float]) -> list:
+        true_sum, mass = state
+        dmap = maps[int(inst.action(node.action).meta["item"])]
+        out = []
+        for outcome, parts in dmap.image:
+            for lvl, m in parts:
+                if m > 0.0:
+                    add = int(round(dmap.representatives[lvl] / step))
+                    out.append((node.children[min(node.level + add, top)],
+                                (true_sum + outcome, mass * m)))
+        return out[::-1]
+
     total = 0.0
     deviating = 0.0
-    stack = [(tree, 0.0, 1.0)]
-    while stack:
-        node, true_sum, mass = stack.pop()
-        if node.is_leaf:
+    for node, row, _children, (true_sum, mass) in walk_policy(inst, tree, (0.0, 1.0), draws):
+        if row is None:
             total += mass
             rep = inst.values.value_of(node.level)
             if abs(min(true_sum, top_rep) - rep) >= threshold - 1e-12:
                 deviating += mass
-            continue
-        item = int(inst.action(node.action).meta["item"])
-        dmap = maps[item]
-        for outcome, parts in dmap.image:
-            for lvl, m in parts:
-                if m <= 0.0:
-                    continue
-                add = int(round(dmap.representatives[lvl] / step))
-                child = node.children[min(node.level + add, top)]
-                stack.append((child, true_sum + outcome, mass * m))
     return total, deviating
 
 

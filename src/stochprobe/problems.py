@@ -250,6 +250,31 @@ def _level_rows_from_map(dmap: DiscretizationMap, level_count: int) -> dict[int,
     return masses
 
 
+def _value_grid(eps: float, w_greedy: float, step: float | None, theta: float | None,
+                level_cap: int) -> tuple[float, float, int]:
+    """The value grid (step, theta, top level) of a Probemax-style build.
+
+    By default it ties to the greedy set value W: step eps*W and theta
+    W/eps rounded up onto the grid; ``step``/``theta`` override either.
+    A grid past ``level_cap`` levels raises ``CapacityError``.
+    """
+    if step is None or theta is None:
+        if w_greedy <= 0.0:
+            raise ParameterError(
+                "greedy set value is 0; the default grid is degenerate "
+                "(pass step and theta explicitly)")
+        if step is None:
+            step = eps * w_greedy
+        if theta is None:
+            theta = math.ceil(w_greedy / eps / step - _GRID_TOL) * step
+    top = _on_grid(theta, step)
+    if top + 1 > level_cap:
+        raise CapacityError(
+            f"value grid needs {top + 1} levels, over the cap {level_cap}; "
+            "try a coarser eps")
+    return step, theta, top
+
+
 def build_probemax(spec: ProblemSpec, *, step: float | None = None,
                    theta: float | None = None,
                    level_cap: int = 4096) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
@@ -266,20 +291,7 @@ def build_probemax(spec: ProblemSpec, *, step: float | None = None,
     if spec.m is None:
         raise ParameterError("probemax needs a probe budget m")
     chosen, w_greedy = greedy_probemax(spec)
-    if step is None or theta is None:
-        if w_greedy <= 0.0:
-            raise ParameterError(
-                "greedy set value is 0; the default grid is degenerate "
-                "(pass step and theta explicitly)")
-        if step is None:
-            step = spec.eps * w_greedy
-        if theta is None:
-            theta = math.ceil(w_greedy / spec.eps / step - _GRID_TOL) * step
-    top = _on_grid(theta, step)
-    if top + 1 > level_cap:
-        raise CapacityError(
-            f"value grid needs {top + 1} levels, over the cap {level_cap}; "
-            "try a coarser eps")
+    step, theta, top = _value_grid(spec.eps, w_greedy, step, theta, level_cap)
     reps = tuple(i * step for i in range(top + 1))
     maps: list[DiscretizationMap] = []
     actions: list[ActionSpec] = []
@@ -320,19 +332,7 @@ def build_probetopk(spec: ProblemSpec, *, step: float | None = None,
                               theta=theta, level_cap=level_cap)
     base = replace(spec, kind="probemax")
     chosen, w_greedy = greedy_probemax(base)
-    if step is None or theta is None:
-        if w_greedy <= 0.0:
-            raise ParameterError(
-                "greedy set value is 0; the default grid is degenerate "
-                "(pass step and theta explicitly)")
-        if step is None:
-            step = spec.eps * w_greedy
-        if theta is None:
-            theta = math.ceil(w_greedy / spec.eps / step - _GRID_TOL) * step
-    top = _on_grid(theta, step)
-    if top + 1 > level_cap:
-        raise CapacityError(
-            f"value grid needs {top + 1} levels, over the cap {level_cap}")
+    step, theta, top = _value_grid(spec.eps, w_greedy, step, theta, level_cap)
     n_tuples = math.comb(top + spec.k, spec.k)
     if n_tuples > tuple_cap:
         raise CapacityError(

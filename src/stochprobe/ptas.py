@@ -33,6 +33,9 @@ from .model import Instance, validate_instance
 #: Configuration-DP states one stage may hold before ``CapacityError``.
 DEFAULT_STATE_CAP = 5_000_000
 
+#: Topologies one enumeration may yield before ``CapacityError``.
+TOPOLOGY_CAP = 200_000
+
 #: Absorbs float division noise so on-grid masses land on exact units.
 _FLOOR_SLACK = 1e-9
 
@@ -110,8 +113,7 @@ def level_reach(instance: Instance) -> tuple[tuple[int, ...], ...]:
 
 
 def enumerate_topologies(reach: Sequence[Sequence[int]], block_budget: int,
-                         depth_limit: int, start_level: int, *,
-                         count_cap: int = 200_000) -> tuple[Topology, ...]:
+                         depth_limit: int, start_level: int) -> tuple[Topology, ...]:
     """All topologies rooted at ``start_level`` with at most ``block_budget``
     nodes and at most ``depth_limit`` blocks on any path, in a fixed order.
 
@@ -119,8 +121,8 @@ def enumerate_topologies(reach: Sequence[Sequence[int]], block_budget: int,
     (ascending keys, each at least ``L``; see ``level_reach``).  With every
     ``reach[L] = range(L, K)`` this is the full level enumeration; a
     narrower table yields the same topologies in the same order, minus
-    those with a child at a key outside the table.  Exceeding ``count_cap``
-    raises a capacity error.
+    those with a child at a key outside the table.  Exceeding
+    ``TOPOLOGY_CAP`` raises a capacity error.
     """
     if block_budget < 1 or depth_limit < 1:
         raise ParameterError("block_budget and depth_limit must be at least 1")
@@ -157,9 +159,9 @@ def enumerate_topologies(reach: Sequence[Sequence[int]], block_budget: int,
     for n in range(1, block_budget + 1):
         for topo in exact(start_level, n, depth_limit):
             result.append(topo)
-            if len(result) > count_cap:
+            if len(result) > TOPOLOGY_CAP:
                 raise CapacityError(
-                    f"topology enumeration exceeded the cap of {count_cap}",
+                    f"topology enumeration exceeded the cap of {TOPOLOGY_CAP}",
                     states_explored=len(result))
     return tuple(result)
 
@@ -178,16 +180,15 @@ class CandidateTable:
 
     ``states`` gives each candidate's final state in ``run``, a run of
     this topology or of one it is a sub-topology of; ``nodes`` gives each
-    of this topology's nodes as a node of the run's topology, or is None
-    when the two are the same.  ``units`` is the ``(N, nodes, K+1)``
+    of this topology's nodes as a node of the run's topology (the identity
+    when the two are the same).  ``units`` is the ``(N, nodes, K+1)``
     integer array of every candidate's per-node unit sums.  A traceback
     chain is unwound only by ``placements``; surrogates and exact values
     come from the run, which computes each once however many topologies
     read it.
     """
 
-    def __init__(self, run: ConfigDpResult, states: np.ndarray,
-                 nodes: tuple[int, ...] | None = None):
+    def __init__(self, run: ConfigDpResult, states: np.ndarray, nodes: tuple[int, ...]):
         self.run = run
         self.states = states
         self.nodes = nodes
@@ -197,8 +198,7 @@ class CandidateTable:
 
     @cached_property
     def units(self) -> np.ndarray:
-        units = self.run.sums[self.run.sum_ids[self.states]]
-        return units if self.nodes is None else units[:, self.nodes]
+        return self.run.sums[self.run.sum_ids[self.states]][:, self.nodes]
 
     def surrogates(self) -> np.ndarray:
         """Every candidate's surrogate value, in table order."""
@@ -213,8 +213,6 @@ class CandidateTable:
         """Candidate ``i``'s traceback chain unwound into per-group
         placements, on this topology's nodes."""
         trace = self.run.placements(int(self.states[i]))
-        if self.nodes is None:
-            return trace
         rename = self._rename
         return tuple(None if p is None else tuple((rename[c], a) for c, a in p)
                      for p in trace)
@@ -235,10 +233,11 @@ class ConfigDpResult:
     ``i`` set once node ``i`` holds an item).  ``states_explored`` counts
     the states of all stages.
 
-    ``candidates`` are the topology's own configurations and ``project``
-    reads those of any sub-topology off the same states.  Surrogates of
-    ``sums`` and checked exact values of final states are computed on
-    first use and kept, so every topology read off the run shares them.
+    ``project`` reads the configurations of the topology or of any of its
+    sub-topologies off the same states, and ``candidates`` are the
+    topology's own.  Surrogates of ``sums`` and checked exact values of
+    final states are computed on first use and kept, so every topology
+    read off the run shares them.
     """
 
     def __init__(self, table: _SolveTable, topology: Topology, sums: np.ndarray,
@@ -256,24 +255,22 @@ class ConfigDpResult:
 
     @cached_property
     def candidates(self) -> CandidateTable:
-        """The final states collapsed on equal unit sums, first found."""
-        return CandidateTable(self, np.unique(self.sum_ids, return_index=True)[1])
+        """The final states collapsed on equal unit sums, first found: the
+        identity projection."""
+        return self.project(tuple(range(len(self.topology.nodes))))
 
-    def project(self, topology: Topology) -> CandidateTable:
-        """The candidates ``topology``'s own run keeps, in its order, where
-        ``topology`` is this run's topology with whole subtrees removed.
+    def project(self, nodes: tuple[int, ...]) -> CandidateTable:
+        """The candidates a sub-topology's own run keeps, in its order, where
+        the sub-topology is this run's topology with whole subtrees removed
+        and ``nodes`` gives each of its nodes, in order, as a node of this
+        run's topology (as ``_covers`` maps them).
 
-        A configuration of ``topology`` is one of this run's with the
+        A configuration of the sub-topology is one of this run's with the
         removed nodes left empty, and such states are reached, ordered and
         traced back in both runs alike (see ``solve_ptas``).  So the
         candidates are the final states whose occupied nodes all lie in
-        ``topology``, collapsed on equal unit sums, first found.
+        ``nodes``, collapsed on equal unit sums, first found.
         """
-        if topology.nodes == self.topology.nodes:
-            return self.candidates
-        nodes = _embedding(topology, self.topology)
-        if nodes is None:
-            raise ParameterError("the topology is not a sub-topology of the run's")
         outside = ~sum(1 << c for c in nodes)
         inside = np.array([not word & outside for word in self.words], bool)
         states = np.flatnonzero(inside[self.word_ids])
@@ -310,40 +307,16 @@ class ConfigDpResult:
         return [self._exact[state] for state in states]
 
 
-def _embedding(member: Topology, cover: Topology) -> tuple[int, ...] | None:
-    """Per node of ``member``, in order, the node of ``cover`` it is, when
-    ``member`` is ``cover`` with whole subtrees removed (so the indices
-    ascend); else None."""
-    nodes: list[int] = []
-    for level, parent, key in member.nodes:
-        idx = 0 if parent < 0 else cover.child_index[nodes[parent]].get(key, -1)
-        if idx < 0 or cover.nodes[idx][0] != level or (nodes and idx <= nodes[-1]):
-            return None
-        nodes.append(idx)
-    return tuple(nodes)
-
-
-def _row_signature(instance: Instance, grid: float, max_ref: float, action_id: str,
-                   level: int) -> tuple[int, ...] | None:
-    """``action_signature``, or None where the action has no row at ``level``."""
-    if level not in instance.action(action_id).rows:
-        return None
-    return action_signature(instance, action_id, level, grid, max_ref)
-
-
-def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> int | None:
+def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> int:
     """The share of a node's small-risk budget that ``action_id`` takes at
-    ``level``, or None where it has no row there.
+    ``level``.
 
     The budget eps^2 splits into ``_RISK_UNITS`` units, and an item takes
     its leave mass in units, rounded up; an item whose leave mass exceeds
     eps^2 takes ``_RISK_UNITS + 1``, which only an empty node can give
     (see ``config_dp``).  Units that sum to at most ``_RISK_UNITS`` thus
     certify leave masses that sum to at most eps^2."""
-    row = instance.action(action_id).rows.get(level)
-    if row is None:
-        return None
-    mu = row.risk_mass(level)
+    mu = instance.action(action_id).rows[level].risk_mass(level)
     budget = eps * eps
     if mu > budget:
         return _RISK_UNITS + 1
@@ -363,8 +336,8 @@ class _SolveTable:
     and max_ref must be positive and eps must lie in (0, 1].  It holds the
     groups in processing order (by smallest action id) with their members
     ascending; each (action, level) signature from ``action_signature``
-    and risk share from ``_risk_units``, None where the action has no row;
-    per level, each group's member cells and their largest unit; those
+    and risk share from ``_risk_units``; per level, each group's member
+    cells (the members with a row there) and their largest unit; those
     cells with each signature packed into one integer per slot width (unit
     ``w`` at bit ``w * slot_bits``); and ``_outcomes`` of each (level,
     items) batch.  It is the one input every per-topology stage reads the
@@ -389,8 +362,9 @@ class _SolveTable:
             groups.setdefault(spec.group, []).append(spec.id)
         self.members = tuple(tuple(groups[g])
                              for g in sorted(groups, key=lambda g: groups[g][0]))
-        #: ``signature(action_id, level)``: ``_row_signature``, once per key.
-        self.signature = cache(partial(_row_signature, instance, grid, max_ref))
+        #: ``signature(action_id, level)``: ``action_signature``, once per key.
+        self.signature = cache(partial(action_signature, instance, grid=grid,
+                                       max_ref=max_ref))
         #: ``risk(action_id, level)``: ``_risk_units``, once per key.
         self.risk = cache(partial(_risk_units, instance, eps))
         #: ``outcomes(level, items)``: ``_outcomes`` of a batch, once per key.
@@ -403,8 +377,9 @@ class _SolveTable:
         signatures; and the largest unit among all of them (0 if none)."""
         hit = self._cells.get(level)
         if hit is None:
-            cells = tuple(tuple((a, u) for a in members
-                                if (u := self.signature(a, level)) is not None)
+            action = self.instance.action
+            cells = tuple(tuple((a, self.signature(a, level)) for a in members
+                                if level in action(a).rows)
                           for members in self.members)
             unit_max = max((max(u) for cell in cells for _a, u in cell), default=0)
             hit = self._cells[level] = (cells, unit_max)
@@ -441,15 +416,15 @@ def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...
     return out
 
 
-def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *,
+def config_dp(table: _SolveTable, topology: Topology, *,
               state_cap: int = DEFAULT_STATE_CAP) -> ConfigDpResult:
     """Forward reachability over configurations.
 
     Groups are folded in one at a time (ordered by their smallest action
     id); each may be skipped or placed on any antichain of topology nodes,
     choosing one member action per placed node.  Every placement consumes
-    one cap unit on each root-to-leaf path through the antichain (``caps``
-    per path, at most the horizon).  A placement also keeps the small-risk
+    one cap unit on each root-to-leaf path through the antichain (the
+    instance's horizon per path).  A placement also keeps the small-risk
     property P1 of every node it touches: a node holds one item of any
     leave mass, or several whose risk shares (``_risk_units`` at the
     table's eps) sum to at most ``_RISK_UNITS``, so their leave masses sum
@@ -482,9 +457,7 @@ def config_dp(table: _SolveTable, topology: Topology, caps: int | None = None, *
     traced back until a candidate is read.
     """
     instance = table.instance
-    cap = instance.horizon if caps is None else min(caps, instance.horizon)
-    if cap < 0:
-        raise ParameterError("caps must be nonnegative")
+    cap = instance.horizon
     levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
     ancestors: list[tuple[int, ...]] = []
@@ -729,13 +702,12 @@ def materialize(table: _SolveTable, topology: Topology, placements: Placements
 
 def _check_signature_sums(levels: list[int], traced: list[Placements],
                           sums_want: np.ndarray,
-                          signature: Callable[[str, int], tuple[int, ...] | None]
-                          ) -> None:
+                          signature: Callable[[str, int], tuple[int, ...]]) -> None:
     """Every traceback in ``traced`` must reproduce its configuration's
     per-node unit sums, the matching row of ``sums_want``, exactly;
-    ``signature(action_id, level)`` gives one action's units, or None where
-    it has no row.  The sums of all of them are added up in one numpy pass
-    and compared as integers."""
+    ``signature(action_id, level)`` gives one action's units, and raises
+    ``StructuralError`` where it has no row.  The sums of all of them are
+    added up in one numpy pass and compared as integers."""
     n_nodes = len(levels)
     rows: list[int] = []
     keys: dict[tuple[str, int], int] = {}  # (action, level) -> its signature row
@@ -749,9 +721,6 @@ def _check_signature_sums(levels: list[int], traced: list[Placements],
                 cols.append(keys.setdefault((action_id, levels[node_idx]), len(keys)))
     width = sums_want.shape[-1]
     sigs = [signature(*key) for key in keys]
-    if None in sigs:
-        raise StructuralError("traceback places an action at a level without "
-                              "its row")
     sums = np.zeros((len(traced) * n_nodes, width), np.int64)
     np.add.at(sums, np.array(rows, np.intp),
               np.array(sigs, np.int64).reshape(-1, width)[cols])
@@ -797,17 +766,20 @@ def _exact_value(table: _SolveTable, topology: Topology, placements: Placements
     return values[0]
 
 
-def _covers(topologies: Sequence[Topology]) -> list[int]:
-    """Per topology, the index of its cover: itself when no other topology
-    in ``topologies`` extends it by a leaf, else the cover of the first
-    such extension.  Topologies are visited largest first, so an
-    extension's cover is known before the topologies it extends."""
+def _covers(topologies: Sequence[Topology]) -> list[tuple[int, tuple[int, ...]]]:
+    """Per topology, the index of its cover and its node map into it: the
+    topology itself and the identity when no other topology in
+    ``topologies`` extends it by a leaf, else the cover of the first such
+    extension and that extension's map without the leaf.  Topologies are
+    visited largest first, so an extension's cover and map are known
+    before the topologies it extends."""
     index = {top.nodes: i for i, top in enumerate(topologies)}
-    cover = [-1] * len(topologies)
+    found: list[tuple[int, tuple[int, ...]] | None] = [None] * len(topologies)
     for i in sorted(range(len(topologies)), key=lambda i: -len(topologies[i].nodes)):
-        if cover[i] < 0:
-            cover[i] = i
         nodes = topologies[i].nodes
+        if found[i] is None:
+            found[i] = (i, tuple(range(len(nodes))))
+        cover, node_map = found[i]
         inner = {parent for _level, parent, _key in nodes}
         for leaf in range(1, len(nodes)):
             if leaf in inner:
@@ -817,9 +789,9 @@ def _covers(topologies: Sequence[Topology]) -> list[int]:
             sub = nodes[:leaf] + tuple((level, parent - (parent > leaf), key)
                                        for level, parent, key in nodes[leaf + 1:])
             j = index.get(sub)
-            if j is not None and cover[j] < 0:
-                cover[j] = cover[i]
-    return cover
+            if j is not None and found[j] is None:
+                found[j] = (cover, node_map[:leaf] + node_map[leaf + 1:])
+    return found
 
 
 #: The stages ``PtasDiagnostics.seconds`` times, in pipeline order.
@@ -911,7 +883,6 @@ class PtasKnobs:
     top_k: int = 32
     max_hint: str = "exact"
     state_cap: int = DEFAULT_STATE_CAP
-    topology_cap: int = 200_000
 
 
 @dataclass
@@ -978,7 +949,8 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     would reach, order and trace back exactly the cover's states with
     those nodes empty; an empty node passes its entry level's value
     through, so surrogates and exact values agree too.  So each member
-    reads its candidates off the cover's run (``ConfigDpResult.project``),
+    reads its candidates off the cover's run through the node map
+    ``_covers`` hands it (``ConfigDpResult.project``),
     ranks them by the surrogates the cover scores once, and rescores its
     top_k from the cover's exact values, cached per final state; only
     its winner is materialized on the member itself.  A cover's run is
@@ -993,7 +965,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     order-free sums can rate it above its exact value (``surrogate_gap``
     reports the winner's gap).  Per-topology capacity failures are
     recorded and skipped; the result is then flagged partial.  Topology
-    enumeration past ``topology_cap`` raises instead.  The do-nothing
+    enumeration past ``TOPOLOGY_CAP`` raises instead.  The do-nothing
     policy is always a candidate, so the returned value is at least the
     start level's terminal payoff.
     """
@@ -1025,11 +997,11 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
 
     depth_eff = min(knobs.depth_limit, instance.horizon)
     topologies = enumerate_topologies(level_reach(instance), knobs.block_budget,
-                                      depth_eff, start, count_cap=knobs.topology_cap)
+                                      depth_eff, start)
     diag.topologies = len(topologies)
-    members: dict[int, list[int]] = {}
-    for ti, ci in enumerate(_covers(topologies)):
-        members.setdefault(ci, []).append(ti)
+    members: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for ti, (ci, nodes) in enumerate(_covers(topologies)):
+        members.setdefault(ci, []).append((ti, nodes))
     lap("enumerate")
 
     def run(topo: Topology) -> ConfigDpResult | None:
@@ -1047,10 +1019,10 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     found: list[tuple[BlockNode, float, float | None] | None] = [None] * len(topologies)
     for ci, group in members.items():
         cover = run(topologies[ci])
-        for ti in group:
+        for ti, nodes in group:
             topo = topologies[ti]
             if cover is not None:
-                candidates = cover.project(topo)
+                candidates = cover.project(nodes)
                 lap("dp")
             elif ti != ci and (own := run(topo)) is not None:
                 candidates = own.candidates

@@ -55,6 +55,12 @@ def all_levels(level_count):
     return tuple(tuple(range(level, level_count)) for level in range(level_count))
 
 
+def capped(instance, caps):
+    """``instance`` with its horizon cut to ``caps``: the per-path cap the
+    configuration DP reads."""
+    return dataclasses.replace(instance, horizon=min(caps, instance.horizon))
+
+
 def block_signature(instance, action_ids, level, grid, max_ref):
     """Entrywise sum of the batch's action signatures."""
     units = [0] * (instance.values.level_count + 1)
@@ -135,14 +141,15 @@ def test_topologies_deterministic_order():
     assert a == b
 
 
-def test_topologies_count_cap_overflow():
+def test_topologies_count_cap_overflow(monkeypatch):
+    monkeypatch.setattr(ptas, "TOPOLOGY_CAP", 10)
     with pytest.raises(CapacityError):
-        enumerate_topologies(all_levels(4), 8, 6, 0, count_cap=10)
+        enumerate_topologies(all_levels(4), 8, 6, 0)
 
 
 def test_config_dp_single_block_unit_cap(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    result = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 0.3), top, caps=1)
+    result = config_dp(_SolveTable(capped(two_probe_kernel, 1), 0.25, 1.0, 0.3), top)
     assert len(result.candidates) == 3  # empty, {a1}, {a2}
     table = result.candidates
     sizes = sorted(sum(len(p) for p in table.placements(i) if p is not None)
@@ -152,7 +159,7 @@ def test_config_dp_single_block_unit_cap(two_probe_kernel):
 
 def test_config_dp_zero_caps_only_empty(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    result = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 0.3), top, caps=0)
+    result = config_dp(_SolveTable(capped(two_probe_kernel, 0), 0.25, 1.0, 0.3), top)
     assert len(result.candidates) == 1
     assert all(not p for p in result.candidates.placements(0))
 
@@ -161,15 +168,14 @@ def test_config_dp_coarse_grid_collapses_signatures(two_probe_kernel):
     # Grid 2.0 floors every mass and profit to zero, so all placements
     # share the single zero configuration.
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    result = config_dp(_SolveTable(two_probe_kernel, 2.0, 1.0, 1.0), top, caps=2)
+    result = config_dp(_SolveTable(two_probe_kernel, 2.0, 1.0, 1.0), top)
     assert len(result.candidates) == 1
 
 
 def test_config_dp_state_cap_overflow(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     with pytest.raises(CapacityError):
-        config_dp(_SolveTable(two_probe_kernel, 0.015625, 1.0, 1.0), top, caps=2,
-                  state_cap=1)
+        config_dp(_SolveTable(two_probe_kernel, 0.015625, 1.0, 1.0), top, state_cap=1)
 
 
 def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
@@ -177,8 +183,7 @@ def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
     # signatures must land exactly on the unit tuples the DP recorded.
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     levels = [level for level, _, _ in top.nodes]
-    table = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 1.0), top,
-                      caps=2).candidates
+    table = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 1.0), top).candidates
     for i in range(len(table)):
         per_node: dict[int, list[str]] = {}
         for placed in table.placements(i):
@@ -197,7 +202,7 @@ def test_config_dp_skip_keeps_its_traceback():
     row = {0: ((0, 0.75), (1, 0.25))}
     inst = kernel([act("a", "ga", row, profit=0.25), act("b", "gb", row, profit=0.25)],
                   [0.0, 1.0], 2)
-    table = config_dp(_SolveTable(inst, 0.25, 1.0, 1.0), Topology(0), caps=2).candidates
+    table = config_dp(_SolveTable(inst, 0.25, 1.0, 1.0), Topology(0)).candidates
     traces = [table.placements(i) for i in range(len(table))]
     one_item = [trace for trace in traces if sum(len(p) for p in trace if p) == 1]
     assert one_item == [(((0, "a"),), None)]
@@ -236,7 +241,7 @@ class _ReferenceRun:
         return tuple(trace)
 
 
-def _reference_config_dp(instance, topology, grid, max_ref, eps, caps=None, *,
+def _reference_config_dp(instance, topology, grid, max_ref, eps, *,
                          state_cap=ptas.DEFAULT_STATE_CAP, park=False):
     """The configuration DP as it was before the fitting-placement lists:
     every placement is tried on every state, and one guard bit per caps
@@ -249,7 +254,7 @@ def _reference_config_dp(instance, topology, grid, max_ref, eps, caps=None, *,
     counted against the state cap beside each stage's states, and kept
     ahead of the last stage's states among the candidates, as the DP did
     before covers shared their runs."""
-    cap = instance.horizon if caps is None else min(caps, instance.horizon)
+    cap = instance.horizon
     levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
     ancestors = []
@@ -388,8 +393,8 @@ def test_config_dp_candidates_are_the_p1_feasible_configurations():
                      for i, its in enumerate(items))
         (feasible if ok else infeasible).add(sums)
         shared += ok and any(sum(mu > 0.0 for mu in m) > 1 for m in mus)
-    solve_table = _SolveTable(inst, grid, 1.0, eps)
-    table = config_dp(solve_table, top, caps).candidates
+    solve_table = _SolveTable(capped(inst, caps), grid, 1.0, eps)
+    table = config_dp(solve_table, top).candidates
     got = [tuple(map(tuple, units)) for units in table.units.tolist()]
     assert len(set(got)) == len(got)
     assert set(got) == feasible
@@ -421,22 +426,23 @@ def test_config_dp_matches_guard_bit_reference():
         inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
                                                  horizon=1 + seed % 3, q=q))
         grid, max_ref, eps = 1.0 / q, 1.3, EPS_CYCLE[seed % 3]
-        table = _SolveTable(inst, grid, max_ref, eps)
         reach = all_levels(inst.values.level_count)
         for top in enumerate_topologies(reach, 3, 2, inst.start_level):
-            for caps in (None, 0, 1, 2):
+            for caps in (inst.horizon, 0, 1, 2):
+                sub = capped(inst, caps)
+                table = _SolveTable(sub, grid, max_ref, eps)
                 for state_cap in (ptas.DEFAULT_STATE_CAP, 3, 10, 40):
-                    want = _outcome(_reference_config_dp, inst, top, grid, max_ref, eps,
-                                    caps, state_cap=state_cap)
-                    got = _outcome(config_dp, table, top, caps, state_cap=state_cap)
+                    want = _outcome(_reference_config_dp, sub, top, grid, max_ref, eps,
+                                    state_cap=state_cap)
+                    got = _outcome(config_dp, table, top, state_cap=state_cap)
                     assert got == want
                     cases += 1
                     errors += want[0] == "capacity"
                     # Parking changes the order and the state counts, so
                     # also where the state cap stops a run, but not which
                     # unit sums are reachable.
-                    parked = _outcome(_reference_config_dp, inst, top, grid, max_ref,
-                                      eps, caps, state_cap=state_cap, park=True)
+                    parked = _outcome(_reference_config_dp, sub, top, grid, max_ref,
+                                      eps, state_cap=state_cap, park=True)
                     if "capacity" not in (parked[0], want[0]):
                         assert sorted(parked[1]) == sorted(want[1])
                         same_sums += 1
@@ -524,11 +530,12 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
         inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
                                                  horizon=1 + seed % 3, q=q))
         grid, max_ref, eps = 1.0 / q, 1.3, EPS_CYCLE[seed % 3]
-        solve_table = _SolveTable(inst, grid, max_ref, eps)
+        solve_tables = [_SolveTable(capped(inst, caps), grid, max_ref, eps)
+                        for caps in (inst.horizon, 1, 2)]
         reach = all_levels(inst.values.level_count)
         for top in enumerate_topologies(reach, 3, 3, inst.start_level):
-            for caps in (None, 1, 2):
-                result = config_dp(solve_table, top, caps)
+            for solve_table in solve_tables:
+                result = config_dp(solve_table, top)
                 table = result.candidates
                 ref = _reference_surrogate(inst, top, grid, grid * max_ref)
                 want = [ref(sigs) for sigs in table.units.tolist()]
@@ -562,10 +569,11 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
                                                  flat_bias=0.5 * (seed % 2)))
         # At eps 1 the risk budget lets the most items share a node.
         grid, max_ref, eps = 1.0 / q, 1.3, 1.0
-        solve_table = _SolveTable(inst, grid, max_ref, eps)
+        solve_tables = [_SolveTable(capped(inst, caps), grid, max_ref, eps)
+                        for caps in (inst.horizon, 2)]
         for top in enumerate_topologies(level_reach(inst), 3, 2, inst.start_level):
-            for caps in (None, 2):
-                result = config_dp(solve_table, top, caps)
+            for solve_table in solve_tables:
+                result = config_dp(solve_table, top)
                 table = result.candidates
                 scored.clear()
                 tree, value, _surrogate = _reconstruct(solve_table, top, table, len(table))
@@ -588,7 +596,7 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
 def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     solve_table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
-    result = config_dp(solve_table, top, caps=2)
+    result = config_dp(solve_table, top)
     for i in range(len(result.sums)):
         sums = result.sums.copy()
         sums[i, 0, 1] += 1
@@ -598,18 +606,32 @@ def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
             _reconstruct(solve_table, top, changed.candidates, len(result.sums))
 
 
+def test_rescoring_rejects_an_action_at_a_level_without_its_row(two_probe_kernel):
+    # Both actions have rows at level 0 only.  A chain that places a1 on the
+    # level-1 node must fail the signature check, not value the tree.
+    top = Topology(0, ((1, Topology(1)),))
+    solve_table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
+    result = config_dp(solve_table, top)
+    chains = list(result.chains)
+    chains[0] = (0, ((1, "a1"),), None)
+    changed = ConfigDpResult(solve_table, top, result.sums, result.sum_ids, chains,
+                             result.words, result.word_ids, result.states_explored)
+    with pytest.raises(StructuralError, match="no row at level 1"):
+        changed.exact_values([0])
+    assert result.exact_values([0]) == [0.0]
+
+
 def test_reconstruct_single_candidate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    table = _SolveTable(two_probe_kernel, 0.25, 1.0, 0.3)
-    tree, value, _surrogate = _reconstruct(table, top,
-                                           config_dp(table, top, caps=0).candidates, 32)
+    table = _SolveTable(capped(two_probe_kernel, 0), 0.25, 1.0, 0.3)
+    tree, value, _surrogate = _reconstruct(table, top, config_dp(table, top).candidates, 32)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reconstruct_empty_candidates_is_noop(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 0.3)
-    empty = CandidateTable(config_dp(table, top), np.zeros(0, np.intp))
+    empty = CandidateTable(config_dp(table, top), np.zeros(0, np.intp), (0,))
     tree, value, _surrogate = _reconstruct(table, top, empty, 32)
     assert value == pytest.approx(two_probe_kernel.terminal[0], abs=1e-12)
 
@@ -624,7 +646,7 @@ def test_reconstruct_exact_rescoring_beats_surrogate_order():
         [0.0, 1.0], 1)
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     table = _SolveTable(inst, 0.0625, 1.0, 0.3)
-    result = config_dp(table, top, caps=1).candidates
+    result = config_dp(table, top).candidates
     tree1, value1, _surrogate1 = _reconstruct(table, top, result, 1)
     assert tree1.items == ("b",)
     assert value1 == pytest.approx(0.4375, abs=1e-12)
@@ -746,10 +768,10 @@ def test_solve_reports_stage_seconds(witness_spec):
     assert seconds["dp"] > 0.0
 
 
-def test_solve_topology_cap_raises(witness_spec):
+def test_solve_topology_cap_raises(witness_spec, monkeypatch):
+    monkeypatch.setattr(ptas, "TOPOLOGY_CAP", 10)
     inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
-    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4,
-                      topology_cap=10)
+    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4)
     with pytest.raises(CapacityError):
         solve_ptas(inst, knobs)
 
@@ -788,7 +810,7 @@ def test_solve_recovers_exact_optimum_on_grid_kernels():
 def test_materialized_trees_validate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     solve_table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
-    table = config_dp(solve_table, top, caps=2).candidates
+    table = config_dp(solve_table, top).candidates
     for i in range(len(table)):
         tree = materialize(solve_table, top, table.placements(i))
         assert block_profit_exact(two_probe_kernel, tree) >= -1e-12
@@ -824,12 +846,12 @@ def _probemax_13(seed, n=3):
     return inst, 0.125, estimate_max(inst, "greedy_probemax")
 
 
-def _topology_run(table, top, caps, state_cap):
+def _topology_run(table, top, state_cap):
     """One topology through the DP and the rescoring, as comparable data:
     candidates, order, tracebacks and states explored, then the winner; or
     the point where the DP hit its state cap."""
     try:
-        result = config_dp(table, top, caps, state_cap=state_cap)
+        result = config_dp(table, top, state_cap=state_cap)
     except CapacityError as err:
         return ("capacity", err.states_explored)
     cands = result.candidates
@@ -841,9 +863,10 @@ def _topology_run(table, top, caps, state_cap):
 
 def test_shared_solve_table_matches_fresh_tables():
     # Every topology of a solve, in enumeration order and reversed, through
-    # one table per pass, against a fresh table for each call.  Small
-    # state caps make some topologies stop at the cap; the caps settings
-    # give the table more than one slot width to pack for.
+    # one table per horizon and pass, against a fresh table for each call.
+    # Small state caps make some topologies stop at the cap; the horizons
+    # the instances are cut to and the levels each topology spans give
+    # some tables more than one slot width to pack for.
     cases = []
     for seed in range(8):
         q = 7 + seed % 4
@@ -853,19 +876,22 @@ def test_shared_solve_table_matches_fresh_tables():
         cases.append((inst, 1.0 / q, 1.3 if seed % 2 else 0.02, EPS_CYCLE[seed % 3], 3, 2))
     for seed in range(3):
         cases.append((*_probemax_13(seed), 0.3, 4, 3))
-    settings = [(None, ptas.DEFAULT_STATE_CAP), (1, 40), (2, 12), (40, 200)]
+    settings = [(40, ptas.DEFAULT_STATE_CAP), (1, 40), (2, 12), (40, 200)]
     runs = errors = 0
     for inst, grid, max_ref, eps, budget, depth in cases:
         tops = enumerate_topologies(level_reach(inst), budget,
                                     min(depth, inst.horizon), inst.start_level)
+
+        def table(caps):
+            return _SolveTable(capped(inst, caps), grid, max_ref, eps)
+
         jobs = [(top, caps, cap) for top in tops for caps, cap in settings]
-        want = [_topology_run(_SolveTable(inst, grid, max_ref, eps), top, caps, cap)
-                for top, caps, cap in jobs]
-        forward = _SolveTable(inst, grid, max_ref, eps)
-        got = [_topology_run(forward, top, caps, cap) for top, caps, cap in jobs]
+        want = [_topology_run(table(caps), top, cap) for top, caps, cap in jobs]
+        forward = {caps: table(caps) for caps, _cap in settings}
+        got = [_topology_run(forward[caps], top, cap) for top, caps, cap in jobs]
         assert got == want
-        backward = _SolveTable(inst, grid, max_ref, eps)
-        got = [_topology_run(backward, top, caps, cap) for top, caps, cap in reversed(jobs)]
+        backward = {caps: table(caps) for caps, _cap in settings}
+        got = [_topology_run(backward[caps], top, cap) for top, caps, cap in reversed(jobs)]
         assert got[::-1] == want
         runs += len(jobs)
         errors += sum(w[0] == "capacity" for w in want)
@@ -1083,7 +1109,7 @@ def test_solve_reads_every_topology_off_its_cover_like_a_per_topology_loop():
         assert got == want
         # One run per cover, plus one per member of a cover whose run
         # stopped at the state cap.
-        covers = ptas._covers(tops)
+        covers = [ci for ci, _nodes in ptas._covers(tops)]
         fallback = [ti for ti, ci in enumerate(covers) if ci != ti and ci in failed]
         assert diag.dp_runs == len(set(covers)) + len(fallback)
         fallbacks += bool(fallback)
@@ -1113,24 +1139,24 @@ def test_projected_candidates_match_each_members_own_run():
     cases.append((_flat_chain_kernel(66), 0.125, 1.0, 0.3, ((0,),), 66, 66))
     members = zero_items = 0
     for inst, grid, max_ref, eps, reach, budget, depth in cases:
-        table = _SolveTable(inst, grid, max_ref, eps)
         tops = enumerate_topologies(reach, budget, min(depth, inst.horizon),
                                     inst.start_level)
         covers = ptas._covers(tops)
-        for caps in (None, 1):
-            runs = {ci: config_dp(table, tops[ci], caps) for ci in set(covers)}
+        for sub in (inst, capped(inst, 1)):
+            table = _SolveTable(sub, grid, max_ref, eps)
+            runs = {ci: config_dp(table, tops[ci]) for ci in {ci for ci, _nodes in covers}}
             for run in runs.values():
                 occupied = [[(word >> i & 1) for i in range(len(run.topology.nodes))]
                             for word in run.words]
                 zero_items += any(occupied[w][i] and not run.sums[s, i].any()
                                   for s, w in zip(run.sum_ids, run.word_ids)
                                   for i in range(len(run.topology.nodes)))
-            for ti, top in enumerate(tops):
-                got = runs[covers[ti]].project(top)
-                want = config_dp(table, top, caps).candidates
+            for ti, (top, (ci, nodes)) in enumerate(zip(tops, covers)):
+                got = runs[ci].project(nodes)
+                want = config_dp(table, top).candidates
                 assert np.array_equal(got.units, want.units)
                 assert ([got.placements(i) for i in range(len(got))]
                         == [want.placements(i) for i in range(len(want))])
-                members += covers[ti] != ti
+                members += ci != ti
     assert members >= 400
     assert zero_items >= 10
