@@ -42,14 +42,51 @@ with or without the row; only the sign of a zero could differ, which needs
 a ``-0.0`` in the input.  ``optimal_policy`` still takes its argmax over
 every row, so trees and tie-breaks do not depend on the pruning.
 
-The sweep gathers, per layer and group, the child rows of every mask that
-can still use the group, restricted to the levels the group's kept rows
-lead to, and adds ``p * W`` one outcome at a time in row order with
-elementwise numpy operations; a matrix product would reorder the sums.
-Each action reads and writes back only the levels where it has a kept
-row, and a group with no kept row is skipped.  The tables of all layers
-together are capped in cells, and masks are int64 words, so at most 63
-groups fit; both limits are checked before anything is allocated.
+The sweep.  The kept rows form one flat table, built once per solve:
+every (action, level) row not dropped above, ordered by level, then group
+in action-list order, then member id, with each outcome's target level
+and mass.  A layer is filled in blocks of masks, one pass per block over
+the whole table.  The child values of every (group, target level) pair the
+rows read are gathered once per block; then one (rows x masks) array gets
+every row's value, ``profit + p_1 * W_1 + p_2 * W_2 + ...`` added one
+outcome at a time in row order with elementwise numpy operations (a matrix
+product would reorder the sums).  A row with fewer outcomes than the
+longest adds ``1.0 * -0.0``, which leaves every float as it is.  Masks that
+already used a row's group get ``-inf`` in that row.  Each level's run of
+rows is reduced to its maximum, and a cell takes it only where it is
+strictly greater than the terminal payoff.  The layer above the bottom
+reads ``terminal`` for every mask, so there each row has one value,
+computed once.
+
+Why the per-level maximum is the recurrence's fold.  The recurrence is
+evaluated as ``best = q if q > best`` over the options in (group, member
+id) order, starting from ``terminal[l]``.  When some option is larger
+than the terminal payoff, the fold ends on the first option that reaches
+the largest value; otherwise it keeps the terminal payoff.  It never takes
+a NaN, since every comparison with a NaN is false.  The block takes the
+same bits: ``np.fmax``
+skips NaNs (a run of NaNs and ``-inf`` keeps the terminal payoff, as the
+fold does), equal floats share their bits except ``+0.0`` and ``-0.0``,
+and where the largest value is a zero the block takes the first row of the
+run that reaches it, as ``np.fmax`` may return either zero.  A zero can
+only replace a negative terminal payoff, so only such levels check.
+
+Child columns without a search.  The masks of one layer, ascending, are in
+colexicographic order: the mask with bits ``b_0 < b_1 < ...`` sits at
+column ``sum_i C(b_i, i + 1)``.  Adding a bit ``g`` above ``k`` of its bits
+keeps the first ``k`` terms, adds ``C(g, k + 1)`` and moves every later bit
+one place up, so the child column is the mask's own column plus
+``C(g, k + 1)`` plus ``C(b_i, i + 2) - C(b_i, i + 1)`` for every bit
+``b_i`` above ``g``.  A block reads ``k`` off a running count of the mask's
+bits over the group bits, and the last sum off a running sum of those
+differences.
+
+Memory.  Each temporary of a block holds at most ``_BLOCK_CELLS`` cells
+(or one column, if a column is wider), so a layer's working memory past
+the table it fills and the table it reads does not grow with the layer.
+The tables of all layers together are capped in cells, and masks are
+int64 words, so at most 63 groups fit; both limits are checked before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -67,6 +104,15 @@ from .model import ActionSpec, Instance, PolicyNode, TransitionRow, leaf_node
 #: ``u`` of ``C(groups, u) * levels``; 2^25 cells are 256 MiB of floats.
 CELL_CAP = 1 << 25
 
+#: The most cells a block of one layer puts in each of its temporaries, so
+#: that a layer's working memory does not grow with its width.
+_BLOCK_CELLS = 1 << 14
+
+#: Flat tables, rows 64 apart, of ``C(b, k + 1)`` and ``C(b, k + 1) - C(b, k)``
+#: for every mask bit ``b`` and ``k = 0..63``: the sweep's column arithmetic.
+_COMB = np.array([[math.comb(b, k) for k in range(65)] for b in range(63)], dtype=np.int64)
+_RANKS, _MOVES = _COMB[:, 1:].ravel(), np.diff(_COMB, axis=1).ravel()
+
 
 @dataclass(frozen=True)
 class ExactStats:
@@ -77,7 +123,9 @@ class ExactStats:
     ``rows_swept`` counts the (action, level) rows evaluated in every layer
     above the bottom and ``rows_pruned`` the dominated stay-put rows left
     out.  ``peak_table_bytes`` is the most the tables hold at once: the
-    layer being filled plus the layer it reads.
+    layer being filled plus the layer it reads.  ``layer_seconds`` holds the
+    wall seconds of each swept layer, in sweep order (the layer above the
+    bottom first), one entry per layer above the bottom.
     """
 
     groups: int
@@ -87,6 +135,7 @@ class ExactStats:
     rows_pruned: int
     peak_table_bytes: int
     seconds: float
+    layer_seconds: tuple[float, ...]
 
 
 def _dominated(level: int, row: TransitionRow) -> bool:
@@ -97,7 +146,7 @@ def _dominated(level: int, row: TransitionRow) -> bool:
 
 class _Kernel:
     """The instance as the sweep sees it: group bits, members, layers and
-    each group's kept rows."""
+    the flat table of kept row-actions."""
 
     def __init__(self, instance: Instance):
         groups = instance.groups()
@@ -121,17 +170,40 @@ class _Kernel:
         self.groups = [(1 << i, by_group[g]) for i, g in enumerate(groups)]
         self.terminal = np.array(instance.terminal, dtype=float)[:, None]
         self.layers = _mask_layers(G, self.depth)
-        #: The groups with a kept row, in the same order.
-        self.live: list[_Group] = []
-        self.rows_swept = self.rows_pruned = 0
-        for bit, members in self.groups:
-            kept = [[(level, row) for level, row in spec.rows.items()
-                     if not _dominated(level, row)] for spec in members]
-            swept = sum(map(len, kept))
-            self.rows_swept += swept
-            self.rows_pruned += sum(len(spec.rows) for spec in members) - swept
-            if swept:
-                self.live.append(_Group(bit, kept, self.terminal))
+        # The kept (action, level) rows, by level, then group, then member
+        # id: a stable sort by level of the group-major list.
+        rows = [(level, g, row) for g, (_, members) in enumerate(self.groups)
+                for spec in members for level, row in spec.rows.items()
+                if not _dominated(level, row)]
+        rows.sort(key=lambda item: item[0])
+        self.rows_swept = len(rows)
+        self.rows_pruned = sum(len(spec.rows) for spec in instance.actions) - len(rows)
+        # The (group, target level) pairs the rows read: the sweep gathers
+        # each pair's child values once, into row 1 + its index of a value
+        # block whose row 0 is -0.0.
+        pairs = sorted({(g, j) for _, g, row in rows for j, _ in row.support})
+        at_pair = {pair: i for i, pair in enumerate(pairs, 1)}
+        self.pair_group = np.array([g for g, _ in pairs], dtype=np.intp)
+        self.pair_target = np.array([j for _, j in pairs], dtype=np.intp)
+        #: Per outcome position: each row's value-block row and mass.  A
+        #: row with fewer outcomes reads row 0 at mass 1.0, and adding
+        #: 1.0 * -0.0 leaves every float as it is, -0.0 included.
+        width = max([1, *(len(row.support) for _, _, row in rows)])
+        outcomes = [[(at_pair[g, j], p) for j, p in row.support]
+                    + [(0, 1.0)] * (width - len(row.support)) for _, g, row in rows]
+        reads = np.array([[i for i, _ in row] for row in outcomes], dtype=np.intp)
+        masses = np.array([[p for _, p in row] for row in outcomes], dtype=float)
+        self.terms = list(zip(reads.reshape(-1, width).T.copy(),
+                              masses.reshape(-1, width).T.copy()[:, :, None]))
+        self.profit = np.array([row.profit for _, _, row in rows], dtype=float)[:, None]
+        self.row_group = np.array([g for _, g, _ in rows], dtype=np.intp)
+        #: The levels with a kept row, their terminal values, and each
+        #: one's run of rows.
+        levels = [level for level, _, _ in rows]
+        self.levels = np.array(sorted(set(levels)), dtype=np.intp)
+        self.floor = self.terminal[self.levels]
+        starts = np.searchsorted(levels, self.levels).tolist()
+        self.runs = [slice(a, b) for a, b in zip(starts, starts[1:] + [len(rows)])]
 
 
 def _mask_layers(groups: int, depth: int) -> list[np.ndarray]:
@@ -139,91 +211,104 @@ def _mask_layers(groups: int, depth: int) -> list[np.ndarray]:
 
     Layer ``u + 1`` extends every mask of layer ``u`` by each bit above its
     highest.  Ascending masks of one size have nondecreasing highest bits,
-    so the masks extended by bit ``b`` form a prefix, and concatenating the
-    extensions by ``b = 0, 1, ...`` yields the next layer already sorted.
+    so the masks extended by bit ``b`` form a prefix, of length ``counts[b]``,
+    and listing the extensions by ``b = 0, 1, ...`` yields the next layer
+    already sorted.
     """
+    bits = np.arange(groups)
     layer = np.zeros(1, dtype=np.int64)
     top = np.full(1, -1)
     layers = [layer]
     for _ in range(depth):
-        counts = np.searchsorted(top, np.arange(groups))
-        layer = np.concatenate([layer[:n] | (1 << b) for b, n in enumerate(counts)])
-        top = np.repeat(np.arange(groups), counts)
+        counts = top.searchsorted(bits)
+        top = bits.repeat(counts)
+        offsets = (counts.cumsum() - counts).repeat(counts)
+        layer = layer.take(np.arange(len(top)) - offsets) | (1 << top)
         layers.append(layer)
     return layers
 
 
-class _Group:
-    """One group's kept rows and the levels they lead to.
+def _row_values(kernel: _Kernel, values: np.ndarray) -> np.ndarray:
+    """Every kept row's value, ``profit + sum_k p_k * child_k`` added in
+    outcome order, given a value block (pairs + 1, masks or 1)."""
+    pair, mass = kernel.terms[0]
+    q = values.take(pair, axis=0)
+    q *= mass
+    q += kernel.profit
+    for pair, mass in kernel.terms[1:]:
+        term = values.take(pair, axis=0)
+        term *= mass
+        q += term
+    return q
 
-    ``targets`` holds those levels ascending, as a column, so that indexing
-    the child table with it and the child columns gathers just the rows the
-    members read; the members' outcomes index into it.
+
+def _child_values(kernel: _Kernel, child: np.ndarray, lo: int, taken: np.ndarray) -> np.ndarray:
+    """The value block of the masks ``lo, lo + 1, ...`` of a layer, given
+    which group bits each one holds (``taken``, groups x masks): row 0 is
+    -0.0, and row 1 + i holds pair i's child value for every mask.
+
+    Child columns come from the rank arithmetic of the module docstring:
+    ``k`` indexes the flat tables at each group bit's row, in the column
+    that counts the mask's bits up to that bit.  A mask that already used
+    the group reads a stand-in (clipped into range), which the sweep then
+    sets to -inf.
     """
-
-    def __init__(self, bit: int, members: list[list[tuple[int, TransitionRow]]],
-                 terminal: np.ndarray):
-        self.bit = bit
-        targets = sorted({j for rows in members for _, row in rows for j, _ in row.support})
-        self.targets = np.array(targets, dtype=np.intp)[:, None]
-        self.terminal = terminal[targets]
-        at_target = {j: i for i, j in enumerate(targets)}
-        self.members = [_Rows(rows, at_target) for rows in members if rows]
-
-
-class _Rows:
-    """One action's kept rows, term-major for the sweep.
-
-    Rows are ordered by support size, largest first, so the rows that have
-    a ``k``-th positive-mass outcome are a prefix; ``terms[k]`` holds its
-    length and those outcomes' target indices and masses.
-    """
-
-    def __init__(self, rows: list[tuple[int, TransitionRow]], at_target: dict[int, int]):
-        rows = sorted(rows, key=lambda item: -len(item[1].support))
-        self.levels = np.array([level for level, _ in rows], dtype=np.intp)[:, None]
-        self.profit = np.array([row.profit for _, row in rows], dtype=float)[:, None]
-        self.terms = []
-        for k in range(len(rows[0][1].support)):
-            live = [row.support[k] for _, row in rows if len(row.support) > k]
-            self.terms.append((len(live), np.array([at_target[j] for j, _ in live], dtype=np.intp),
-                               np.array([p for _, p in live], dtype=float)[:, None]))
-
-    def improve(self, table: np.ndarray, sel: np.ndarray, child: np.ndarray) -> None:
-        """Raise the table's cells at this action's levels and the columns
-        ``sel`` to its values where they are strictly larger, given the
-        child rows (group targets x ``sel``, or targets x 1 when every
-        column has the same child row)."""
-        q = self.profit.repeat(child.shape[1], axis=1)
-        for m, targets, probs in self.terms:
-            term = child.take(targets, axis=0)
-            term *= probs
-            q[:m] += term
-        old = table[self.levels, sel]
-        table[self.levels, sel] = np.where(q > old, q, old)
+    k = taken.cumsum(axis=0, dtype=np.uint8) + np.arange(0, 64 * len(taken), 64)[:, None]
+    moved = _MOVES.take(k)
+    moved *= taken
+    moved = moved.cumsum(axis=0)
+    at = _RANKS.take(k)
+    at += moved[-1]
+    at -= moved
+    at += np.arange(lo, lo + taken.shape[1])
+    at = at.take(kernel.pair_group, axis=0)
+    at += (kernel.pair_target * child.shape[1])[:, None]
+    values = np.empty((len(at) + 1, taken.shape[1]))
+    values[0] = -0.0
+    child.ravel().take(at, out=values[1:], mode="clip")
+    return values
 
 
 def _sweep(kernel: _Kernel):
     """Yield the value table of every layer, bottom layer first, as a
     (levels x masks) array whose columns follow the layer's masks."""
-    terminal = kernel.terminal
+    terminal, levels, floor, runs = kernel.terminal, kernel.levels, kernel.floor, kernel.runs
     layers, depth = kernel.layers, kernel.depth
+    G = len(kernel.groups)
+    bits = (np.int64(1) << np.arange(G, dtype=np.int64))[:, None]
+    signed_zeros = bool((floor < 0.0).any())
+    step = max(1, _BLOCK_CELLS // max(G, len(kernel.pair_group) + 1, len(kernel.row_group)))
     # The bottom layer, the widest, is terminal in every column: it is kept
     # as a read-only broadcast and never gathered from.
     table = np.broadcast_to(terminal, (len(terminal), len(layers[depth])))
     yield table
     for u in range(depth - 1, -1, -1):
-        child = table
-        used = layers[u]
+        child, used = table, layers[u]
+        if u + 1 == depth:
+            # Every mask reads the same child rows, so every row has one value.
+            bottom = np.concatenate([[-0.0], terminal[kernel.pair_target, 0]])
+            same = _row_values(kernel, bottom[:, None])
         table = terminal.repeat(len(used), axis=1)
-        for group in kernel.live:
-            sel = ((used & group.bit) == 0).nonzero()[0]
+        for lo in range(0, len(used), step):
+            block = used[lo:lo + step]
+            taken = (block & bits) != 0
             if u + 1 == depth:
-                rows = group.terminal
+                q = same
             else:
-                rows = child[group.targets, layers[u + 1].searchsorted(used[sel] | group.bit)]
-            for member in group.members:
-                member.improve(table, sel, rows)
+                q = _row_values(kernel, _child_values(kernel, child, lo, taken))
+            q = np.where(taken.take(kernel.row_group, axis=0), -np.inf, q)
+            best = np.empty((len(levels), len(block)))
+            for i, run in enumerate(runs):
+                np.fmax.reduce(q[run], axis=0, out=best[i])
+            if signed_zeros:
+                # max may return either zero; the sequential fold keeps the
+                # first, which only shows where it beats a negative floor.
+                tie = (best == 0.0) & (floor < 0.0)
+                for i in np.flatnonzero(tie.any(axis=1)):
+                    cols = np.flatnonzero(tie[i])
+                    run = q[runs[i], cols]
+                    best[i, cols] = run[(run == 0.0).argmax(axis=0), np.arange(len(cols))]
+            table[levels, lo:lo + len(block)] = np.where(best > floor, best, floor)
         yield table
 
 
@@ -232,14 +317,16 @@ def _root(instance: Instance) -> tuple[list[float], ExactStats]:
     what the solve did."""
     start = perf_counter()
     kernel = _Kernel(instance)
+    marks = []
     for table in _sweep(kernel):
-        pass
+        marks.append(perf_counter())
     # Every layer above the bottom is a full table; the bottom is one column.
     widths = [len(layer) for layer in kernel.layers[:-1]] + [1]
     held = max((a + b for a, b in zip(widths, widths[1:])), default=1)
     stats = ExactStats(len(kernel.groups), len(kernel.layers), kernel.cells,
                        kernel.rows_swept, kernel.rows_pruned,
-                       held * table.shape[0] * table.itemsize, perf_counter() - start)
+                       held * table.shape[0] * table.itemsize, perf_counter() - start,
+                       tuple(b - a for a, b in zip(marks, marks[1:])))
     return table[:, 0].tolist(), stats
 
 

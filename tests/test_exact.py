@@ -385,13 +385,19 @@ def _probemax13(seed, n, m):
     return inst
 
 
-def test_pruned_sweep_tables_match_the_reference_bit_for_bit():
+def _sweep_cases():
+    """Probemax cases first (six of them), then random kernels."""
     cases = [_probemax13(seed, n, m)
              for seed in (501, 502) for n, m in ((10, 3), (12, 4), (16, 4))]
     for seed in range(24):
         for bias in (0.5, 0.8):
             cases.append(gen_random_kernel(seed, GenParams(
                 n=5 + seed % 4, levels=3 + seed % 4, q=5 + seed % 5, flat_bias=bias)))
+    return cases
+
+
+def test_pruned_sweep_tables_match_the_reference_bit_for_bit():
+    cases = _sweep_cases()
     pruned = {"probemax": 0, "kernel": 0}
     for k, base in enumerate(cases):
         for inst in (base, _flipped(base)):
@@ -399,6 +405,18 @@ def test_pruned_sweep_tables_match_the_reference_bit_for_bit():
     # Pruning must really happen on both kinds, or the test compares nothing.
     assert pruned["probemax"] >= 1000
     assert pruned["kernel"] >= 200
+
+
+@pytest.mark.parametrize("cells", [1, 200])
+def test_block_edges_inside_a_layer_keep_the_reference_tables(monkeypatch, cells):
+    # One column per block, then blocks of a few columns: layers span many
+    # blocks and the last block of a layer is partial.
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", cells)
+    cases = _sweep_cases()
+    assert max(len(layer) for layer in exact._Kernel(cases[5]).layers[:-1]) > cells
+    for base in cases:
+        for inst in (base, _flipped(base)):
+            _assert_tables_match_reference(inst)
 
 
 def _check_against_reference(inst):
@@ -482,4 +500,116 @@ def test_solve_stats_on_a_horizon_zero_instance():
     assert (stats.rows_swept, stats.rows_pruned, stats.peak_table_bytes) == (1, 0, 16)
     assert [f.name for f in fields(ExactStats)] == [
         "groups", "layers", "cells", "rows_swept", "rows_pruned", "peak_table_bytes",
-        "seconds"]
+        "seconds", "layer_seconds"]
+
+
+def _sign(x):
+    return math.copysign(1.0, x)
+
+
+#: Ten groups whose only row is pruned: they widen every layer, so each
+#: level's maximum runs over many masks at once.
+_FILLERS = [act(f"z{i}", f"gz{i}", {1: ((1, 1.0),)}) for i in range(10)]
+
+
+def test_members_of_one_group_at_one_level_tie_to_the_lower_id():
+    # Into a -0.0 terminal, a's row is worth -0.0 and b's +0.0; both beat
+    # the -1.0 terminal, and the lower id, listed last, keeps its zero.
+    b = act("b", "g", {0: ((1, 1.0),)}, profit=0.0)
+    a = act("a", "g", {0: ((1, 1.0),)}, profit=-0.0)
+    for horizon in (1, 2):
+        inst = kernel([b, a, *_FILLERS], [-1.0, -0.0], horizon)
+        _check_against_reference(inst)
+        assert _sign(optimal_value(inst)) == -1.0
+        assert optimal_policy(inst).action == "a"
+
+
+def test_a_signed_zero_tie_between_groups_keeps_the_first_group():
+    neg = act("n", "gn", {0: ((1, 1.0),)}, profit=-0.0)
+    pos = act("p", "gp", {0: ((1, 1.0),)}, profit=0.0)
+    # Never chosen (worth -8.0); its two outcomes pad the rows above with
+    # a second term, which must leave their zeros as they are.
+    low = act("w", "gw", {0: ((1, 0.5), (2, 0.5))}, profit=-9.0)
+    for order, sign in (([neg, pos], -1.0), ([pos, neg], 1.0)):
+        for horizon in (1, 2, 3):
+            inst = kernel([*order, low, *_FILLERS], [-1.0, -0.0, 2.0], horizon)
+            _check_against_reference(inst)
+            assert _sign(optimal_value(inst)) == sign
+
+
+def test_a_zero_row_leaves_the_other_zero_terminal_alone():
+    # A row worth the zero of the other sign ties the terminal payoff and
+    # does not replace it.
+    for zero in (-0.0, 0.0):
+        row = act("r", "gr", {0: ((1, 1.0),)}, profit=-zero)
+        for fillers in ([], _FILLERS):
+            for horizon in (1, 2):
+                inst = kernel([row, *fillers], [zero, -zero], horizon)
+                _check_against_reference(inst)
+                assert _sign(optimal_value(inst)) == _sign(zero)
+
+
+def test_a_used_group_stays_out_above_a_minus_inf_terminal():
+    # Once a is taken, nothing can act at level 0, whose terminal is -inf.
+    a = act("a", "ga", {0: ((0, 0.5), (1, 0.5))})
+    h = act("h", "gh", {1: ((1, 1.0),)}, profit=1.0)
+    for horizon in (1, 2):
+        _check_against_reference(kernel([a, h, *_FILLERS], [-math.inf, 0.0], horizon))
+
+
+def test_a_kept_row_with_an_empty_support_is_worth_its_profit():
+    # All of e's mass is zero: taking it earns 0.5 and ends the path, while
+    # b first and then e from level 0 earns 0.5 * 0.5 + 0.5 * 1.0.
+    empty = act("e", "ge", {0: ((1, 0.0),)}, profit=0.5)
+    move = act("b", "gb", {0: ((0, 0.5), (1, 0.5))})
+    inst = kernel([empty, move], [0.0, 1.0], 2)
+    kernel_ = _check_against_reference(inst)
+    assert (kernel_.rows_swept, kernel_.rows_pruned) == (2, 0)
+    assert optimal_value(inst) == 0.75
+    assert optimal_value(kernel([empty, move], [0.0, 1.0], 1)) == 0.5
+
+
+def test_a_nan_valued_row_is_never_chosen():
+    # A profit of +inf into a -inf terminal is worth inf - inf = NaN.
+    nan = act("n", "gn", {0: ((1, 1.0),)}, profit=math.inf)
+    finite = act("f", "gf", {0: ((0, 1.0),)}, profit=1.0)
+    with np.errstate(invalid="ignore"):
+        for order in ([nan, finite], [finite, nan]):
+            inst = kernel(order, [0.0, -math.inf], 1)
+            _check_against_reference(inst)
+            assert optimal_value(inst) == 1.0
+        assert optimal_value(kernel([nan], [0.0, -math.inf], 1)) == 0.0
+
+
+def test_layer_seconds_time_every_swept_layer():
+    inst = _probemax13(503, 12, 4)
+    _, stats = solve(inst)
+    assert len(stats.layer_seconds) == stats.layers - 1 == 4
+    assert all(s > 0.0 for s in stats.layer_seconds)
+    assert sum(stats.layer_seconds) <= stats.seconds
+    empty = kernel([act("a", "g", {0: ((1, 1.0),)}, profit=0.5)], [0.0, 2.0], 0)
+    assert solve(empty)[1].layer_seconds == ()
+
+
+def _concatenated_layers(groups, depth):
+    """The mask layers built one piece per group bit, the way the solver
+    first built them."""
+    layer = np.zeros(1, dtype=np.int64)
+    top = np.full(1, -1)
+    layers = [layer]
+    for _ in range(depth):
+        counts = np.searchsorted(top, np.arange(groups))
+        layer = np.concatenate([layer[:n] | (1 << b) for b, n in enumerate(counts)])
+        top = np.repeat(np.arange(groups), counts)
+        layers.append(layer)
+    return layers
+
+
+def test_mask_layers_match_the_concatenated_reference():
+    for groups, depth in [(g, d) for g in range(9) for d in range(g + 1)] + [(20, 6), (63, 2)]:
+        layers = exact._mask_layers(groups, depth)
+        want = _concatenated_layers(groups, depth)
+        assert len(layers) == len(want) == depth + 1
+        for layer, ref in zip(layers, want):
+            assert layer.dtype == ref.dtype == np.int64
+            assert np.array_equal(layer, ref)

@@ -359,9 +359,10 @@ def test_cli_exact_prints_solver_stats(tmp_path, capsys):
                  "--out", str(spec_path)]) == 0
     assert main(["exact", "--in", str(spec_path)]) == 0
     doc = cli_json(capsys)
-    assert sorted(doc) == ["cells", "groups", "layers", "optimal_value", "peak_table_bytes",
-                           "rows_pruned", "rows_swept", "seconds"]
+    assert sorted(doc) == ["cells", "groups", "layer_seconds", "layers", "optimal_value",
+                           "peak_table_bytes", "rows_pruned", "rows_swept", "seconds"]
     assert (doc["groups"], doc["layers"]) == (6, 4)
+    assert len(doc["layer_seconds"]) == 3
     assert doc["rows_pruned"] > 0 and doc["rows_swept"] > 0
     assert doc["optimal_value"] == optimal_value(_load_kernel(str(spec_path)))
 
