@@ -77,21 +77,44 @@ column ``sum_i C(b_i, i + 1)``.  Adding a bit ``g`` above ``k`` of its bits
 keeps the first ``k`` terms, adds ``C(g, k + 1)`` and moves every later bit
 one place up, so the child column is the mask's own column plus
 ``C(g, k + 1)`` plus ``C(b_i, i + 2) - C(b_i, i + 1)`` for every bit
-``b_i`` above ``g``.  A block reads ``k`` off a running count of the mask's
-bits over the group bits, and the last sum off a running sum of those
-differences.
+``b_i`` above ``g``.  ``k`` is a running count of the mask's bits over the
+group bits, and the last sum a running sum of those differences.
+
+None of this depends on the instance, only on its group count ``G`` and
+depth ``min(horizon, G)``, so it is built once per (G, depth) and cached:
+the mask layers; the group flags of each swept layer, every layer above
+the bottom (G x masks, bool: does the mask hold the group?); and the child
+columns of each gathered layer, every layer above the one over the bottom
+(G x masks, int32; where the mask holds the group, a stand-in clipped into
+the child layer, in a row the sweep sets to ``-inf``).  The arrays are
+read-only, and the sweep and ``optimal_policy`` read slices of them.  The
+cache keeps the most recently used shapes up to ``_SHAPE_BYTES`` (64 MiB)
+in all; ``ExactStats.shape_reused`` says whether a solve found its shape
+there.
 
 Memory.  Each temporary of a block holds at most ``_BLOCK_CELLS`` cells
 (or one column, if a column is wider), so a layer's working memory past
-the table it fills and the table it reads does not grow with the layer.
-The tables of all layers together are capped in cells, and masks are
-int64 words, so at most 63 groups fit; both limits are checked before
-anything is allocated.
+the table it fills and the table it reads does not grow with the layer;
+the cached arrays are built in the same blocks.  A cached shape retains 8
+bytes per mask of every layer, G bytes per mask of every swept layer and
+4G bytes per mask of every gathered layer: 1.7 MB for the three shapes
+16/4, 18/5 and 20/6 together, 41 MB for 24/8.  Unlike the tables, this
+does not shrink with the level count: one level of 26 groups at horizon
+12 would need 1.85 GB.  A shape that alone would pass ``_SHAPE_BYTES`` is
+therefore neither built nor cached; it keeps only its mask layers, and
+each block computes its own flags and columns, within the same block
+budget, when the sweep reads it.  So the cached shapes hold at most
+``_SHAPE_BYTES`` between solves, and at most twice that while a solve
+builds a new one.  The tables of all layers together are capped in
+cells, and masks are int64 words, so at most 63 groups fit; both limits
+are checked before anything is allocated or cached.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -109,9 +132,16 @@ CELL_CAP = 1 << 25
 _BLOCK_CELLS = 1 << 14
 
 #: Flat tables, rows 64 apart, of ``C(b, k + 1)`` and ``C(b, k + 1) - C(b, k)``
-#: for every mask bit ``b`` and ``k = 0..63``: the sweep's column arithmetic.
+#: for every mask bit ``b`` and ``k = 0..63``: the child column arithmetic.
 _COMB = np.array([[math.comb(b, k) for k in range(65)] for b in range(63)], dtype=np.int64)
 _RANKS, _MOVES = _COMB[:, 1:].ravel(), np.diff(_COMB, axis=1).ravel()
+
+#: The most bytes the cached (groups, depth) shapes hold together.
+_SHAPE_BYTES = 1 << 26
+
+#: The cached shapes by (groups, depth), least recently used first.
+_SHAPES: OrderedDict[tuple[int, int], _Shape] = OrderedDict()
+_SHAPES_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -125,7 +155,11 @@ class ExactStats:
     out.  ``peak_table_bytes`` is the most the tables hold at once: the
     layer being filled plus the layer it reads.  ``layer_seconds`` holds the
     wall seconds of each swept layer, in sweep order (the layer above the
-    bottom first), one entry per layer above the bottom.
+    bottom first), one entry per layer above the bottom.  ``shape_reused``
+    is true when the solve read its (groups, depth) shape's mask layers,
+    group flags and child columns from the cache, built by an earlier solve
+    in the same process, so a slow first call of a shape explains itself;
+    it is always false for a shape too large to cache.
     """
 
     groups: int
@@ -136,6 +170,7 @@ class ExactStats:
     peak_table_bytes: int
     seconds: float
     layer_seconds: tuple[float, ...]
+    shape_reused: bool
 
 
 def _dominated(level: int, row: TransitionRow) -> bool:
@@ -169,7 +204,9 @@ class _Kernel:
         #: (bit, members by id) per group, groups in action-list order.
         self.groups = [(1 << i, by_group[g]) for i, g in enumerate(groups)]
         self.terminal = np.array(instance.terminal, dtype=float)[:, None]
-        self.layers = _mask_layers(G, self.depth)
+        #: The mask layers, group flags and child columns of (G, depth).
+        self.shape, self.shape_reused = _shape(G, self.depth)
+        self.layers = self.shape.layers
         # The kept (action, level) rows, by level, then group, then member
         # id: a stable sort by level of the group-major list.
         rows = [(level, g, row) for g, (_, members) in enumerate(self.groups)
@@ -228,6 +265,113 @@ def _mask_layers(groups: int, depth: int) -> list[np.ndarray]:
     return layers
 
 
+@dataclass(frozen=True)
+class _Shape:
+    """What the sweep reads of a (groups, depth) shape.
+
+    ``layers[u]`` for ``u = 0..depth`` are the mask layers.  A cached shape
+    also holds, read-only, ``taken[u]`` for every swept layer (``u <
+    depth``), (groups x masks) of whether the mask holds the group's bit,
+    and ``columns[u]`` for every gathered layer (``u + 1 < depth``),
+    (groups x masks) of the mask's child column in layer ``u + 1``
+    (int32).  A shape too large to cache holds neither (``None``), and
+    ``block`` computes each block's arrays when they are read.
+    """
+
+    groups: int
+    layers: tuple[np.ndarray, ...]
+    taken: tuple[np.ndarray, ...] | None = None
+    columns: tuple[np.ndarray, ...] | None = None
+
+    def block(self, u: int, lo: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The group flags and child columns of the masks ``lo:stop`` of
+        layer ``u``; the columns are ``None`` on the layer above the bottom,
+        which gathers nothing."""
+        gathered = u + 2 < len(self.layers)
+        if self.taken is not None:
+            return (self.taken[u][:, lo:stop],
+                    self.columns[u][:, lo:stop] if gathered else None)
+        width = len(self.layers[u][lo:stop])
+        taken = np.empty((self.groups, width), dtype=bool)
+        columns = np.empty((self.groups, width), dtype=np.int32) if gathered else None
+        _fill(self.layers, u, lo, taken, columns)
+        return taken, columns
+
+
+def _fill(layers: tuple[np.ndarray, ...], u: int, lo: int, taken: np.ndarray,
+          columns: np.ndarray | None) -> None:
+    """Write whether the masks ``lo, lo + 1, ...`` of layer ``u`` hold each
+    group into ``taken`` (groups x masks), and, unless ``columns`` is
+    ``None``, their child columns into ``columns``.
+
+    Child columns come from the rank arithmetic of the module docstring:
+    ``k`` indexes the flat tables at each group bit's row, in the column
+    that counts the mask's bits up to that bit.  A mask that already holds
+    the group gets a stand-in clipped into the child layer, which the sweep
+    then sets to -inf.
+    """
+    groups, width = taken.shape
+    bits = (np.int64(1) << np.arange(groups, dtype=np.int64))[:, None]
+    np.not_equal(layers[u][lo:lo + width] & bits, 0, out=taken)
+    if columns is None:
+        return
+    k = taken.cumsum(axis=0, dtype=np.uint8) + np.arange(0, 64 * groups, 64)[:, None]
+    moved = _MOVES.take(k)
+    moved *= taken
+    np.cumsum(moved, axis=0, out=moved)
+    at = _RANKS.take(k)
+    at -= moved
+    at += moved[-1] + np.arange(lo, lo + width)
+    np.minimum(at, len(layers[u + 1]) - 1, out=columns, casting="unsafe")
+
+
+def _shape_bytes(groups: int, depth: int) -> int:
+    """What a cached shape holds: 8 bytes per mask of every layer, one per
+    (group, mask) of every swept layer and four per (group, mask) of every
+    gathered layer."""
+    widths = [math.comb(groups, u) for u in range(depth + 1)]
+    return 8 * sum(widths) + groups * sum(widths[:-1]) + 4 * groups * sum(widths[:-2])
+
+
+def _build(groups: int, depth: int) -> _Shape:
+    """A cached shape's arrays, filled one block of masks at a time."""
+    layers = tuple(_mask_layers(groups, depth))
+    taken = [np.empty((groups, len(used)), dtype=bool) for used in layers[:-1]]
+    columns = [np.empty((groups, len(used)), dtype=np.int32) for used in layers[:-2]]
+    step = max(1, _BLOCK_CELLS // max(groups, 1))
+    for u, used in enumerate(layers[:-1]):
+        for lo in range(0, len(used), step):
+            _fill(layers, u, lo, taken[u][:, lo:lo + step],
+                  columns[u][:, lo:lo + step] if u + 1 < depth else None)
+    for array in (*layers, *taken, *columns):
+        array.flags.writeable = False
+    return _Shape(groups, layers, tuple(taken), tuple(columns))
+
+
+def _shape(groups: int, depth: int) -> tuple[_Shape, bool]:
+    """The (groups, depth) shape, and whether it was already cached.
+
+    A new shape is built and cached, and the least recently used ones are
+    dropped until the cache holds at most ``_SHAPE_BYTES``.  A shape that
+    alone would pass ``_SHAPE_BYTES`` is neither built nor cached: it keeps
+    only its mask layers and computes each block when the sweep reads it.
+    """
+    key = groups, depth
+    with _SHAPES_LOCK:
+        if key in _SHAPES:
+            _SHAPES.move_to_end(key)
+            return _SHAPES[key], True
+    if _shape_bytes(groups, depth) > _SHAPE_BYTES:
+        return _Shape(groups, tuple(_mask_layers(groups, depth))), False
+    shape = _build(groups, depth)
+    with _SHAPES_LOCK:
+        _SHAPES[key] = shape
+        held = sum(_shape_bytes(*cached) for cached in _SHAPES)
+        while held > _SHAPE_BYTES:
+            held -= _shape_bytes(*_SHAPES.popitem(last=False)[0])
+    return shape, False
+
+
 def _row_values(kernel: _Kernel, values: np.ndarray) -> np.ndarray:
     """Every kept row's value, ``profit + sum_k p_k * child_k`` added in
     outcome order, given a value block (pairs + 1, masks or 1)."""
@@ -242,28 +386,13 @@ def _row_values(kernel: _Kernel, values: np.ndarray) -> np.ndarray:
     return q
 
 
-def _child_values(kernel: _Kernel, child: np.ndarray, lo: int, taken: np.ndarray) -> np.ndarray:
-    """The value block of the masks ``lo, lo + 1, ...`` of a layer, given
-    which group bits each one holds (``taken``, groups x masks): row 0 is
-    -0.0, and row 1 + i holds pair i's child value for every mask.
-
-    Child columns come from the rank arithmetic of the module docstring:
-    ``k`` indexes the flat tables at each group bit's row, in the column
-    that counts the mask's bits up to that bit.  A mask that already used
-    the group reads a stand-in (clipped into range), which the sweep then
-    sets to -inf.
-    """
-    k = taken.cumsum(axis=0, dtype=np.uint8) + np.arange(0, 64 * len(taken), 64)[:, None]
-    moved = _MOVES.take(k)
-    moved *= taken
-    moved = moved.cumsum(axis=0)
-    at = _RANKS.take(k)
-    at += moved[-1]
-    at -= moved
-    at += np.arange(lo, lo + taken.shape[1])
-    at = at.take(kernel.pair_group, axis=0)
-    at += (kernel.pair_target * child.shape[1])[:, None]
-    values = np.empty((len(at) + 1, taken.shape[1]))
+def _child_values(kernel: _Kernel, child: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The value block of some masks of a layer, given their child columns
+    (``columns``, groups x masks): row 0 is -0.0, and row 1 + i holds pair
+    i's child value for every mask."""
+    at = columns.take(kernel.pair_group, axis=0)
+    at += (kernel.pair_target * child.shape[1]).astype(np.int32)[:, None]
+    values = np.empty((len(at) + 1, columns.shape[1]))
     values[0] = -0.0
     child.ravel().take(at, out=values[1:], mode="clip")
     return values
@@ -273,9 +402,8 @@ def _sweep(kernel: _Kernel):
     """Yield the value table of every layer, bottom layer first, as a
     (levels x masks) array whose columns follow the layer's masks."""
     terminal, levels, floor, runs = kernel.terminal, kernel.levels, kernel.floor, kernel.runs
-    layers, depth = kernel.layers, kernel.depth
+    layers, depth, shape = kernel.layers, kernel.depth, kernel.shape
     G = len(kernel.groups)
-    bits = (np.int64(1) << np.arange(G, dtype=np.int64))[:, None]
     signed_zeros = bool((floor < 0.0).any())
     step = max(1, _BLOCK_CELLS // max(G, len(kernel.pair_group) + 1, len(kernel.row_group)))
     # The bottom layer, the widest, is terminal in every column: it is kept
@@ -290,14 +418,13 @@ def _sweep(kernel: _Kernel):
             same = _row_values(kernel, bottom[:, None])
         table = terminal.repeat(len(used), axis=1)
         for lo in range(0, len(used), step):
-            block = used[lo:lo + step]
-            taken = (block & bits) != 0
+            taken, columns = shape.block(u, lo, lo + step)
             if u + 1 == depth:
                 q = same
             else:
-                q = _row_values(kernel, _child_values(kernel, child, lo, taken))
+                q = _row_values(kernel, _child_values(kernel, child, columns))
             q = np.where(taken.take(kernel.row_group, axis=0), -np.inf, q)
-            best = np.empty((len(levels), len(block)))
+            best = np.empty((len(levels), taken.shape[1]))
             for i, run in enumerate(runs):
                 np.fmax.reduce(q[run], axis=0, out=best[i])
             if signed_zeros:
@@ -308,7 +435,7 @@ def _sweep(kernel: _Kernel):
                     cols = np.flatnonzero(tie[i])
                     run = q[runs[i], cols]
                     best[i, cols] = run[(run == 0.0).argmax(axis=0), np.arange(len(cols))]
-            table[levels, lo:lo + len(block)] = np.where(best > floor, best, floor)
+            table[levels, lo:lo + taken.shape[1]] = np.where(best > floor, best, floor)
         yield table
 
 
@@ -326,7 +453,7 @@ def _root(instance: Instance) -> tuple[list[float], ExactStats]:
     stats = ExactStats(len(kernel.groups), len(kernel.layers), kernel.cells,
                        kernel.rows_swept, kernel.rows_pruned,
                        held * table.shape[0] * table.itemsize, perf_counter() - start,
-                       tuple(b - a for a, b in zip(marks, marks[1:])))
+                       tuple(b - a for a, b in zip(marks, marks[1:])), kernel.shape_reused)
     return table[:, 0].tolist(), stats
 
 
@@ -363,23 +490,28 @@ def optimal_policy(instance: Instance) -> PolicyNode:
     """
     kernel = _Kernel(instance)
     tables = list(_sweep(kernel))[::-1]
-    layers, terminal = kernel.layers, instance.terminal
+    shape, depth, terminal = kernel.shape, kernel.depth, instance.terminal
+    bottom = kernel.terminal[:, 0].tolist()
     holder: dict[None, PolicyNode] = {}
-    # (children dict, key, groups used, level, used mask); a parent's dict is
-    # keyed in row order before its children are built, so filling it in
-    # any order keeps that order.
-    stack: list[tuple[dict, object, int, int, int]] = [
-        (holder, None, 0, instance.start_level, 0)]
+    # (children dict, key, groups used, level, used mask, its column); a
+    # parent's dict is keyed in row order before its children are built, so
+    # filling it in any order keeps that order.
+    stack: list[tuple[dict, object, int, int, int, int]] = [
+        (holder, None, 0, instance.start_level, 0, 0)]
     while stack:
-        parent, key, u, level, used = stack.pop()
+        parent, key, u, level, used, at = stack.pop()
         node = None
-        if u < kernel.depth:
-            best, best_q, best_used = None, 0.0, 0
-            for bit, members in kernel.groups:
-                if used & bit:
-                    continue
-                nxt = used | bit
-                col = tables[u + 1][:, np.searchsorted(layers[u + 1], nxt)].tolist()
+        if u < depth:
+            free = [g for g, (bit, _) in enumerate(kernel.groups) if not used & bit]
+            if u + 1 < depth:
+                # Every unused group's child column in one gather.
+                nxt = shape.block(u, at, at + 1)[1][free, 0].tolist()
+                cols = tables[u + 1][:, nxt].T.tolist()
+            else:
+                nxt, cols = [0] * len(free), [bottom] * len(free)
+            best, best_q, best_used, best_at = None, 0.0, 0, 0
+            for g, col, child in zip(free, cols, nxt):
+                bit, members = kernel.groups[g]
                 for spec in members:
                     row = spec.rows.get(level)
                     if row is None:
@@ -388,10 +520,10 @@ def optimal_policy(instance: Instance) -> PolicyNode:
                     for j, p in row.support:
                         q += p * col[j]
                     if best is None or q > best_q:
-                        best, best_q, best_used = spec, q, nxt
+                        best, best_q, best_used, best_at = spec, q, used | bit, child
             if best is not None and not best_q < terminal[level]:
                 children = dict.fromkeys(j for j, _ in best.rows[level].support)
                 node = PolicyNode(best.id, level, u + 1, children)
-                stack.extend((children, j, u + 1, j, best_used) for j in children)
+                stack.extend((children, j, u + 1, j, best_used, best_at) for j in children)
         parent[key] = leaf_node(level, u + 1) if node is None else node
     return holder[None]

@@ -1,6 +1,8 @@
 """Exact finite-horizon solver: oracle identities and state-space limits."""
 
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import fields
@@ -166,6 +168,7 @@ def test_table_cap_raises_before_allocating():
             for i in range(24)]
     inst = kernel(acts, [float(h) for h in range(13)], 24)
     assert 13 * 2 ** 24 > CELL_CAP
+    entries = dict(exact._SHAPES)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -178,6 +181,7 @@ def test_table_cap_raises_before_allocating():
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 1 << 20
+    assert exact._SHAPES == entries
 
 
 class _Reference:
@@ -415,8 +419,236 @@ def test_block_edges_inside_a_layer_keep_the_reference_tables(monkeypatch, cells
     cases = _sweep_cases()
     assert max(len(layer) for layer in exact._Kernel(cases[5]).layers[:-1]) > cells
     for base in cases:
+        exact._SHAPES.clear()
         for inst in (base, _flipped(base)):
             _assert_tables_match_reference(inst)
+
+
+@pytest.mark.parametrize("cells", [1, 200])
+def test_block_edges_read_shapes_built_at_the_default_block_size(monkeypatch, cells):
+    # The cached arrays do not depend on the block size, so a sweep in
+    # small blocks reads the ones built in default blocks.
+    for base in _sweep_cases():
+        exact._SHAPES.clear()
+        shape = exact._Kernel(base).shape
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_BLOCK_CELLS", cells)
+            for inst in (base, _flipped(base)):
+                _assert_tables_match_reference(inst)
+        assert list(exact._SHAPES.values()) == [shape]
+
+
+def test_cold_and_warm_shapes_keep_the_reference_tables():
+    for base in _sweep_cases():
+        for inst in (base, _flipped(base)):
+            exact._SHAPES.clear()
+            _assert_tables_match_reference(inst)
+            shapes = list(exact._SHAPES.values())
+            assert len(shapes) == 1
+            _assert_tables_match_reference(inst)
+            assert list(exact._SHAPES.values()) == shapes
+
+
+def _cold(inst):
+    """Value, policy and tables, each from a solve that builds its shape."""
+    exact._SHAPES.clear()
+    value, stats = solve(inst)
+    assert not stats.shape_reused
+    exact._SHAPES.clear()
+    tree = _shape(optimal_policy(inst))
+    exact._SHAPES.clear()
+    return value, tree, list(exact._sweep(exact._Kernel(inst)))
+
+
+def test_interleaved_instances_of_one_shape_match_cold_solves():
+    pairs = [(_probemax13(501, 16, 4), _probemax13(502, 16, 4))]
+    pairs.append((_flipped(pairs[0][0]), pairs[0][1]))
+    base = gen_random_kernel(3, GenParams(n=6, levels=4, q=7))
+    other = gen_random_kernel(4, GenParams(n=6, levels=4, q=7))
+    pairs.append((base, kernel(other.actions, other.terminal, base.horizon)))
+    for a, b in pairs:
+        kernels = exact._Kernel(a), exact._Kernel(b)
+        assert (len(kernels[0].groups), kernels[0].depth) == (
+            len(kernels[1].groups), kernels[1].depth)
+        assert not np.array_equal(kernels[0].profit, kernels[1].profit)
+        want = {id(a): _cold(a), id(b): _cold(b)}
+        exact._SHAPES.clear()
+        for k, inst in enumerate((a, b, a, b, b, a)):
+            value, stats = solve(inst)
+            assert stats.shape_reused == (k > 0)
+            cold_value, cold_tree, cold_tables = want[id(inst)]
+            assert value == cold_value
+            assert _shape(optimal_policy(inst)) == cold_tree
+            for table, cold in zip(exact._sweep(exact._Kernel(inst)), cold_tables, strict=True):
+                assert np.array_equal(table.view(np.uint64), cold.view(np.uint64))
+        assert len(exact._SHAPES) == 1
+
+
+def test_cached_shape_arrays_are_read_only():
+    shape, _ = exact._shape(6, 4)
+    arrays = [*shape.layers, *shape.taken, *shape.columns]
+    assert len(arrays) == 5 + 4 + 3
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 14])
+def test_cached_group_flags_and_child_columns_match_a_search(monkeypatch, cells):
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", cells)
+    for groups, depth in [(g, d) for g in range(8) for d in range(g + 1)] + [(20, 4), (63, 3)]:
+        exact._SHAPES.clear()
+        shape, reused = exact._shape(groups, depth)
+        assert not reused
+        assert len(shape.layers) == depth + 1
+        assert len(shape.taken) == depth and len(shape.columns) == max(depth - 1, 0)
+        for u, used in enumerate(shape.layers[:-1]):
+            bits = np.int64(1) << np.arange(groups, dtype=np.int64)
+            taken = (used & bits[:, None]) != 0
+            assert np.array_equal(shape.taken[u], taken)
+            if u + 1 == depth:
+                continue
+            columns = shape.columns[u]
+            assert columns.dtype == np.int32
+            assert ((0 <= columns) & (columns < len(shape.layers[u + 1]))).all()
+            free = ~taken
+            want = np.searchsorted(shape.layers[u + 1], (used | bits[:, None])[free])
+            assert np.array_equal(columns[free], want)
+
+
+def _searched_policy(instance):
+    """``optimal_policy`` as it was before child columns were cached: one
+    search and one column read per (node, unused group)."""
+    kernel = exact._Kernel(instance)
+    tables = list(exact._sweep(kernel))[::-1]
+    layers, terminal = kernel.layers, instance.terminal
+    holder = {}
+    stack = [(holder, None, 0, instance.start_level, 0)]
+    while stack:
+        parent, key, u, level, used = stack.pop()
+        node = None
+        if u < kernel.depth:
+            best, best_q, best_used = None, 0.0, 0
+            for bit, members in kernel.groups:
+                if used & bit:
+                    continue
+                nxt = used | bit
+                col = tables[u + 1][:, np.searchsorted(layers[u + 1], nxt)].tolist()
+                for spec in members:
+                    row = spec.rows.get(level)
+                    if row is None:
+                        continue
+                    q = row.profit
+                    for j, p in row.support:
+                        q += p * col[j]
+                    if best is None or q > best_q:
+                        best, best_q, best_used = spec, q, nxt
+            if best is not None and not best_q < terminal[level]:
+                children = dict.fromkeys(j for j, _ in best.rows[level].support)
+                node = PolicyNode(best.id, level, u + 1, children)
+                stack.extend((children, j, u + 1, j, best_used) for j in children)
+        parent[key] = leaf_node(level, u + 1) if node is None else node
+    return holder[None]
+
+
+def test_policy_trees_match_the_searched_columns():
+    cases = _sweep_cases() + [_probemax13(504, 20, 6), _probemax13(505, 18, 5)]
+    for base in cases:
+        for inst in (base, _flipped(base)):
+            for start in {0, inst.start_level, len(inst.terminal) - 1}:
+                started = kernel(inst.actions, inst.terminal, inst.horizon, start)
+                assert optimal_policy(started) == _searched_policy(started)
+
+
+def test_shape_cache_is_bounded_in_bytes(monkeypatch):
+    for groups, depth in [(0, 0), (3, 1), (6, 4), (16, 4), (20, 6), (63, 3)]:
+        shape = exact._build(groups, depth)
+        arrays = [*shape.layers, *shape.taken, *shape.columns]
+        assert sum(a.nbytes for a in arrays) == exact._shape_bytes(groups, depth)
+    monkeypatch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
+    monkeypatch.setattr(exact, "_SHAPE_BYTES",
+                        exact._shape_bytes(16, 4) + exact._shape_bytes(18, 5))
+    assert not exact._shape(16, 4)[1] and not exact._shape(18, 5)[1]
+    assert exact._shape(16, 4)[1]
+    # A third shape drops the least recently used one.
+    assert not exact._shape(12, 3)[1]
+    assert list(exact._SHAPES) == [(16, 4), (12, 3)]
+    # A shape past the budget alone is neither built nor cached.
+    for _ in range(2):
+        shape, reused = exact._shape(20, 6)
+        assert not reused and shape.taken is None and shape.columns is None
+    assert list(exact._SHAPES) == [(16, 4), (12, 3)]
+
+
+def test_threads_share_the_shape_cache_within_its_byte_budget(monkeypatch):
+    shapes = [(6, 2), (8, 3), (10, 3), (12, 4)]
+    insts = [_probemax13(510 + i, n, m) for i, (n, m) in enumerate(shapes)]
+    want = [optimal_value(inst) for inst in insts]
+    monkeypatch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
+    # Room for about two of the four shapes, so threads keep evicting.
+    budget = exact._shape_bytes(12, 4) + exact._shape_bytes(10, 3)
+    monkeypatch.setattr(exact, "_SHAPE_BYTES", budget)
+    wrong, errors = [], []
+
+    def work(k):
+        try:
+            for i in range(24):
+                j = (k + i) % len(insts)
+                if optimal_value(insts[j]) != want[j]:
+                    wrong.append(j)
+        except Exception as err:  # reported by the assert below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    assert sum(exact._shape_bytes(*key) for key in exact._SHAPES) <= budget
+
+
+@pytest.mark.parametrize("cells", [1, 200, 1 << 14])
+def test_uncached_shapes_keep_the_reference_tables_and_trees(monkeypatch, cells):
+    monkeypatch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
+    monkeypatch.setattr(exact, "_SHAPE_BYTES", 0)
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", cells)
+    for base in _sweep_cases():
+        for inst in (base, _flipped(base)):
+            _assert_tables_match_reference(inst)
+            assert not solve(inst)[1].shape_reused
+            assert optimal_policy(inst) == _searched_policy(inst)
+    assert not exact._SHAPES
+
+
+def test_wide_few_level_shapes_past_the_budget_keep_their_memory_to_the_tables(monkeypatch):
+    # One level and 20 groups: the group flags and child columns would
+    # outweigh the value tables, so a shape past the budget must not build
+    # them; the solve holds only the mask layers, two tables and block
+    # temporaries.
+    acts = [act(f"a{i}", f"g{i}", {0: ((0, 1.0),)}, profit=0.1 * (i + 1)) for i in range(20)]
+    inst = kernel(acts, [0.0], 7)
+    layers = exact._mask_layers(20, 7)
+    held = 8 * (len(layers[6]) + len(layers[5]))
+    want = optimal_value(inst)
+    monkeypatch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
+    monkeypatch.setattr(exact, "_SHAPE_BYTES", exact._shape_bytes(20, 7) - 1)
+    tracemalloc.start()
+    try:
+        value = optimal_value(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == want
+    assert not exact._SHAPES
+    assert peak < sum(layer.nbytes for layer in layers) + held + 16 * 8 * exact._BLOCK_CELLS
+    assert peak < exact._shape_bytes(20, 7)
 
 
 def _check_against_reference(inst):
@@ -500,7 +732,7 @@ def test_solve_stats_on_a_horizon_zero_instance():
     assert (stats.rows_swept, stats.rows_pruned, stats.peak_table_bytes) == (1, 0, 16)
     assert [f.name for f in fields(ExactStats)] == [
         "groups", "layers", "cells", "rows_swept", "rows_pruned", "peak_table_bytes",
-        "seconds", "layer_seconds"]
+        "seconds", "layer_seconds", "shape_reused"]
 
 
 def _sign(x):

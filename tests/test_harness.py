@@ -360,7 +360,10 @@ def test_cli_exact_prints_solver_stats(tmp_path, capsys):
     assert main(["exact", "--in", str(spec_path)]) == 0
     doc = cli_json(capsys)
     assert sorted(doc) == ["cells", "groups", "layer_seconds", "layers", "optimal_value",
-                           "peak_table_bytes", "rows_pruned", "rows_swept", "seconds"]
+                           "peak_table_bytes", "rows_pruned", "rows_swept", "seconds",
+                           "shape_reused"]
+    # In-process, an earlier solve of the same shape may have cached it.
+    assert isinstance(doc["shape_reused"], bool)
     assert (doc["groups"], doc["layers"]) == (6, 4)
     assert len(doc["layer_seconds"]) == 3
     assert doc["rows_pruned"] > 0 and doc["rows_swept"] > 0
