@@ -45,18 +45,17 @@ every row, so trees and tie-breaks do not depend on the pruning.
 The sweep.  The kept rows form one flat table, built once per solve:
 every (action, level) row not dropped above, ordered by level, then group
 in action-list order, then member id, with each outcome's target level
-and mass.  A layer is filled in blocks of masks, one pass per block over
-the whole table.  The child values of every (group, target level) pair the
-rows read are gathered once per block; then one (rows x masks) array gets
-every row's value, ``profit + p_1 * W_1 + p_2 * W_2 + ...`` added one
-outcome at a time in row order with elementwise numpy operations (a matrix
-product would reorder the sums).  A row with fewer outcomes than the
+and mass.  Every layer above the one over the bottom is filled in blocks
+of masks, one pass per block over the whole table.  The child values of
+every (group, target level) pair the rows read are gathered once per
+block; then one (rows x masks) array gets every row's value, ``profit +
+p_1 * W_1 + p_2 * W_2 + ...`` added one outcome at a time in row order
+with elementwise numpy operations (a matrix product would reorder the
+sums).  A row with fewer outcomes than the
 longest adds ``1.0 * -0.0``, which leaves every float as it is.  Masks that
 already used a row's group get ``-inf`` in that row.  Each level's run of
 rows is reduced to its maximum, and a cell takes it only where it is
-strictly greater than the terminal payoff.  The layer above the bottom
-reads ``terminal`` for every mask, so there each row has one value,
-computed once.
+strictly greater than the terminal payoff.
 
 Why the per-level maximum is the recurrence's fold.  The recurrence is
 evaluated as ``best = q if q > best`` over the options in (group, member
@@ -70,6 +69,27 @@ fold does), equal floats share their bits except ``+0.0`` and ``-0.0``,
 and where the largest value is a zero the block takes the first row of the
 run that reaches it, as ``np.fmax`` may return either zero.  A zero can
 only replace a negative terminal payoff, so only such levels check.
+
+The layer above the bottom.  Every mask there reads ``terminal``, so each
+row has one value, the same for every mask, computed once: a mask only
+decides which rows it may take.  Each level's rows are ranked once,
+highest value first, with ties in row order (a stable sort, in which
+``+0.0`` equals ``-0.0``); only rows strictly greater than the level's
+terminal payoff take part, which leaves out every NaN.  The first row of
+each group in that rank is kept, for the first ``u + 1`` groups.  This is
+the fold's result.  For a mask, the fold takes the first row, in row
+order, that reaches the largest value among the rows the mask may take,
+if that value beats the terminal payoff.  In the rank that is the first
+row whose group the mask leaves free, the kept row of the first free
+group, and a mask of this layer has used only ``u`` groups, so one of the
+first ``u + 1`` is free.  When fewer groups beat the terminal payoff and
+the mask holds them all, the fold keeps the terminal payoff, as the table
+does; a row equal to it, a zero of the other sign included, never
+replaces it.  The level's table row starts from the terminal payoff, or
+from the last kept row when ``u + 1`` groups are kept, and each other
+kept row, from the lowest rank up, replaces it where the mask leaves its
+group free: one ``np.where`` over the group's flags per row, and no
+(rows x masks) array.
 
 Child columns without a search.  The masks of one layer, ascending, are in
 colexicographic order: the mask with bits ``b_0 < b_1 < ...`` sits at
@@ -95,10 +115,13 @@ there.
 Memory.  Each temporary of a block holds at most ``_BLOCK_CELLS`` cells
 (or one column, if a column is wider), so a layer's working memory past
 the table it fills and the table it reads does not grow with the layer;
-the cached arrays are built in the same blocks.  A cached shape retains 8
-bytes per mask of every layer, G bytes per mask of every swept layer and
-4G bytes per mask of every gathered layer: 1.7 MB for the three shapes
-16/4, 18/5 and 20/6 together, 41 MB for 24/8.  Unlike the tables, this
+the cached arrays are built in the same blocks.  The layer above the
+bottom takes ``_BLOCK_CELLS`` masks per block, each temporary one row of
+them, or ``_BLOCK_CELLS // G`` masks when its (G x masks) group flags are
+computed per block.  A cached shape retains 8 bytes per mask of every
+layer, G bytes per mask of every swept layer and 4G bytes per mask of
+every gathered layer: 1.7 MB for the three shapes 16/4, 18/5 and 20/6
+together, 41 MB for 24/8.  Unlike the tables, this
 does not shrink with the level count: one level of 26 groups at horizon
 12 would need 1.85 GB.  A shape that alone would pass ``_SHAPE_BYTES`` is
 therefore neither built nor cached; it keeps only its mask layers, and
@@ -398,6 +421,36 @@ def _child_values(kernel: _Kernel, child: np.ndarray, columns: np.ndarray) -> np
     return values
 
 
+def _ranked(kernel: _Kernel, table: np.ndarray) -> None:
+    """Fill the layer above the bottom, ``table`` (levels x masks, the
+    terminal payoff in every cell), from each level's rows ranked once (see
+    the module docstring)."""
+    u, shape = kernel.depth - 1, kernel.shape
+    bottom = np.concatenate([[-0.0], kernel.terminal[kernel.pair_target, 0]])
+    same = _row_values(kernel, bottom[:, None])[:, 0].tolist()
+    group = kernel.row_group.tolist()
+    chains = []
+    for level, floor, run in zip(kernel.levels.tolist(), kernel.floor[:, 0].tolist(),
+                                 kernel.runs):
+        # The rows that beat the floor (never a NaN), highest first with
+        # ties in row order, and the first of each group.
+        picks: dict[int, float] = {}
+        for r in sorted((r for r in range(run.start, run.stop) if same[r] > floor),
+                        key=lambda r: -same[r]):
+            picks.setdefault(group[r], same[r])
+        if picks:
+            chains.append((level, list(picks.items())[:u + 1]))
+    step = _BLOCK_CELLS if shape.taken is not None else max(1, _BLOCK_CELLS // len(kernel.groups))
+    for lo in range(0, table.shape[1], step):
+        taken = shape.block(u, lo, lo + step)[0]
+        for level, picks in chains:
+            # A mask holds u groups, so one of u + 1 picked groups is free.
+            v = picks[u][1] if len(picks) > u else table[level, lo:lo + step]
+            for g, q in reversed(picks[:u]):
+                v = np.where(taken[g], v, q)
+            table[level, lo:lo + step] = v
+
+
 def _sweep(kernel: _Kernel):
     """Yield the value table of every layer, bottom layer first, as a
     (levels x masks) array whose columns follow the layer's masks."""
@@ -412,17 +465,14 @@ def _sweep(kernel: _Kernel):
     yield table
     for u in range(depth - 1, -1, -1):
         child, used = table, layers[u]
-        if u + 1 == depth:
-            # Every mask reads the same child rows, so every row has one value.
-            bottom = np.concatenate([[-0.0], terminal[kernel.pair_target, 0]])
-            same = _row_values(kernel, bottom[:, None])
         table = terminal.repeat(len(used), axis=1)
+        if u + 1 == depth:
+            _ranked(kernel, table)
+            yield table
+            continue
         for lo in range(0, len(used), step):
             taken, columns = shape.block(u, lo, lo + step)
-            if u + 1 == depth:
-                q = same
-            else:
-                q = _row_values(kernel, _child_values(kernel, child, columns))
+            q = _row_values(kernel, _child_values(kernel, child, columns))
             q = np.where(taken.take(kernel.row_group, axis=0), -np.inf, q)
             best = np.empty((len(levels), taken.shape[1]))
             for i, run in enumerate(runs):

@@ -813,6 +813,68 @@ def test_a_nan_valued_row_is_never_chosen():
         assert optimal_value(kernel([nan], [0.0, -math.inf], 1)) == 0.0
 
 
+def _ranked_cases():
+    """Kernels for the layer above the bottom, in two group orders.
+
+    Into a -0.0 terminal at level 1, level 0 has four groups worth a zero:
+    g0 through its members a (-0.0) and b (+0.0, listed first, higher id),
+    g1 and g3 at +0.0, g2 at -0.0; g4 is worth -3.0, below the -1.0
+    terminal.  Level 1 has one row that beats its terminal, one that does
+    not, and one worth +0.0, which ties it; no row beats the terminal of
+    level 2.  Horizons run past the five groups, so the last layers have
+    every group but one used.
+    """
+    a = act("a", "g0", {0: ((1, 1.0),)}, profit=-0.0)
+    b = act("b", "g0", {0: ((1, 1.0),)}, profit=0.0)
+    c = act("c", "g1", {0: ((1, 1.0),), 2: ((1, 0.5), (2, 0.5))}, profit=0.0)
+    d = act("d", "g2", {0: ((1, 1.0),), 1: ((2, 0.5), (0, 0.5))}, profit=-0.0)
+    e = act("e", "g3", {0: ((1, 1.0),), 1: ((0, 1.0),)}, profit=0.0)
+    f = act("f", "g4", {0: ((1, 1.0),), 2: ((0, 1.0),)}, profit=-3.0)
+    h = act("h", "g4", {1: ((0, 1.0),)}, profit=1.0)
+    terminal = [-1.0, -0.0, 5.0]
+    cases = []
+    for order in ([b, a, c, d, e, f, h], [e, d, c, b, a, f, h]):
+        cases += [kernel(order, terminal, horizon) for horizon in (1, 2, 3, 5, 7)]
+        cases += [kernel([*order, *_FILLERS], terminal, horizon) for horizon in (1, 2, 3)]
+    return cases
+
+
+def _groups_above_the_terminal(inst):
+    """The most groups with a row that beats its level's terminal payoff in
+    the layer above the bottom, over all levels."""
+    beat = {}
+    for spec in inst.actions:
+        for level, row in spec.rows.items():
+            q = row.profit
+            for j, p in row.support:
+                q += p * inst.terminal[j]
+            if q > inst.terminal[level]:
+                beat.setdefault(level, set()).add(spec.group)
+    return max(map(len, beat.values()), default=0)
+
+
+@pytest.mark.parametrize("shape_bytes", [exact._SHAPE_BYTES, 0])
+@pytest.mark.parametrize("cells", [1, 200, 1 << 14])
+def test_the_ranked_layer_above_the_bottom_keeps_the_reference(monkeypatch, cells,
+                                                               shape_bytes):
+    monkeypatch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
+    monkeypatch.setattr(exact, "_SHAPE_BYTES", shape_bytes)
+    monkeypatch.setattr(exact, "_BLOCK_CELLS", cells)
+    cases = _ranked_cases()
+    for inst in cases:
+        _check_against_reference(inst)
+    # A mask of that layer has used depth - 1 groups, so the sweep keeps
+    # the best row of at most depth groups per level; the cut must bite.
+    assert any(_groups_above_the_terminal(inst) > exact._Kernel(inst).depth
+               for inst in cases)
+    assert any(inst.horizon >= len(inst.groups()) for inst in cases)
+    # At horizon 1 the first of equal zeros wins, in group order, then in
+    # member id.
+    first = cases[0], cases[len(cases) // 2]
+    assert [_sign(optimal_value(inst)) for inst in first] == [-1.0, 1.0]
+    assert [optimal_policy(inst).action for inst in first] == ["a", "e"]
+
+
 def test_layer_seconds_time_every_swept_layer():
     inst = _probemax13(503, 12, 4)
     _, stats = solve(inst)
