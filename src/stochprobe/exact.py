@@ -117,11 +117,11 @@ Memory.  Each temporary of a block holds at most ``_BLOCK_CELLS`` cells
 the table it fills and the table it reads does not grow with the layer;
 the cached arrays are built in the same blocks.  The layer above the
 bottom takes ``_BLOCK_CELLS`` masks per block, each temporary one row of
-them, or ``_BLOCK_CELLS // G`` masks when its (G x masks) group flags are
-computed per block.  A cached shape retains 8 bytes per mask of every
-layer, G bytes per mask of every swept layer and 4G bytes per mask of
-every gathered layer: 1.7 MB for the three shapes 16/4, 18/5 and 20/6
-together, 41 MB for 24/8.  Unlike the tables, this
+them; where its group flags are computed per block, only the groups some
+level tests get a row, at most ``u`` per level.  A cached shape retains 8
+bytes per mask of every layer, G bytes per mask of every swept layer and
+4G bytes per mask of every gathered layer: 1.7 MB for the three shapes
+16/4, 18/5 and 20/6 together, 41 MB for 24/8.  Unlike the tables, this
 does not shrink with the level count: one level of 26 groups at horizon
 12 would need 1.85 GB.  A shape that alone would pass ``_SHAPE_BYTES`` is
 therefore neither built nor cached; it keeps only its mask layers, and
@@ -440,15 +440,20 @@ def _ranked(kernel: _Kernel, table: np.ndarray) -> None:
             picks.setdefault(group[r], same[r])
         if picks:
             chains.append((level, list(picks.items())[:u + 1]))
-    step = _BLOCK_CELLS if shape.taken is not None else max(1, _BLOCK_CELLS // len(kernel.groups))
-    for lo in range(0, table.shape[1], step):
-        taken = shape.block(u, lo, lo + step)[0]
+    tested = sorted({g for _, picks in chains for g, _ in picks[:u]})
+    for lo in range(0, table.shape[1], _BLOCK_CELLS):
+        if shape.taken is not None:
+            taken = shape.taken[u][:, lo:lo + _BLOCK_CELLS]
+        else:
+            # Only the flags of the groups some level tests, one row each.
+            masks = kernel.layers[u][lo:lo + _BLOCK_CELLS]
+            taken = {g: (masks & (1 << g)) != 0 for g in tested}
         for level, picks in chains:
             # A mask holds u groups, so one of u + 1 picked groups is free.
-            v = picks[u][1] if len(picks) > u else table[level, lo:lo + step]
+            v = picks[u][1] if len(picks) > u else table[level, lo:lo + _BLOCK_CELLS]
             for g, q in reversed(picks[:u]):
                 v = np.where(taken[g], v, q)
-            table[level, lo:lo + step] = v
+            table[level, lo:lo + _BLOCK_CELLS] = v
 
 
 def _sweep(kernel: _Kernel):

@@ -7,9 +7,11 @@ topologies over the levels the instance's rows can reach, runs a forward
 reachability DP over per-node signature sums under per-path placement caps
 and the small-risk property P1 (a node holds one item of any leave mass, or
 several whose leave masses sum to at most eps^2), once per topology that no
-other extends and read off by every topology it extends, ranks each
-topology's configurations by a batched surrogate, rescores only the most
-promising exactly from their placements, and builds the best of them into a
+other extends and read off by every topology it extends.  Each run's
+configurations are ranked once by a batched surrogate, and every topology
+read off the run takes its own from that order; only the most promising are
+rescored exactly from their placements, each traced back, checked against
+its unit sums and valued once per run, and the best of them is built into a
 concrete block tree.
 """
 
@@ -175,44 +177,45 @@ Placements = tuple[tuple[tuple[int, str], ...] | None, ...]
 
 
 class CandidateTable:
-    """The configurations one topology keeps, in order, read off a
-    configuration DP run lazily.
+    """The configurations one topology keeps, read off a configuration DP
+    run, ranked.
 
-    ``states`` gives each candidate's final state in ``run``, a run of
-    this topology or of one it is a sub-topology of; ``nodes`` gives each
-    of this topology's nodes as a node of the run's topology (the identity
-    when the two are the same).  ``units`` is the ``(N, nodes, K+1)``
-    integer array of every candidate's per-node unit sums.  A traceback
-    chain is unwound only by ``placements``; surrogates and exact values
-    come from the run, which computes each once however many topologies
-    read it.
+    ``ranked`` gives each candidate's final state in ``run``, a run of this
+    topology or of one it is a sub-topology of, by descending surrogate,
+    ties in the order the states were found; ``nodes`` gives each of this
+    topology's nodes as a node of the run's topology (the identity when the
+    two are the same).  ``states`` are the same final states in table
+    order, the order they were found, and ``units`` is the ``(N, nodes,
+    K+1)`` integer array of their per-node unit sums.  A traceback chain is
+    unwound only by ``placements`` or ``trace``; surrogates and exact
+    values come from the run, which computes each once however many
+    topologies read it.
     """
 
-    def __init__(self, run: ConfigDpResult, states: np.ndarray, nodes: tuple[int, ...]):
+    def __init__(self, run: ConfigDpResult, ranked: np.ndarray, nodes: tuple[int, ...]):
         self.run = run
-        self.states = states
+        self.ranked = ranked
         self.nodes = nodes
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.ranked)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return np.sort(self.ranked)
 
     @cached_property
     def units(self) -> np.ndarray:
         return self.run.sums[self.run.sum_ids[self.states]][:, self.nodes]
 
-    def surrogates(self) -> np.ndarray:
-        """Every candidate's surrogate value, in table order."""
-        return self.run.surrogates[self.run.sum_ids[self.states]]
-
-    def exact_values(self, indices: Sequence[int]) -> list[float]:
-        """The exact values of the candidates at ``indices``, from the run
-        (see ``ConfigDpResult.exact_values``)."""
-        return self.run.exact_values(self.states[list(indices)].tolist())
-
     def placements(self, i: int) -> Placements:
-        """Candidate ``i``'s traceback chain unwound into per-group
+        """Candidate ``i`` of table order traced back (see ``trace``)."""
+        return self.trace(int(self.states[i]))
+
+    def trace(self, state: int) -> Placements:
+        """Final state ``state``'s traceback chain unwound into per-group
         placements, on this topology's nodes."""
-        trace = self.run.placements(int(self.states[i]))
+        trace = self.run.placements(state)
         rename = self._rename
         return tuple(None if p is None else tuple((rename[c], a) for c, a in p)
                      for p in trace)
@@ -233,11 +236,12 @@ class ConfigDpResult:
     ``i`` set once node ``i`` holds an item).  ``states_explored`` counts
     the states of all stages.
 
-    ``project`` reads the configurations of the topology or of any of its
-    sub-topologies off the same states, and ``candidates`` are the
-    topology's own.  Surrogates of ``sums`` and checked exact values of
-    final states are computed on first use and kept, so every topology
-    read off the run shares them.
+    ``ranked`` orders the final states once for every topology read off
+    the run: ``project`` reads the ranked candidates of the topology or of
+    any of its sub-topologies off it, and ``candidates`` are the
+    topology's own.  Surrogates of ``sums``, the ranking and checked exact
+    values of final states are computed on first use and kept, so every
+    topology read off the run shares them.
     """
 
     def __init__(self, table: _SolveTable, topology: Topology, sums: np.ndarray,
@@ -252,6 +256,8 @@ class ConfigDpResult:
         self.word_ids = word_ids
         self.states_explored = states_explored
         self._exact: dict[int, float] = {}
+        #: Per node, each action's packed signature (see ``exact_values``).
+        self._words: list[dict[str, int]] = [{} for _ in topology.nodes]
 
     @cached_property
     def candidates(self) -> CandidateTable:
@@ -259,23 +265,43 @@ class ConfigDpResult:
         identity projection."""
         return self.project(tuple(range(len(self.topology.nodes))))
 
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """The final states with distinct (unit sums, occupancy word), the
+        first found of each, by descending surrogate, ties in the order
+        found (a stable sort): the order ``project`` filters for every
+        topology read off the run."""
+        states = np.arange(len(self.sum_ids))
+        if len(self.sums) < len(states):
+            pairs = self.sum_ids * len(self.words) + self.word_ids
+            states = np.sort(np.unique(pairs, return_index=True)[1])
+        return states[np.argsort(-self.surrogates[self.sum_ids[states]], kind="stable")]
+
+    @cached_property
+    def _ranked_words(self) -> np.ndarray:
+        return self.word_ids[self.ranked]
+
     def project(self, nodes: tuple[int, ...]) -> CandidateTable:
-        """The candidates a sub-topology's own run keeps, in its order, where
-        the sub-topology is this run's topology with whole subtrees removed
-        and ``nodes`` gives each of its nodes, in order, as a node of this
-        run's topology (as ``_covers`` maps them).
+        """The candidates a sub-topology's own run keeps, ranked as it ranks
+        them, where the sub-topology is this run's topology with whole
+        subtrees removed and ``nodes`` gives each of its nodes, in order, as
+        a node of this run's topology (as ``_covers`` maps them).
 
         A configuration of the sub-topology is one of this run's with the
         removed nodes left empty, and such states are reached, ordered and
         traced back in both runs alike (see ``solve_ptas``).  So the
         candidates are the final states whose occupied nodes all lie in
-        ``nodes``, collapsed on equal unit sums, first found.
+        ``nodes``, collapsed on equal unit sums, first found; filtering
+        ``ranked`` keeps their order.  Equal unit sums under two occupancy
+        words (an item whose signature floors to all zeros) share a
+        surrogate, so the first of them in ``ranked`` is the first found.
         """
         outside = ~sum(1 << c for c in nodes)
         inside = np.array([not word & outside for word in self.words], bool)
-        states = np.flatnonzero(inside[self.word_ids])
-        _ids, first = np.unique(self.sum_ids[states], return_index=True)
-        return CandidateTable(self, states[np.sort(first)], nodes)
+        ranked = self.ranked[inside[self._ranked_words]]
+        if len(self.sums) < len(self.ranked):
+            ranked = ranked[np.sort(np.unique(self.sum_ids[ranked], return_index=True)[1])]
+        return CandidateTable(self, ranked, nodes)
 
     @cached_property
     def surrogates(self) -> np.ndarray:
@@ -294,17 +320,60 @@ class ConfigDpResult:
 
     def exact_values(self, states: Sequence[int]) -> list[float]:
         """``_exact_value`` of each final state in ``states``, computed once
-        per state.  The states not valued yet are traced back first, and
-        their placements must reproduce their unit sums
-        (``_check_signature_sums``, one pass for all of them)."""
+        per state.  A state not valued yet is traced back first, and its
+        placements must add up to its row of ``sums`` exactly, else
+        ``StructuralError``.
+
+        The check packs each placed item's ``table.signature`` (which
+        raises where the action has no row at its node's level) itself, at
+        the slot width of ``sums``: unit ``w`` of node ``i`` at bit ``(i *
+        (K+1) + w)`` times the slot bits, so a configuration's packed sum is
+        its row's little-endian bytes read as one integer.  A node may hold
+        at most the horizon items (one cap unit per path), and each unit
+        times the horizon must fit a slot (``_pack``), so no slot carries
+        into the next, and the two integers agree exactly when every node's
+        sums do.
+        """
         todo = [state for state in dict.fromkeys(states) if state not in self._exact]
         if todo:
-            traced = [self.placements(state) for state in todo]
-            _check_signature_sums([level for level, _, _ in self.topology.nodes], traced,
-                                  self.sums[self.sum_ids[todo]], self.table.signature)
-            for state, placements in zip(todo, traced):
-                self._exact[state] = _exact_value(self.table, self.topology, placements)
+            rows = self.sums[self.sum_ids[todo]]
+            size = rows.nbytes // len(todo)
+            raw = rows.tobytes()
+            words = self._words
+            groups = len(self.table.members)
+            horizon = self.table.instance.horizon
+            for r, state in enumerate(todo):
+                trace: list[tuple[tuple[int, str], ...] | None] = [None] * groups
+                count = [0] * len(words)
+                total = 0
+                chain = self.chains[state]
+                while chain is not None:
+                    g, placement, chain = chain
+                    trace[g] = placement
+                    for i, action_id in placement:
+                        try:
+                            total += words[i][action_id]
+                        except KeyError:
+                            total += words[i].setdefault(action_id, self._pack(i, action_id))
+                        count[i] += 1
+                row = raw[r * size:(r + 1) * size]
+                if max(count) > horizon or total != int.from_bytes(row, "little"):
+                    raise StructuralError("traceback signature sums do not match the "
+                                          "configuration")
+                self._exact[state] = _exact_value(self.table, self.topology, tuple(trace))
         return [self._exact[state] for state in states]
+
+    def _pack(self, node: int, action_id: str) -> int:
+        """``action_id``'s signature at ``node``'s level, packed at the
+        node's slots of a ``sums`` row (see ``exact_values``)."""
+        units = self.table.signature(action_id, self.topology.nodes[node][0])
+        slot = self.sums.dtype
+        most = max(units) * max(self.table.instance.horizon, 1)
+        if min(units) < 0 or most >> 8 * slot.itemsize:
+            raise StructuralError("a signature does not fit the slots of the "
+                                  "configuration's unit sums")
+        row = bytes(node * len(units) * slot.itemsize) + np.array(units, slot).tobytes()
+        return int.from_bytes(row, "little")
 
 
 def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> int:
@@ -453,8 +522,8 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     The result holds the final states in the last stage's insertion order:
     their distinct unit sums, unpacked in one numpy pass, and per state its
     sums' row, occupancy word and traceback chain.  Its ``candidates``
-    collapse states with equal unit sums to the first found; nothing is
-    traced back until a candidate is read.
+    collapse states with equal unit sums to the first found, ranked by
+    surrogate; nothing is traced back until a candidate is valued or read.
     """
     instance = table.instance
     cap = instance.horizon
@@ -640,17 +709,14 @@ def _compile_surrogate(table: _SolveTable, topology: Topology):
         prog.append((idx, level, ups, kids.get(level)))
 
     def score(units: np.ndarray) -> np.ndarray:
-        live = units.any(axis=0)
-        masses = np.minimum(units[:, :, :K] * grid, 1.0)
-        profits = units[:, :, K] * profit_grid
+        live = units.any(axis=0).tolist()
         vals: list = [None] * n
         for idx, level, ups, flat_child in prog:
-            node_masses = masses[:, idx]
-            total = profits[:, idx]
+            total = units[:, idx, K] * profit_grid
             up_total = 0.0
             for j, ci in ups:
-                if live[idx, j]:
-                    pj = node_masses[:, j]
+                if live[idx][j]:
+                    pj = np.minimum(units[:, idx, j] * grid, 1.0)
                     up_total = up_total + pj
                     total += pj * (terminal[j] if ci is None else vals[ci])
             flat = np.maximum(1.0 - up_total, 0.0)
@@ -691,7 +757,7 @@ def materialize(table: _SolveTable, topology: Topology, placements: Placements
         items = items_at[idx]
         children = dict(reversed(built[idx]))
         node = BlockNode(items, level, children)
-        _profit, _edges, outcomes = table.outcomes(level, items)
+        _profit, _edges, outcomes, _stopped = table.outcomes(level, items)
         for j, _mass in outcomes:
             if j not in children:
                 children[j] = block_leaf(j)
@@ -700,42 +766,20 @@ def materialize(table: _SolveTable, topology: Topology, placements: Placements
     return node
 
 
-def _check_signature_sums(levels: list[int], traced: list[Placements],
-                          sums_want: np.ndarray,
-                          signature: Callable[[str, int], tuple[int, ...]]) -> None:
-    """Every traceback in ``traced`` must reproduce its configuration's
-    per-node unit sums, the matching row of ``sums_want``, exactly;
-    ``signature(action_id, level)`` gives one action's units, and raises
-    ``StructuralError`` where it has no row.  The sums of all of them are
-    added up in one numpy pass and compared as integers."""
-    n_nodes = len(levels)
-    rows: list[int] = []
-    keys: dict[tuple[str, int], int] = {}  # (action, level) -> its signature row
-    cols: list[int] = []
-    for r, placements in enumerate(traced):
-        for placement in placements:
-            if placement is None:
-                continue
-            for node_idx, action_id in placement:
-                rows.append(r * n_nodes + node_idx)
-                cols.append(keys.setdefault((action_id, levels[node_idx]), len(keys)))
-    width = sums_want.shape[-1]
-    sigs = [signature(*key) for key in keys]
-    sums = np.zeros((len(traced) * n_nodes, width), np.int64)
-    np.add.at(sums, np.array(rows, np.intp),
-              np.array(sigs, np.int64).reshape(-1, width)[cols])
-    if sums.tolist() != sums_want.reshape(-1, width).tolist():
-        raise StructuralError("traceback signature sums do not match the "
-                              "configuration")
-
-
 def _outcomes(instance: Instance, level: int, items: tuple[str, ...]
-              ) -> tuple[float, list[tuple[int, float]], list[tuple[int, float]]]:
+              ) -> tuple[float, list[tuple[int, float]], list[tuple[int, float]], float]:
     """``batch_outcomes`` of ``items`` probed from ``level`` in that order,
     under exact masses: the batch profit, its (key, mass) outcomes in edge
     order, and those outcomes before zero masses are dropped, whose keys
-    ``materialize`` gives a child."""
-    return batch_outcomes(instance, BlockNode(items, level), batch_masses_exact)
+    ``materialize`` gives a child; then the batch's value where every
+    outcome stops at its terminal payoff, which ``_exact_value`` folds as
+    it folds any node."""
+    profit, edges, keys = batch_outcomes(instance, BlockNode(items, level),
+                                         batch_masses_exact)
+    stopped = profit
+    for j, mass in edges:
+        stopped += mass * instance.terminal[j]
+    return profit, edges, keys, stopped
 
 
 def _exact_value(table: _SolveTable, topology: Topology, placements: Placements
@@ -747,8 +791,10 @@ def _exact_value(table: _SolveTable, topology: Topology, placements: Placements
     The table's ``outcomes(level, items)`` gives ``_outcomes`` of a node's
     items in group order.  Each node adds mass times child value to its
     batch profit, outcome by outcome, as ``block_profit_exact`` does; a key
-    without a topology child takes its terminal payoff.  The float
-    operations are the same, so the value is the same bit for bit.
+    without a topology child takes its terminal payoff, so a node without
+    children takes the batch's stopped value, that fold done once per
+    batch.  The float operations are the same, so the value is the same
+    bit for bit.
     """
     outcomes = table.outcomes
     nodes = topology.nodes
@@ -757,8 +803,11 @@ def _exact_value(table: _SolveTable, topology: Topology, placements: Placements
     items_at = _items_at(len(nodes), placements)
     values = [0.0] * len(nodes)
     for idx in range(len(nodes) - 1, -1, -1):
-        profit, edges, _keys = outcomes(nodes[idx][0], items_at[idx])
+        profit, edges, _keys, stopped = outcomes(nodes[idx][0], items_at[idx])
         kids = child_index[idx]
+        if not kids:
+            values[idx] = stopped
+            continue
         for j, mass in edges:
             ci = kids.get(j)
             profit += mass * (terminal[j] if ci is None else values[ci])
@@ -807,19 +856,19 @@ def _reconstruct(table: _SolveTable, topology: Topology, candidates: CandidateTa
     is called with each stage's name ("rank", "rescore", "materialize") as
     it ends.
 
-    Candidates are ranked by descending surrogate, ties in table order (a
-    stable sort); their run scores the unit sums of all its final states
-    in one batched pass.  Only the ``top_k`` best are traced back and
+    The candidates come ranked by descending surrogate, ties in the order
+    found (``ConfigDpResult.ranked``, which the run sorts once for every
+    topology read off it).  Only the ``top_k`` best are traced back and
     checked to reproduce their unit sums, and each is valued by
     ``_exact_value`` in the run's topology, without building a tree; the
     run does both once per final state (a node left empty passes its
     entry level's value through, so the value is the same in every
-    topology read off the run).  The first strictly best
-    exact value wins, and only the winner is materialized, on
-    ``topology``; its tree must score that value under
-    ``block_profit_exact``, else ``StructuralError``.  Signatures and
-    batch outcomes come from ``table``, so each is computed once per
-    solve, however many candidates and topologies read it.
+    topology read off the run).  The first strictly best exact value wins,
+    and only the winner is materialized, on ``topology``; its tree must
+    score that value under ``block_profit_exact``, else
+    ``StructuralError``.  Signatures and batch outcomes come from
+    ``table``, so each is computed once per solve, however many candidates
+    and topologies read it.
     """
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
@@ -827,24 +876,23 @@ def _reconstruct(table: _SolveTable, topology: Topology, candidates: CandidateTa
     start = instance.start_level
     if len(candidates) == 0:
         return block_leaf(start), instance.terminal[start], None
-    surrogates = candidates.surrogates()
-    ranked = np.argsort(-surrogates, kind="stable")
+    run = candidates.run
+    top = candidates.ranked[:top_k].tolist()
     lap("rank")
 
-    top = ranked[:top_k].tolist()
-    best_i = -1
+    best_state = -1
     best_value = float("-inf")
-    for i, value in zip(top, candidates.exact_values(top)):
+    for state, value in zip(top, run.exact_values(top)):
         if value > best_value:
-            best_i, best_value = i, value
+            best_state, best_value = state, value
     lap("rescore")
 
-    tree = materialize(table, topology, candidates.placements(best_i))
+    tree = materialize(table, topology, candidates.trace(best_state))
     if block_profit_exact(instance, tree) != best_value:
         raise StructuralError("the materialized tree does not score its "
                               "rescored value")
     lap("materialize")
-    return tree, best_value, float(surrogates[best_i])
+    return tree, best_value, float(run.surrogates[run.sum_ids[best_state]])
 
 
 def estimate_max(instance: Instance, hint: str) -> float:
@@ -902,9 +950,11 @@ class PtasDiagnostics:
     configuration and ``surrogate_gap`` that minus the returned value; both
     are None when the do-nothing policy is returned.  ``seconds`` holds
     the ``perf_counter`` seconds of the stages enumerate, dp, rank, rescore
-    and materialize, summed over topologies (reading a topology's
-    candidates off its cover's run counts as dp); it is wall time, so it
-    differs between runs."""
+    and materialize, summed over topologies.  Rank times reading a
+    topology's ranked candidates off its run, which for the first topology
+    read off a run includes scoring and ranking all the run's final states;
+    rescore times tracing back, checking and valuing the top_k not valued
+    yet.  It is wall time, so it differs between runs."""
 
     max_ref: float
     max_ref_source: str
@@ -948,13 +998,14 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     carries every state it reaches (none is parked), a member's own run
     would reach, order and trace back exactly the cover's states with
     those nodes empty; an empty node passes its entry level's value
-    through, so surrogates and exact values agree too.  So each member
-    reads its candidates off the cover's run through the node map
-    ``_covers`` hands it (``ConfigDpResult.project``),
-    ranks them by the surrogates the cover scores once, and rescores its
-    top_k from the cover's exact values, cached per final state; only
-    its winner is materialized on the member itself.  A cover's run is
-    dropped once its members are done.  If a cover's run hits the state
+    through, so surrogates and exact values agree too.  So the cover's
+    final states are scored and ranked once (``ConfigDpResult.ranked``),
+    and each member filters that order through the node map ``_covers``
+    hands it (``ConfigDpResult.project``), which gives its candidates in
+    the order its own ranking would; it rescores its top_k from the
+    cover's exact values, traced back, checked and valued once per final
+    state; only its winner is materialized on the member itself.  A
+    cover's run is dropped once its members are done.  If a cover's run hits the state
     cap, each of its members runs its own DP, with the same result as
     reading it off.
 
@@ -1023,7 +1074,6 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
             topo = topologies[ti]
             if cover is not None:
                 candidates = cover.project(nodes)
-                lap("dp")
             elif ti != ci and (own := run(topo)) is not None:
                 candidates = own.candidates
             else:

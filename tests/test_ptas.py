@@ -1160,3 +1160,278 @@ def test_projected_candidates_match_each_members_own_run():
                 members += ci != ti
     assert members >= 400
     assert zero_items >= 10
+
+
+def _project_reference(run, nodes):
+    """``ConfigDpResult.project`` as it was before the run ranked its final
+    states once: a member's candidates in table order."""
+    outside = ~sum(1 << c for c in nodes)
+    inside = np.array([not word & outside for word in run.words], bool)
+    states = np.flatnonzero(inside[run.word_ids])
+    _ids, first = np.unique(run.sum_ids[states], return_index=True)
+    return states[np.sort(first)]
+
+
+def _rank_reference(run, states):
+    """``_reconstruct``'s per-topology ranking as it was: ``states`` by
+    descending surrogate, ties in table order (a stable sort)."""
+    surrogates = run.surrogates[run.sum_ids[states]]
+    return states[np.argsort(-surrogates, kind="stable")]
+
+
+def _check_signature_sums(levels, traced, sums_want, signature):
+    """Every traceback in ``traced`` must reproduce its configuration's
+    per-node unit sums, the matching row of ``sums_want``, exactly;
+    ``signature(action_id, level)`` gives one action's units, and raises
+    ``StructuralError`` where it has no row.  The sums of all of them are
+    added up in one numpy pass and compared as integers."""
+    n_nodes = len(levels)
+    rows: list[int] = []
+    keys: dict[tuple[str, int], int] = {}  # (action, level) -> its signature row
+    cols: list[int] = []
+    for r, placements in enumerate(traced):
+        for placement in placements:
+            if placement is None:
+                continue
+            for node_idx, action_id in placement:
+                rows.append(r * n_nodes + node_idx)
+                cols.append(keys.setdefault((action_id, levels[node_idx]), len(keys)))
+    width = sums_want.shape[-1]
+    sigs = [signature(*key) for key in keys]
+    sums = np.zeros((len(traced) * n_nodes, width), np.int64)
+    np.add.at(sums, np.array(rows, np.intp),
+              np.array(sigs, np.int64).reshape(-1, width)[cols])
+    if sums.tolist() != sums_want.reshape(-1, width).tolist():
+        raise StructuralError("traceback signature sums do not match the "
+                              "configuration")
+
+
+def _winner_reference(table, top, run, ranked, nodes, top_k):
+    """The rescoring as it was: the ``top_k`` of ``ranked`` traced back,
+    checked in one numpy pass and valued; the first strictly best is
+    materialized on ``top``.  Returns (tree repr, value, surrogate)."""
+    if len(ranked) == 0:
+        start = table.instance.start_level
+        return repr(block_leaf(start)), table.instance.terminal[start], None
+    states = ranked[:top_k].tolist()
+    traced = [run.placements(state) for state in states]
+    _check_signature_sums([level for level, _, _ in run.topology.nodes], traced,
+                          run.sums[run.sum_ids[states]], table.signature)
+    best, best_value = -1, float("-inf")
+    for i, placements in enumerate(traced):
+        value = ptas._exact_value(table, run.topology, placements)
+        if value > best_value:
+            best, best_value = i, value
+    rename = {c: s for s, c in enumerate(nodes)}
+    placements = tuple(None if p is None else tuple((rename[c], a) for c, a in p)
+                       for p in traced[best])
+    tree = materialize(table, top, placements)
+    return (repr(tree), best_value,
+            float(run.surrogates[run.sum_ids[states[best]]]))
+
+
+def _members_read_off_covers(inst, knobs, reference):
+    """Every topology of a solve read off its cover's run, or off its own
+    run where the cover's hits the state cap, as ``solve_ptas`` reads
+    them: per topology its ranked final states and winner (None where no
+    run completed), and the solve's diagnostics rebuilt from those.  With
+    ``reference`` the candidates are projected, ranked and rescored as
+    before the run ranked its states once."""
+    max_ref = estimate_max(inst, knobs.max_hint)
+    table = _SolveTable(inst, knobs.grid, max_ref if max_ref > 0.0 else 1.0, knobs.eps)
+    start = inst.start_level
+    tops = enumerate_topologies(level_reach(inst), knobs.block_budget,
+                                min(knobs.depth_limit, inst.horizon), start)
+    runs, members = {}, []
+    dp_runs = states_explored = 0
+
+    def run_dp(top):
+        nonlocal dp_runs, states_explored
+        dp_runs += 1
+        try:
+            result = config_dp(table, top, state_cap=knobs.state_cap)
+        except CapacityError as err:
+            states_explored += err.states_explored
+            return None
+        states_explored += result.states_explored
+        return result
+
+    for ti, (ci, nodes) in enumerate(ptas._covers(tops)):
+        if ci not in runs:
+            runs[ci] = run_dp(tops[ci])
+        run = runs[ci]
+        if run is None and ci != ti:
+            run, nodes = run_dp(tops[ti]), tuple(range(len(tops[ti].nodes)))
+        if run is None:
+            members.append(None)
+            continue
+        if reference:
+            ranked = _rank_reference(run, _project_reference(run, nodes))
+            winner = _winner_reference(table, tops[ti], run, ranked, nodes, knobs.top_k)
+        else:
+            cands = run.project(nodes)
+            ranked = cands.ranked
+            tree, value, surrogate = _reconstruct(table, tops[ti], cands, knobs.top_k)
+            winner = (repr(tree), value, surrogate)
+        members.append((ranked.tolist(), len(ranked), winner))
+    value, tree = inst.terminal[start], repr(block_leaf(start))
+    best_topology, best_surrogate = -1, None
+    for ti, member in enumerate(members):
+        if member is not None and member[2][1] > value:
+            (tree, value, best_surrogate), best_topology = member[2], ti
+    done = [m for m in members if m is not None]
+    diagnostics = (value, tree, best_topology, best_surrogate, len(done),
+                   sum(m[1] for m in done), sum(min(knobs.top_k, m[1]) for m in done),
+                   len(members) - len(done), dp_runs, states_explored)
+    return members, diagnostics
+
+
+def _cover_grid():
+    """The inputs of the cover tests: random kernels (off-lattice masses,
+    flat-heavy rows), wide Probemax, ``ptas_e2e`` shapes, a 70-node flat
+    chain, kernels on grid 1 (where items sum to zero), and small state
+    caps that stop some covers and some of their members."""
+    cases = []
+    for seed in range(12):
+        q = 7 + seed % 4
+        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
+                                                 horizon=1 + seed % 3, q=q,
+                                                 flat_bias=0.5 * (seed % 2)))
+        cases.append((inst, PtasKnobs(eps=EPS_CYCLE[seed % 3], grid=1.0 / q, block_budget=4,
+                                      depth_limit=3, top_k=(1, 4, 32)[seed % 3],
+                                      max_hint="exact")))
+    for seed in range(4):
+        inst, grid, _max_ref = _probemax_13(seed, n=3 + seed % 2)
+        cases.append((inst, PtasKnobs(eps=0.3, grid=grid, block_budget=4, depth_limit=3,
+                                      max_hint="greedy_probemax")))
+    for seed, shape in enumerate(((5, 2, 4, 8), (6, 2, 3, 4), (8, 2, 4, 4), (4, 3, 3, 4))):
+        cases.append(_e2e_shaped(seed, *shape))
+    cases.append((_flat_chain_kernel(70), PtasKnobs(eps=0.3, grid=0.125, block_budget=65,
+                                                    depth_limit=70,
+                                                    max_hint="terminal_bound")))
+    for seed in range(4):
+        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 2, levels=2 + seed % 3,
+                                                 horizon=1 + seed % 3, q=7 + seed % 4))
+        cases.append((inst, PtasKnobs(eps=EPS_CYCLE[seed % 3], grid=1.0, block_budget=4,
+                                      depth_limit=3, max_hint="exact")))
+    cases += [(inst, dataclasses.replace(knobs, state_cap=cap))
+              for inst, knobs in cases[12:20:2] for cap in (60, 400)]
+    return cases
+
+
+def test_each_member_ranks_off_its_cover_as_its_own_ranking_did():
+    # Ranked candidates, their count, the winner and the diagnostics of
+    # every member equal those of the projection, stable argsort and
+    # numpy signature check they replace.
+    fallbacks = 0
+    for inst, knobs in _cover_grid():
+        want, diagnostics = _members_read_off_covers(inst, knobs, reference=True)
+        got, got_diagnostics = _members_read_off_covers(inst, knobs, reference=False)
+        assert got == want
+        assert got_diagnostics == diagnostics
+        diag = (res := solve_ptas(inst, knobs)).diagnostics
+        assert (res.value, repr(res.tree), diag.best_topology, diag.best_surrogate,
+                diag.completed, diag.candidates, diag.materialized, diag.capacity_errors,
+                diag.dp_runs, diag.states_explored) == diagnostics
+        fallbacks += diag.dp_runs > len({ci for ci, _ in ptas._covers(
+            enumerate_topologies(level_reach(inst), knobs.block_budget,
+                                 min(knobs.depth_limit, inst.horizon), inst.start_level))})
+    assert fallbacks >= 3
+
+
+def _zero_signature_kernel():
+    """Grid 1 is coarser than every mass of ``z``'s row, and ``z`` pays
+    nothing, so its signature is all zeros: a node holding only ``z`` sums
+    to what an empty node sums to."""
+    return kernel([act("a", "ga", {0: ((0, 0.5), (1, 0.5))}, profit=0.5),
+                   act("b", "gb", {0: ((1, 1.0),)}, profit=0.25),
+                   act("z", "gz", {0: ((0, 0.6), (1, 0.4))}),
+                   act("y", "gy", {1: ((1, 1.0),)}, profit=1.0)],
+                  [0.0, 1.0], 2)
+
+
+def test_states_with_equal_sums_and_other_occupancy_rank_like_the_reference():
+    inst = _zero_signature_kernel()
+    knobs = PtasKnobs(eps=1.0, grid=1.0, block_budget=4, depth_limit=2, top_k=3,
+                      max_hint="terminal_bound")
+    table = _SolveTable(inst, knobs.grid, estimate_max(inst, knobs.max_hint), knobs.eps)
+    assert action_signature(inst, "z", 0, table.grid, table.max_ref) == (0, 0, 0)
+    tops = enumerate_topologies(level_reach(inst), knobs.block_budget, knobs.depth_limit,
+                                inst.start_level)
+    covers = ptas._covers(tops)
+    shared = 0
+    for ci in {ci for ci, _nodes in covers}:
+        # Some unit sums are held under two occupancy words.
+        run = config_dp(table, tops[ci])
+        pairs = set(zip(run.sum_ids.tolist(), run.word_ids.tolist()))
+        assert len(pairs) == len(run.ranked)
+        shared += len(run.sums) < len(pairs)
+    assert shared > 0
+    want, diagnostics = _members_read_off_covers(inst, knobs, reference=True)
+    got, got_diagnostics = _members_read_off_covers(inst, knobs, reference=False)
+    assert got == want and got_diagnostics == diagnostics
+    assert any(ci != ti for ti, (ci, _nodes) in enumerate(covers))
+
+
+def test_the_traceback_check_does_not_read_the_dps_packed_words(two_probe_kernel,
+                                                                monkeypatch):
+    # One packed word off by a unit makes the DP's sums wrong for every
+    # state that places that action; the check packs its own signatures.
+    packed = _SolveTable.packed
+
+    def off_by_one(self, level, slot_bits):
+        cells = packed(self, level, slot_bits)
+        (action_id, word), *rest = cells[0]
+        return ((action_id, word + 1), *rest), *cells[1:]
+
+    top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
+    table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
+    assert len(_reconstruct(table, top, config_dp(table, top).candidates, 32)[0].items) > 0
+    monkeypatch.setattr(_SolveTable, "packed", off_by_one)
+    table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
+    result = config_dp(table, top)
+    with pytest.raises(StructuralError):
+        _reconstruct(table, top, result.candidates, len(result.candidates))
+
+
+def test_the_traceback_check_bounds_each_nodes_items_by_the_horizon():
+    # Two items whose signatures are all zeros sum to the empty state's
+    # row on any node; at horizon 1 a chain placing both on the root must
+    # still fail, since only a bounded item count keeps slots from carrying.
+    inst = kernel([act("z", "gz", {0: ((0, 0.6), (1, 0.4))}),
+                   act("x", "gx", {0: ((0, 0.7), (1, 0.3))})], [0.0, 1.0], 1)
+    top = Topology(0)
+    table = _SolveTable(inst, 1.0, 1.0, 1.0)
+    result = config_dp(table, top)
+    assert result.chains[0] is None and not result.sums[result.sum_ids[0]].any()
+    chains = list(result.chains)
+    chains[0] = (1, ((0, "z"),), (0, ((0, "x"),), None))
+    changed = ConfigDpResult(table, top, result.sums, result.sum_ids, chains,
+                             result.words, result.word_ids, result.states_explored)
+    with pytest.raises(StructuralError):
+        changed.exact_values([0])
+    chains[0] = (1, ((0, "z"),), None)
+    changed = ConfigDpResult(table, top, result.sums, result.sum_ids, chains,
+                             result.words, result.word_ids, result.states_explored)
+    assert changed.exact_values([0]) == [ptas._exact_value(table, top, (None, ((0, "z"),)))]
+
+
+def test_the_traceback_check_needs_slots_that_hold_horizon_times_each_unit(
+        two_probe_kernel):
+    # On the 1/256 grid a1 takes 128 units of each level's mass, and the
+    # run holds its sums in two bytes a slot.  Read in one byte a slot, a
+    # lone a1 still matches its row, but two items could carry, so the
+    # check refuses the narrower slots.
+    top = Topology(0)
+    table = _SolveTable(two_probe_kernel, 1 / 256, 1.0, 1.0)
+    result = config_dp(table, top)
+    assert result.sums.dtype == np.dtype("<u2")
+    state = next(s for s in range(len(result.chains))
+                 if result.placements(s) == (((0, "a1"),), None))
+    narrow = ConfigDpResult(table, top, result.sums.astype("<u1"), result.sum_ids,
+                            result.chains, result.words, result.word_ids,
+                            result.states_explored)
+    with pytest.raises(StructuralError, match="does not fit"):
+        narrow.exact_values([state])
+    assert result.exact_values([state]) == [
+        ptas._exact_value(table, top, (((0, "a1"),), None))]
