@@ -4,10 +4,11 @@ Subcommands cover the full workflow: generate a spec, compile and solve
 it exactly, run the approximation pipeline, score baselines, replay a
 policy by sampling, run an acceptance suite, and validate a document.
 Exit codes: 0 success, 1 failed assertion or non-compliant input, 2
-usage or malformed input, 3 capacity overrun, including input nested
-deeper than Python's recursion limit (a RecursionError from JSON
-decoding).  Policy and block documents are flat tables, so only nested
-non-tree JSON, such as a deeply nested ``meta``, gets there.
+usage, malformed input or any other package error (a
+``StochprobeError``), 3 capacity overrun, including input nested deeper
+than Python's recursion limit (a RecursionError from JSON decoding).
+Policy and block documents are flat tables, so only nested non-tree
+JSON, such as a deeply nested ``meta``, gets there.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import json
 import sys
 
 from ..exact import optimal_policy, solve
-from ..exceptions import (CapacityError, ClampError, HintError, ParameterError,
-                          ParseError, StructuralError, UnknownActionError,
-                          UsageError)
+from ..exceptions import CapacityError, StochprobeError, UsageError
 from ..model import Instance, evaluate_policy, validate_instance
 from ..problems import (ProblemSpec, build_committed, build_probemax,
                         build_probetopk, build_sbk, build_target, expected_max,
@@ -262,8 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ParseError, ParameterError, StructuralError,
-            UnknownActionError, HintError, ClampError) as exc:
+    except StochprobeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

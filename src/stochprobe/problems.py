@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .exceptions import CapacityError, ClampError, ParameterError, StructuralError
@@ -338,18 +339,7 @@ def build_probetopk(spec: ProblemSpec, *, step: float | None = None,
         raise CapacityError(
             f"k-tuple space has {n_tuples} states, over the cap {tuple_cap}")
     base_reps = tuple(i * step for i in range(top + 1))
-
-    def tuples_of(k: int) -> list[tuple[int, ...]]:
-        if k == 0:
-            return [()]
-        out = []
-        for rest in tuples_of(k - 1):
-            lo = rest[-1] if rest else 0
-            for lvl in range(lo, top + 1):
-                out.append(rest + (lvl,))
-        return out
-
-    states = sorted(tuples_of(spec.k),
+    states = sorted(combinations_with_replacement(range(top + 1), spec.k),
                     key=lambda s: (sum(base_reps[l] for l in s), s))
     index_of = {s: i for i, s in enumerate(states)}
     reps = tuple(sum(base_reps[l] for l in s) for s in states)
@@ -690,30 +680,36 @@ def weitzman(costs: Sequence[float], pmfs: Sequence[Pmf]) -> tuple[tuple[tuple[i
     fair-cap order, stop once the best seen value reaches the next cap.
 
     Returns the opening order with caps, and the policy's exact expected
-    value (best value seen minus costs paid) by outcome recursion.
+    value (best value seen minus costs paid), computed without recursion:
+    a forward pass collects the best values each stage is entered with and
+    opens at, and a backward pass values them, stage by stage.  A stage
+    entered where it stops is worth the best value seen.
     """
     if len(costs) != len(pmfs):
         raise ParameterError("need one cost per box")
     caps = [fair_cap(pmf, c) for c, pmf in zip(costs, pmfs)]
     order = sorted(range(len(pmfs)), key=lambda i: (-caps[i], i))
-    memo: dict[tuple[int, float], float] = {}
-
-    def value(stage: int, best: float) -> float:
-        if stage == len(order) or caps[order[stage]] <= best:
-            return best
-        key = (stage, best)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    # Per stage, the best values it opens its box at, then their values.
+    opens: list[dict[float, float]] = [{} for _ in range(len(order) + 1)]
+    if order and caps[order[0]] > 0.0:
+        opens[0][0.0] = 0.0
+    for stage in range(len(order) - 1):
+        cap = caps[order[stage + 1]]
+        for best in opens[stage]:
+            for x, _p in pmfs[order[stage]].support():
+                nxt = max(best, x)
+                if cap > nxt:
+                    opens[stage + 1].setdefault(nxt, 0.0)
+    for stage in range(len(order) - 1, -1, -1):
         i = order[stage]
-        out = -costs[i]
-        for x, p in pmfs[i].support():
-            out += p * value(stage + 1, max(best, x))
-        memo[key] = out
-        return out
-
-    total = value(0, 0.0)
-    return tuple((i, caps[i]) for i in order), total
+        after = opens[stage + 1]
+        for best in opens[stage]:
+            out = -costs[i]
+            for x, p in pmfs[i].support():
+                nxt = max(best, x)
+                out += p * after.get(nxt, nxt)
+            opens[stage][best] = out
+    return tuple((i, caps[i]) for i in order), opens[0].get(0.0, 0.0)
 
 
 def pandora_uncommitted_kernel(costs: Sequence[float], pmfs: Sequence[Pmf]) -> Instance:

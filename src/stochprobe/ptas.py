@@ -176,55 +176,6 @@ def enumerate_topologies(reach: Sequence[Sequence[int]], block_budget: int,
 Placements = tuple[tuple[tuple[int, str], ...] | None, ...]
 
 
-class CandidateTable:
-    """The configurations one topology keeps, read off a configuration DP
-    run, ranked.
-
-    ``ranked`` gives each candidate's final state in ``run``, a run of this
-    topology or of one it is a sub-topology of, by descending surrogate,
-    ties in the order the states were found; ``nodes`` gives each of this
-    topology's nodes as a node of the run's topology (the identity when the
-    two are the same).  ``states`` are the same final states in table
-    order, the order they were found, and ``units`` is the ``(N, nodes,
-    K+1)`` integer array of their per-node unit sums.  A traceback chain is
-    unwound only by ``placements`` or ``trace``; surrogates and exact
-    values come from the run, which computes each once however many
-    topologies read it.
-    """
-
-    def __init__(self, run: ConfigDpResult, ranked: np.ndarray, nodes: tuple[int, ...]):
-        self.run = run
-        self.ranked = ranked
-        self.nodes = nodes
-
-    def __len__(self) -> int:
-        return len(self.ranked)
-
-    @cached_property
-    def states(self) -> np.ndarray:
-        return np.sort(self.ranked)
-
-    @cached_property
-    def units(self) -> np.ndarray:
-        return self.run.sums[self.run.sum_ids[self.states]][:, self.nodes]
-
-    def placements(self, i: int) -> Placements:
-        """Candidate ``i`` of table order traced back (see ``trace``)."""
-        return self.trace(int(self.states[i]))
-
-    def trace(self, state: int) -> Placements:
-        """Final state ``state``'s traceback chain unwound into per-group
-        placements, on this topology's nodes."""
-        trace = self.run.placements(state)
-        rename = self._rename
-        return tuple(None if p is None else tuple((rename[c], a) for c, a in p)
-                     for p in trace)
-
-    @cached_property
-    def _rename(self) -> dict[int, int]:
-        return {c: s for s, c in enumerate(self.nodes)}
-
-
 class ConfigDpResult:
     """One configuration DP run of ``topology`` under ``table``.
 
@@ -236,12 +187,13 @@ class ConfigDpResult:
     ``i`` set once node ``i`` holds an item).  ``states_explored`` counts
     the states of all stages.
 
-    ``ranked`` orders the final states once for every topology read off
-    the run: ``project`` reads the ranked candidates of the topology or of
-    any of its sub-topologies off it, and ``candidates`` are the
-    topology's own.  Surrogates of ``sums``, the ranking and checked exact
-    values of final states are computed on first use and kept, so every
-    topology read off the run shares them.
+    A topology's candidates are final state ids, ranked: ``ranked`` orders
+    the final states once for every topology read off the run, ``project``
+    reads the candidates of the topology or of any of its sub-topologies
+    off it, and ``candidates`` are the topology's own.  Surrogates of
+    ``sums``, the ranking and checked exact values of final states are
+    computed on first use and kept, so every topology read off the run
+    shares them.
     """
 
     def __init__(self, table: _SolveTable, topology: Topology, sums: np.ndarray,
@@ -260,62 +212,62 @@ class ConfigDpResult:
         self._words: list[dict[str, int]] = [{} for _ in topology.nodes]
 
     @cached_property
-    def candidates(self) -> CandidateTable:
-        """The final states collapsed on equal unit sums, first found: the
-        identity projection."""
+    def candidates(self) -> np.ndarray:
+        """The topology's own candidates: the identity projection."""
         return self.project(tuple(range(len(self.topology.nodes))))
 
     @cached_property
     def ranked(self) -> np.ndarray:
-        """The final states with distinct (unit sums, occupancy word), the
-        first found of each, by descending surrogate, ties in the order
+        """Every final state by descending surrogate, ties in the order
         found (a stable sort): the order ``project`` filters for every
         topology read off the run."""
-        states = np.arange(len(self.sum_ids))
-        if len(self.sums) < len(states):
-            pairs = self.sum_ids * len(self.words) + self.word_ids
-            states = np.sort(np.unique(pairs, return_index=True)[1])
-        return states[np.argsort(-self.surrogates[self.sum_ids[states]], kind="stable")]
+        return np.argsort(-self.surrogates[self.sum_ids], kind="stable")
 
     @cached_property
     def _ranked_words(self) -> np.ndarray:
         return self.word_ids[self.ranked]
 
-    def project(self, nodes: tuple[int, ...]) -> CandidateTable:
-        """The candidates a sub-topology's own run keeps, ranked as it ranks
-        them, where the sub-topology is this run's topology with whole
-        subtrees removed and ``nodes`` gives each of its nodes, in order, as
-        a node of this run's topology (as ``_covers`` maps them).
+    def project(self, nodes: tuple[int, ...]) -> np.ndarray:
+        """The final state ids a sub-topology's own run keeps as its
+        candidates, ranked as it ranks them, where the sub-topology is this
+        run's topology with whole subtrees removed and ``nodes`` gives each
+        of its nodes, in order, as a node of this run's topology (as
+        ``_covers`` maps them).
 
         A configuration of the sub-topology is one of this run's with the
         removed nodes left empty, and such states are reached, ordered and
         traced back in both runs alike (see ``solve_ptas``).  So the
         candidates are the final states whose occupied nodes all lie in
         ``nodes``, collapsed on equal unit sums, first found; filtering
-        ``ranked`` keeps their order.  Equal unit sums under two occupancy
-        words (an item whose signature floors to all zeros) share a
-        surrogate, so the first of them in ``ranked`` is the first found.
+        ``ranked`` keeps their order.  Equal unit sums share a surrogate,
+        so whatever their occupancy words, the first of them in ``ranked``
+        is the first found.
         """
         outside = ~sum(1 << c for c in nodes)
         inside = np.array([not word & outside for word in self.words], bool)
         ranked = self.ranked[inside[self._ranked_words]]
-        if len(self.sums) < len(self.ranked):
+        if len(self.sums) < len(self.sum_ids):
             ranked = ranked[np.sort(np.unique(self.sum_ids[ranked], return_index=True)[1])]
-        return CandidateTable(self, ranked, nodes)
+        return ranked
 
     @cached_property
     def surrogates(self) -> np.ndarray:
         """The surrogate value of every row of ``sums``."""
         return _compile_surrogate(self.table, self.topology)(self.sums)
 
-    def placements(self, state: int) -> Placements:
+    def placements(self, state: int, nodes: tuple[int, ...] | None = None) -> Placements:
         """Final state ``state``'s traceback chain unwound into per-group
-        placements."""
+        placements; with ``nodes``, the node map ``project`` took, renamed
+        onto the sub-topology's nodes."""
         chain = self.chains[state]
         trace: list[tuple[tuple[int, str], ...] | None] = [None] * len(self.table.members)
         while chain is not None:
             g, placement, chain = chain
             trace[g] = placement
+        if nodes is not None:
+            rename = {c: s for s, c in enumerate(nodes)}
+            trace = [None if p is None else tuple((rename[c], a) for c, a in p)
+                     for p in trace]
         return tuple(trace)
 
     def exact_values(self, states: Sequence[int]) -> list[float]:
@@ -521,8 +473,8 @@ def config_dp(table: _SolveTable, topology: Topology, *,
 
     The result holds the final states in the last stage's insertion order:
     their distinct unit sums, unpacked in one numpy pass, and per state its
-    sums' row, occupancy word and traceback chain.  Its ``candidates``
-    collapse states with equal unit sums to the first found, ranked by
+    sums' row, occupancy word and traceback chain.  Its ``candidates`` are
+    the ids of the first found final state of each unit sum, ranked by
     surrogate; nothing is traced back until a candidate is valued or read.
     """
     instance = table.instance
@@ -847,37 +799,35 @@ def _covers(topologies: Sequence[Topology]) -> list[tuple[int, tuple[int, ...]]]
 _STAGES = ("enumerate", "dp", "rank", "rescore", "materialize")
 
 
-def _reconstruct(table: _SolveTable, topology: Topology, candidates: CandidateTable,
-                 top_k: int, lap: Callable[[str], None] = lambda _stage: None
+def _reconstruct(topology: Topology, run: ConfigDpResult, ranked: np.ndarray,
+                 nodes: tuple[int, ...] | None, top_k: int,
+                 lap: Callable[[str], None] = lambda _stage: None
                  ) -> tuple[BlockNode, float, float | None]:
-    """Rescore the top-k surrogate-ranked candidates of ``topology``
-    exactly and return the best as (tree, value, its surrogate value);
-    with no candidates, the do-nothing policy and no surrogate.  ``lap``
-    is called with each stage's name ("rank", "rescore", "materialize") as
-    it ends.
+    """Rescore the top-k candidates of ``topology`` exactly and return the
+    best as (tree, value, its surrogate value); with no candidates, the
+    do-nothing policy and no surrogate.  ``lap`` is called with each
+    stage's name ("rank", "rescore", "materialize") as it ends.
 
-    The candidates come ranked by descending surrogate, ties in the order
-    found (``ConfigDpResult.ranked``, which the run sorts once for every
-    topology read off it).  Only the ``top_k`` best are traced back and
-    checked to reproduce their unit sums, and each is valued by
-    ``_exact_value`` in the run's topology, without building a tree; the
-    run does both once per final state (a node left empty passes its
-    entry level's value through, so the value is the same in every
-    topology read off the run).  The first strictly best exact value wins,
-    and only the winner is materialized, on ``topology``; its tree must
-    score that value under ``block_profit_exact``, else
-    ``StructuralError``.  Signatures and batch outcomes come from
-    ``table``, so each is computed once per solve, however many candidates
-    and topologies read it.
+    ``ranked`` holds final state ids of ``run``, a run of ``topology`` or
+    of one it is a sub-topology of, by descending surrogate, as
+    ``ConfigDpResult.project`` reads them off with the node map ``nodes``
+    (None for the run's own topology).  Only the ``top_k`` best are traced
+    back, checked to reproduce their unit sums and valued by
+    ``_exact_value`` in the run's topology, without building a tree, each
+    once per run (a node left empty passes its entry level's value
+    through, so the value is the same in every topology read off the
+    run).  The first strictly best exact value wins, and only the winner
+    is materialized, on ``topology``; its tree must score that value under
+    ``block_profit_exact``, else ``StructuralError``.
     """
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
+    table = run.table
     instance = table.instance
     start = instance.start_level
-    if len(candidates) == 0:
+    if len(ranked) == 0:
         return block_leaf(start), instance.terminal[start], None
-    run = candidates.run
-    top = candidates.ranked[:top_k].tolist()
+    top = ranked[:top_k].tolist()
     lap("rank")
 
     best_state = -1
@@ -887,7 +837,7 @@ def _reconstruct(table: _SolveTable, topology: Topology, candidates: CandidateTa
             best_state, best_value = state, value
     lap("rescore")
 
-    tree = materialize(table, topology, candidates.trace(best_state))
+    tree = materialize(table, topology, run.placements(best_state, nodes))
     if block_profit_exact(instance, tree) != best_value:
         raise StructuralError("the materialized tree does not score its "
                               "rescored value")
@@ -1001,13 +951,13 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     through, so surrogates and exact values agree too.  So the cover's
     final states are scored and ranked once (``ConfigDpResult.ranked``),
     and each member filters that order through the node map ``_covers``
-    hands it (``ConfigDpResult.project``), which gives its candidates in
-    the order its own ranking would; it rescores its top_k from the
+    hands it (``ConfigDpResult.project``), which gives its candidate state
+    ids in the order its own ranking would; it rescores its top_k from the
     cover's exact values, traced back, checked and valued once per final
-    state; only its winner is materialized on the member itself.  A
-    cover's run is dropped once its members are done.  If a cover's run hits the state
-    cap, each of its members runs its own DP, with the same result as
-    reading it off.
+    state; only its winner is materialized on the member itself.  A cover's
+    run is dropped once its members are done.  If a cover's run hits the
+    state cap, each of its members runs its own DP, with the same result
+    as reading it off.
 
     The DP keeps the small-risk property P1 at ``knobs.eps``, so
     every candidate, and so the returned tree, passes
@@ -1073,19 +1023,19 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         for ti, nodes in group:
             topo = topologies[ti]
             if cover is not None:
-                candidates = cover.project(nodes)
-            elif ti != ci and (own := run(topo)) is not None:
-                candidates = own.candidates
+                dp, ranked = cover, cover.project(nodes)
+            elif ti != ci and (dp := run(topo)) is not None:
+                ranked, nodes = dp.candidates, None
             else:
                 diag.capacity_errors += 1
                 diag.partial = True
                 continue
-            found[ti] = _reconstruct(table, topo, candidates, knobs.top_k, lap)
+            found[ti] = _reconstruct(topo, dp, ranked, nodes, knobs.top_k, lap)
             diag.completed += 1
-            diag.candidates += len(candidates)
-            diag.materialized += min(knobs.top_k, len(candidates))
+            diag.candidates += len(ranked)
+            diag.materialized += min(knobs.top_k, len(ranked))
         # Drop this cover's run before the next one starts.
-        cover = candidates = None
+        cover = dp = ranked = None
     best_tree: BlockNode = block_leaf(start)
     best_value = instance.terminal[start]
     for ti, outcome in enumerate(found):

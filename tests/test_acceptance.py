@@ -104,6 +104,10 @@ def test_committed_pandora_stays_below_index_policy():
     assert len(report.rows) == 100
     assert report.passed
     assert all(row["pass"] for row in report.rows)
+    # The seed-0 report bytes, pinned as the ``ptas_e2e`` ones are: the
+    # index policy's value must not move when its evaluation does.
+    digest = hashlib.sha256(report.to_jsonl().encode()).hexdigest()
+    assert digest == "1c03bf10f9bda725c0cda389adbf88e7d0c7b02950ca9a07e014b2d58a3f785d"
     assert report.wall_seconds < 60.0
 
 

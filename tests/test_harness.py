@@ -26,6 +26,7 @@ from stochprobe import (
     validate_instance,
     validate_policy_tree,
 )
+from stochprobe import exceptions
 from stochprobe.harness import (
     GenParams,
     RunConfig,
@@ -44,6 +45,7 @@ from stochprobe.harness import (
     simulate,
     stream,
 )
+from stochprobe.harness import cli
 from stochprobe.harness.cli import _load_kernel, main
 
 from conftest import act, kernel
@@ -482,6 +484,23 @@ def test_cli_deep_policy_document_exits_3(tmp_path, capsys):
     assert main(["simulate", "--in", str(deep_path), "--policy", str(policy_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+#: Every exception class ``stochprobe.exceptions`` defines.
+PACKAGE_ERRORS = [cls for cls in vars(exceptions).values()
+                  if isinstance(cls, type) and cls.__module__ == exceptions.__name__]
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_cli_maps_every_package_error_to_its_exit_code(error, monkeypatch, capsys):
+    # Capacity overruns exit 3; every other package error exits 2.
+    def handler(_args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check", handler)
+    want = 3 if issubclass(error, exceptions.CapacityError) else 2
+    assert main(["check", "--in", "unused.json"]) == want
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_cli_suite_round_trip(tmp_path, capsys):

@@ -273,6 +273,14 @@ def test_build_probetopk_tuple_cap():
         build_probetopk(spec, step=1.0, theta=4.0, tuple_cap=2)
 
 
+def test_build_probetopk_deep_k_builds_without_recursion():
+    # 1501 sorted tuples of two levels, well under the tuple cap, nested
+    # deeper than Python's recursion limit when built one entry at a time.
+    spec = ProblemSpec("probetopk", (pmf((0.0, 0.5), (1.0, 0.5)),), m=1, k=1500)
+    inst, _maps = build_probetopk(spec, step=1.0, theta=1.0)
+    assert inst.values.level_count == 1501
+
+
 # --- committed compilation ----------------------------------------------------
 
 
@@ -448,6 +456,48 @@ def test_weitzman_skips_worthless_box():
     policy, value = weitzman((4.0,), (pmf((0.0, 1.0)),))
     assert policy == ((0, pytest.approx(-4.0, abs=1e-12)),)
     assert value == pytest.approx(0.0, abs=1e-15)
+
+
+def _weitzman_reference_value(costs, pmfs):
+    """``weitzman``'s value as the memoized outcome recursion computed it."""
+    caps = [fair_cap(p, c) for c, p in zip(costs, pmfs)]
+    order = sorted(range(len(pmfs)), key=lambda i: (-caps[i], i))
+    memo = {}
+
+    def value(stage, best):
+        if stage == len(order) or caps[order[stage]] <= best:
+            return best
+        if (stage, best) not in memo:
+            i = order[stage]
+            out = -costs[i]
+            for x, p in pmfs[i].support():
+                out += p * value(stage + 1, max(best, x))
+            memo[stage, best] = out
+        return memo[stage, best]
+
+    return value(0, 0.0)
+
+
+def test_weitzman_matches_the_outcome_recursion():
+    # Outcomes drawn from a few values repeat across boxes, so stages are
+    # entered with shared best values; some caps fall below zero.
+    g = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(g.integers(1, 7))
+        costs = tuple(float(c) for c in g.uniform(0.0, 3.0, size=n))
+        boxes = []
+        for _i in range(n):
+            outcomes = sorted({float(x) for x in g.choice([0.0, 1.5, 4.0, 7.25, 10.0], 3)})
+            raw = g.uniform(0.1, 1.0, size=len(outcomes))
+            boxes.append(Pmf(tuple(zip(outcomes, (raw / raw.sum()).tolist()))))
+        assert weitzman(costs, boxes)[1] == _weitzman_reference_value(costs, boxes)
+
+
+def test_weitzman_many_boxes_without_recursion():
+    # Every box has cap 0.98: open until a 1 shows, about two boxes.
+    policy, value = weitzman((0.01,) * 1500, (pmf((0.0, 0.5), (1.0, 0.5)),) * 1500)
+    assert len(policy) == 1500
+    assert value == pytest.approx(0.98, abs=1e-12)
 
 
 def test_pandora_uncommitted_kernel_matches_weitzman():

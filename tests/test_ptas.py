@@ -33,7 +33,6 @@ from stochprobe import (
 from stochprobe import ptas
 from stochprobe.harness import GenParams, gen_random, gen_random_kernel
 from stochprobe.ptas import (
-    CandidateTable,
     ConfigDpResult,
     _SolveTable,
     _compile_surrogate,
@@ -68,6 +67,20 @@ def block_signature(instance, action_ids, level, grid, max_ref):
         for i, u in enumerate(action_signature(instance, action_id, level, grid, max_ref)):
             units[i] += u
     return tuple(units)
+
+
+def _units(run, ranked, nodes=None):
+    """The per-node unit sums of the candidates ``ranked`` (final state ids
+    of ``run``) in table order, the order they were found; with ``nodes``,
+    on the nodes it maps into the run's topology."""
+    units = run.sums[run.sum_ids[np.sort(ranked)]]
+    return units if nodes is None else units[:, nodes]
+
+
+def _traces(run, ranked, nodes=None):
+    """The same candidates traced back in table order, renamed onto
+    ``nodes``'s topology when it is given."""
+    return [run.placements(state, nodes) for state in np.sort(ranked).tolist()]
 
 
 @pytest.fixture
@@ -151,9 +164,8 @@ def test_config_dp_single_block_unit_cap(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(_SolveTable(capped(two_probe_kernel, 1), 0.25, 1.0, 0.3), top)
     assert len(result.candidates) == 3  # empty, {a1}, {a2}
-    table = result.candidates
-    sizes = sorted(sum(len(p) for p in table.placements(i) if p is not None)
-                   for i in range(len(table)))
+    sizes = sorted(sum(len(p) for p in trace if p is not None)
+                   for trace in _traces(result, result.candidates))
     assert sizes == [0, 1, 1]
 
 
@@ -161,7 +173,7 @@ def test_config_dp_zero_caps_only_empty(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(_SolveTable(capped(two_probe_kernel, 0), 0.25, 1.0, 0.3), top)
     assert len(result.candidates) == 1
-    assert all(not p for p in result.candidates.placements(0))
+    assert all(not p for p in _traces(result, result.candidates)[0])
 
 
 def test_config_dp_coarse_grid_collapses_signatures(two_probe_kernel):
@@ -183,13 +195,14 @@ def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
     # signatures must land exactly on the unit tuples the DP recorded.
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     levels = [level for level, _, _ in top.nodes]
-    table = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 1.0), top).candidates
-    for i in range(len(table)):
+    run = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 1.0), top)
+    units = _units(run, run.candidates).tolist()
+    for i, trace in enumerate(_traces(run, run.candidates)):
         per_node: dict[int, list[str]] = {}
-        for placed in table.placements(i):
+        for placed in trace:
             for node_idx, action_id in placed or ():
                 per_node.setdefault(node_idx, []).append(action_id)
-        for node_idx, sig_units in enumerate(table.units[i].tolist()):
+        for node_idx, sig_units in enumerate(units[i]):
             rebuilt = block_signature(
                 two_probe_kernel, per_node.get(node_idx, []),
                 levels[node_idx], 0.25, 1.0)
@@ -202,8 +215,8 @@ def test_config_dp_skip_keeps_its_traceback():
     row = {0: ((0, 0.75), (1, 0.25))}
     inst = kernel([act("a", "ga", row, profit=0.25), act("b", "gb", row, profit=0.25)],
                   [0.0, 1.0], 2)
-    table = config_dp(_SolveTable(inst, 0.25, 1.0, 1.0), Topology(0)).candidates
-    traces = [table.placements(i) for i in range(len(table))]
+    run = config_dp(_SolveTable(inst, 0.25, 1.0, 1.0), Topology(0))
+    traces = _traces(run, run.candidates)
     one_item = [trace for trace in traces if sum(len(p) for p in trace if p) == 1]
     assert one_item == [(((0, "a"),), None)]
 
@@ -219,26 +232,13 @@ def _reference_risk_share(instance, action_id, level, eps):
     return min(math.ceil(mu * units / (eps * eps)), units)
 
 
-class _ReferenceRun:
-    """A reference DP run's kept configurations: the ``candidates`` and
-    ``states_explored`` of a ``ConfigDpResult``, as plain data."""
-
-    def __init__(self, units, chains, group_count, states_explored):
-        self.candidates = self
-        self.units = units
-        self.chains = chains
-        self.group_count = group_count
-        self.states_explored = states_explored
-
-    def __len__(self):
-        return len(self.chains)
-
-    def placements(self, i):
-        chain, trace = self.chains[i], [None] * self.group_count
-        while chain is not None:
-            g, placement, chain = chain
-            trace[g] = placement
-        return tuple(trace)
+def _unwind(chain, group_count):
+    """A traceback chain unwound into per-group placements."""
+    trace = [None] * group_count
+    while chain is not None:
+        g, placement, chain = chain
+        trace[g] = placement
+    return tuple(trace)
 
 
 def _reference_config_dp(instance, topology, grid, max_ref, eps, *,
@@ -253,7 +253,8 @@ def _reference_config_dp(instance, topology, grid, max_ref, eps, *,
     With ``park`` a state with no cap left is parked: carried no further,
     counted against the state cap beside each stage's states, and kept
     ahead of the last stage's states among the candidates, as the DP did
-    before covers shared their runs."""
+    before covers shared their runs.  Returns the kept configurations as
+    ``_run_data`` gives a run's."""
     cap = instance.horizon
     levels = [level for level, _, _ in topology.nodes]
     n_nodes = len(levels)
@@ -349,7 +350,8 @@ def _reference_config_dp(instance, topology, grid, max_ref, eps, *,
     sum_bytes = n_nodes * width * slot_dtype.itemsize
     raw = b"".join(sums.to_bytes(sum_bytes, "little") for sums in kept)
     units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
-    return _ReferenceRun(units, list(kept.values()), len(group_order), explored)
+    return (units.dtype, units.tolist(),
+            [_unwind(chain, len(group_order)) for chain in kept.values()], explored)
 
 
 def test_config_dp_candidates_are_the_p1_feasible_configurations():
@@ -394,26 +396,30 @@ def test_config_dp_candidates_are_the_p1_feasible_configurations():
         (feasible if ok else infeasible).add(sums)
         shared += ok and any(sum(mu > 0.0 for mu in m) > 1 for m in mus)
     solve_table = _SolveTable(capped(inst, caps), grid, 1.0, eps)
-    table = config_dp(solve_table, top).candidates
-    got = [tuple(map(tuple, units)) for units in table.units.tolist()]
+    run = config_dp(solve_table, top)
+    got = [tuple(map(tuple, units)) for units in _units(run, run.candidates).tolist()]
     assert len(set(got)) == len(got)
     assert set(got) == feasible
     assert shared > 0 and infeasible - feasible
-    for i in range(len(table)):
-        tree = materialize(solve_table, top, table.placements(i))
+    for placements in _traces(run, run.candidates):
+        tree = materialize(solve_table, top, placements)
         assert check_block_properties(inst, tree, eps, 2).p1_ok
 
 
+def _run_data(table, top, **kwargs):
+    """A DP run as comparable data: its candidates' unit sums and
+    tracebacks in table order, then its states explored."""
+    run = config_dp(table, top, **kwargs)
+    units = _units(run, run.candidates)
+    return (units.dtype, units.tolist(), _traces(run, run.candidates), run.states_explored)
+
+
 def _outcome(dp, *args, **kwargs):
-    """A DP run as comparable data: its candidates in order, or the point
-    where it hit the state cap."""
+    """``dp``'s data, or the point where it hit the state cap."""
     try:
-        result = dp(*args, **kwargs)
+        return dp(*args, **kwargs)
     except CapacityError as err:
         return ("capacity", err.states_explored)
-    table = result.candidates
-    return (table.units.dtype, table.units.tolist(),
-            [table.placements(i) for i in range(len(table))], result.states_explored)
 
 
 def test_config_dp_matches_guard_bit_reference():
@@ -434,7 +440,7 @@ def test_config_dp_matches_guard_bit_reference():
                 for state_cap in (ptas.DEFAULT_STATE_CAP, 3, 10, 40):
                     want = _outcome(_reference_config_dp, sub, top, grid, max_ref, eps,
                                     state_cap=state_cap)
-                    got = _outcome(config_dp, table, top, state_cap=state_cap)
+                    got = _outcome(_run_data, table, top, state_cap=state_cap)
                     assert got == want
                     cases += 1
                     errors += want[0] == "capacity"
@@ -468,7 +474,7 @@ def test_deep_flat_chain_topology():
     started = time.perf_counter()
     table = _SolveTable(inst, 0.25, 1.0, 0.3)
     result = config_dp(table, top)
-    tree, value, _surrogate = _reconstruct(table, top, result.candidates, 32)
+    tree, value, _surrogate = _reconstruct(top, result, result.candidates, None, 32)
     assert time.perf_counter() - started < 5.0
     assert len(result.candidates) == 1101
     assert tree.items == ("a",)
@@ -536,15 +542,16 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
         for top in enumerate_topologies(reach, 3, 3, inst.start_level):
             for solve_table in solve_tables:
                 result = config_dp(solve_table, top)
-                table = result.candidates
+                units = _units(result, result.candidates)
                 ref = _reference_surrogate(inst, top, grid, grid * max_ref)
-                want = [ref(sigs) for sigs in table.units.tolist()]
-                got = _compile_surrogate(solve_table, top)(table.units)
+                want = [ref(sigs) for sigs in units.tolist()]
+                got = _compile_surrogate(solve_table, top)(units)
                 assert got.tolist() == want
                 order = sorted(range(len(want)), key=lambda i: -want[i])
                 ranked.clear()
-                _reconstruct(solve_table, top, table, len(table))
-                assert ranked == [table.placements(i) for i in order]
+                _reconstruct(top, result, result.candidates, None, len(want))
+                traces = _traces(result, result.candidates)
+                assert ranked == [traces[i] for i in order]
                 cases += 1
                 ties += len(set(want)) < len(want)
     assert cases >= 1500
@@ -574,10 +581,11 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
         for top in enumerate_topologies(level_reach(inst), 3, 2, inst.start_level):
             for solve_table in solve_tables:
                 result = config_dp(solve_table, top)
-                table = result.candidates
+                count = len(result.candidates)
                 scored.clear()
-                tree, value, _surrogate = _reconstruct(solve_table, top, table, len(table))
-                assert len(scored) == len(table)
+                tree, value, _surrogate = _reconstruct(top, result, result.candidates, None,
+                                                       count)
+                assert len(scored) == count
                 for placements, got in scored:
                     built = materialize(solve_table, top, placements)
                     want = block_profit_exact(inst, built)
@@ -586,8 +594,9 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
                     multi += len(placed) > len(set(placed))
                 assert value == max(got for _, got in scored)
                 cases += 1
-                surrogates = _compile_surrogate(solve_table, top)(table.units)
-                ties += len(set(surrogates.tolist())) < len(table)
+                units = _units(result, result.candidates)
+                surrogates = _compile_surrogate(solve_table, top)(units)
+                ties += len(set(surrogates.tolist())) < count
     assert cases >= 200
     assert ties >= 150
     assert multi >= 5000
@@ -603,7 +612,7 @@ def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
         changed = ConfigDpResult(solve_table, top, sums, result.sum_ids, result.chains,
                                  result.words, result.word_ids, result.states_explored)
         with pytest.raises(StructuralError):
-            _reconstruct(solve_table, top, changed.candidates, len(result.sums))
+            _reconstruct(top, changed, changed.candidates, None, len(result.sums))
 
 
 def test_rescoring_rejects_an_action_at_a_level_without_its_row(two_probe_kernel):
@@ -623,16 +632,15 @@ def test_rescoring_rejects_an_action_at_a_level_without_its_row(two_probe_kernel
 
 def test_reconstruct_single_candidate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    table = _SolveTable(capped(two_probe_kernel, 0), 0.25, 1.0, 0.3)
-    tree, value, _surrogate = _reconstruct(table, top, config_dp(table, top).candidates, 32)
+    run = config_dp(_SolveTable(capped(two_probe_kernel, 0), 0.25, 1.0, 0.3), top)
+    tree, value, _surrogate = _reconstruct(top, run, run.candidates, None, 32)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reconstruct_empty_candidates_is_noop(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
-    table = _SolveTable(two_probe_kernel, 0.25, 1.0, 0.3)
-    empty = CandidateTable(config_dp(table, top), np.zeros(0, np.intp), (0,))
-    tree, value, _surrogate = _reconstruct(table, top, empty, 32)
+    run = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 0.3), top)
+    tree, value, _surrogate = _reconstruct(top, run, np.zeros(0, np.intp), None, 32)
     assert value == pytest.approx(two_probe_kernel.terminal[0], abs=1e-12)
 
 
@@ -646,11 +654,11 @@ def test_reconstruct_exact_rescoring_beats_surrogate_order():
         [0.0, 1.0], 1)
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     table = _SolveTable(inst, 0.0625, 1.0, 0.3)
-    result = config_dp(table, top).candidates
-    tree1, value1, _surrogate1 = _reconstruct(table, top, result, 1)
+    result = config_dp(table, top)
+    tree1, value1, _surrogate1 = _reconstruct(top, result, result.candidates, None, 1)
     assert tree1.items == ("b",)
     assert value1 == pytest.approx(0.4375, abs=1e-12)
-    tree2, value2, _surrogate2 = _reconstruct(table, top, result, 2)
+    tree2, value2, _surrogate2 = _reconstruct(top, result, result.candidates, None, 2)
     assert tree2.items == ("a",)
     assert value2 == pytest.approx(0.4998, abs=1e-12)
 
@@ -750,8 +758,8 @@ def test_reachable_topologies_keep_value_and_tree_on_probemax():
         full = enumerate_topologies(all_levels(K), knobs.block_budget,
                                     min(knobs.depth_limit, inst.horizon), start)
         for top in full:
-            tree, value, _surrogate = _reconstruct(
-                table, top, config_dp(table, top).candidates, knobs.top_k)
+            run = config_dp(table, top)
+            tree, value, _surrogate = _reconstruct(top, run, run.candidates, None, knobs.top_k)
             if value > best_value:
                 best_tree, best_value = tree, value
         assert res.diagnostics.topologies < len(full)
@@ -810,9 +818,9 @@ def test_solve_recovers_exact_optimum_on_grid_kernels():
 def test_materialized_trees_validate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     solve_table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
-    table = config_dp(solve_table, top).candidates
-    for i in range(len(table)):
-        tree = materialize(solve_table, top, table.placements(i))
+    run = config_dp(solve_table, top)
+    for placements in _traces(run, run.candidates):
+        tree = materialize(solve_table, top, placements)
         assert block_profit_exact(two_probe_kernel, tree) >= -1e-12
 
 
@@ -854,11 +862,10 @@ def _topology_run(table, top, state_cap):
         result = config_dp(table, top, state_cap=state_cap)
     except CapacityError as err:
         return ("capacity", err.states_explored)
-    cands = result.candidates
-    tree, value, surrogate = _reconstruct(table, top, cands, 32)
-    return (cands.units.dtype, cands.units.tolist(),
-            [cands.placements(i) for i in range(len(cands))], result.states_explored,
-            repr(tree), value, surrogate)
+    tree, value, surrogate = _reconstruct(top, result, result.candidates, None, 32)
+    units = _units(result, result.candidates)
+    return (units.dtype, units.tolist(), _traces(result, result.candidates),
+            result.states_explored, repr(tree), value, surrogate)
 
 
 def test_shared_solve_table_matches_fresh_tables():
@@ -1044,11 +1051,12 @@ def _per_topology_solve(inst, knobs):
     failed = []
     for ti, top in enumerate(tops):
         try:
-            cands = config_dp(table, top, state_cap=knobs.state_cap).candidates
+            run = config_dp(table, top, state_cap=knobs.state_cap)
         except CapacityError:
             failed.append(ti)
             continue
-        got_tree, got_value, surrogate = _reconstruct(table, top, cands, knobs.top_k)
+        cands = run.candidates
+        got_tree, got_value, surrogate = _reconstruct(top, run, cands, None, knobs.top_k)
         completed += 1
         candidates += len(cands)
         materialized += min(knobs.top_k, len(cands))
@@ -1153,10 +1161,10 @@ def test_projected_candidates_match_each_members_own_run():
                                   for i in range(len(run.topology.nodes)))
             for ti, (top, (ci, nodes)) in enumerate(zip(tops, covers)):
                 got = runs[ci].project(nodes)
-                want = config_dp(table, top).candidates
-                assert np.array_equal(got.units, want.units)
-                assert ([got.placements(i) for i in range(len(got))]
-                        == [want.placements(i) for i in range(len(want))])
+                own = config_dp(table, top)
+                assert np.array_equal(_units(runs[ci], got, nodes),
+                                      _units(own, own.candidates))
+                assert _traces(runs[ci], got, nodes) == _traces(own, own.candidates)
                 members += ci != ti
     assert members >= 400
     assert zero_items >= 10
@@ -1269,9 +1277,8 @@ def _members_read_off_covers(inst, knobs, reference):
             ranked = _rank_reference(run, _project_reference(run, nodes))
             winner = _winner_reference(table, tops[ti], run, ranked, nodes, knobs.top_k)
         else:
-            cands = run.project(nodes)
-            ranked = cands.ranked
-            tree, value, surrogate = _reconstruct(table, tops[ti], cands, knobs.top_k)
+            ranked = run.project(nodes)
+            tree, value, surrogate = _reconstruct(tops[ti], run, ranked, nodes, knobs.top_k)
             winner = (repr(tree), value, surrogate)
         members.append((ranked.tolist(), len(ranked), winner))
     value, tree = inst.terminal[start], repr(block_leaf(start))
@@ -1364,7 +1371,7 @@ def test_states_with_equal_sums_and_other_occupancy_rank_like_the_reference():
         # Some unit sums are held under two occupancy words.
         run = config_dp(table, tops[ci])
         pairs = set(zip(run.sum_ids.tolist(), run.word_ids.tolist()))
-        assert len(pairs) == len(run.ranked)
+        assert len(run.ranked) == len(run.sum_ids)
         shared += len(run.sums) < len(pairs)
     assert shared > 0
     want, diagnostics = _members_read_off_covers(inst, knobs, reference=True)
@@ -1386,12 +1393,13 @@ def test_the_traceback_check_does_not_read_the_dps_packed_words(two_probe_kernel
 
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
-    assert len(_reconstruct(table, top, config_dp(table, top).candidates, 32)[0].items) > 0
+    run = config_dp(table, top)
+    assert len(_reconstruct(top, run, run.candidates, None, 32)[0].items) > 0
     monkeypatch.setattr(_SolveTable, "packed", off_by_one)
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
     result = config_dp(table, top)
     with pytest.raises(StructuralError):
-        _reconstruct(table, top, result.candidates, len(result.candidates))
+        _reconstruct(top, result, result.candidates, None, len(result.candidates))
 
 
 def test_the_traceback_check_bounds_each_nodes_items_by_the_horizon():
