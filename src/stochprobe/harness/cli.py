@@ -99,15 +99,7 @@ def _cmd_ptas(args: argparse.Namespace) -> int:
                       depth_limit=args.depth, top_k=args.topk)
     result = solve_ptas(instance, knobs)
     diag = result.diagnostics
-    _emit({"value": result.value, "max_ref": diag.max_ref,
-           "max_ref_source": diag.max_ref_source,
-           "topologies": diag.topologies, "completed": diag.completed,
-           "capacity_errors": diag.capacity_errors,
-           "states_explored": diag.states_explored, "dp_runs": diag.dp_runs,
-           "candidates": diag.candidates,
-           "materialized": diag.materialized,
-           "surrogate_gap": diag.surrogate_gap, "partial": diag.partial,
-           "seconds": diag.seconds})
+    _emit({"value": result.value, **dataclasses.asdict(diag), "partial": diag.partial})
     if args.out:
         _write_out(serialize_block_tree(result.tree), args.out)
     return 0

@@ -390,7 +390,7 @@ def _suite_discretization(config: RunConfig) -> tuple[list[Row], dict[str, objec
             probs = [float(w) / float(sum(weights)) for w in weights]
             pmf = Pmf(tuple(zip(outcomes, probs)))
             small_cut, step = 0.1, 0.05
-            _img, dmap = discretize_size_li(pmf, small_cut, step, 0.3)
+            _img, dmap = discretize_size_li(pmf, small_cut, step)
             src_small = math.fsum(o * p for o, p in pmf.entries if o <= small_cut)
             img_small = math.fsum(
                 m * dmap.representatives[lvl]

@@ -169,8 +169,8 @@ def discretize_value(pmf: Pmf, theta: float, step: float) -> tuple[Pmf, Discreti
     return dmap.image_pmf(), dmap
 
 
-def discretize_size_li(pmf: Pmf, small_cut: float, step: float,
-                       eps: float) -> tuple[Pmf, DiscretizationMap]:
+def discretize_size_li(pmf: Pmf, small_cut: float,
+                       step: float) -> tuple[Pmf, DiscretizationMap]:
     """Quantize a size distribution: floor big outcomes, split small ones.
 
     Outcomes above ``small_cut`` floor to the step grid.  Each outcome x at
@@ -181,8 +181,6 @@ def discretize_size_li(pmf: Pmf, small_cut: float, step: float,
         raise ParameterError("small_cut and step must be positive")
     if step > small_cut + _GRID_TOL:
         raise ParameterError("step must not exceed small_cut")
-    if not (0.0 < eps < 1.0):
-        raise ParameterError("eps must lie in (0, 1)")
     values: list[float] = [0.0, small_cut]
     prelim: list[tuple[float, list[tuple[float, float]]]] = []
     for outcome, prob in pmf.entries:
@@ -460,7 +458,7 @@ def build_target(spec: ProblemSpec, *, small_cut: float | None = None,
     maps: list[DiscretizationMap] = []
     actions: list[ActionSpec] = []
     for idx, pmf in enumerate(spec.items):
-        _img, dmap = discretize_size_li(pmf, small_cut, step, eps)
+        _img, dmap = discretize_size_li(pmf, small_cut, step)
         maps.append(dmap)
         add_levels: dict[int, float] = {}
         for v, p in dmap.image_pmf().entries:
@@ -549,19 +547,20 @@ def sbk_opt_exact(spec: ProblemSpec) -> float:
 
 
 def build_sbk(spec: ProblemSpec, *, max_ref_est: float | None = None,
-              theta2: float | None = None, theta3: float | None = None,
+              theta3: float | None = None,
               small_cut: float | None = None, step: float | None = None,
               level_cap: int = 4096) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
     """Compile the blackjack knapsack onto a (size grid) x (profit coin)
     level space.
 
-    Huge-profit items (profit >= theta2) have their fitting mass rescaled by
-    profit/theta2 with the remainder pushed past capacity, and their profit
-    capped at theta2.  Sizes then quantize like the target problem.  Each
-    insertion adds its size level and ORs a coin of bias profit/theta3; the
-    terminal pays theta3 on a set coin within the relaxed capacity 1+2*eps.
-    Thresholds default to the est/eps power ladder; the literal eps-power
-    size grids are far below desk scale.
+    Huge-profit items (profit >= theta2 = est/eps^2) have their fitting
+    mass rescaled by profit/theta2 with the remainder pushed past capacity,
+    and their profit capped at theta2.  Sizes then quantize like the target
+    problem.  Each insertion adds its size level and ORs a coin of bias
+    profit/theta3; the terminal pays theta3 on a set coin within the relaxed
+    capacity 1+2*eps.  theta3 defaults to est/eps^3, the next rung of the
+    est/eps power ladder; the literal eps-power size grids are far below
+    desk scale.
     """
     if spec.kind != "sbk":
         raise ParameterError("build_sbk expects an sbk spec")
@@ -571,8 +570,7 @@ def build_sbk(spec: ProblemSpec, *, max_ref_est: float | None = None,
     est = max_ref_est if max_ref_est is not None else sbk_opt_exact(spec)
     if est <= 0.0:
         raise ParameterError("optimum estimate is 0; nothing to scale against")
-    if theta2 is None:
-        theta2 = est / (eps * eps)
+    theta2 = est / (eps * eps)
     if theta3 is None:
         theta3 = est / (eps * eps * eps)
     if small_cut is None:
@@ -606,7 +604,7 @@ def build_sbk(spec: ProblemSpec, *, max_ref_est: float | None = None,
         else:
             size_pmf = pmf
             p_hat = profit
-        _img, dmap = discretize_size_li(size_pmf, small_cut, step, eps)
+        _img, dmap = discretize_size_li(size_pmf, small_cut, step)
         maps.append(dmap)
         add_levels: dict[int, float] = {}
         for v, p in dmap.image_pmf().entries:

@@ -10,9 +10,9 @@ several whose leave masses sum to at most eps^2), once per topology that no
 other extends and read off by every topology it extends.  Each run's
 configurations are ranked once by a batched surrogate, and every topology
 read off the run takes its own from that order; only the most promising are
-rescored exactly from their placements, each traced back, checked against
-its unit sums and valued once per run, and the best of them is built into a
-concrete block tree.
+traced back into per-node batches, checked against their unit sums and
+valued exactly once per run, and the best of them is built into a concrete
+block tree.
 """
 
 from __future__ import annotations
@@ -171,9 +171,9 @@ def enumerate_topologies(reach: Sequence[Sequence[int]], block_budget: int,
 # --- configuration DP -------------------------------------------------------
 
 
-#: Per group in processing order: None when the group is skipped, else the
-#: (node index, action id) pairs it places on an antichain of nodes.
-Placements = tuple[tuple[tuple[int, str], ...] | None, ...]
+#: A configuration: per topology node, in preorder, the items placed there
+#: in group-processing order.
+Batches = tuple[tuple[str, ...], ...]
 
 
 class ConfigDpResult:
@@ -182,10 +182,10 @@ class ConfigDpResult:
     Per final state, in the last stage's insertion order: ``sum_ids``
     gives its row of ``sums``, the ``(U, nodes, K+1)`` array of the
     distinct per-node unit sums (first found first); ``chains`` its
-    traceback chain (None, or (group index, placement, rest)); and
-    ``word_ids`` its row of ``words``, the distinct occupancy words (bit
-    ``i`` set once node ``i`` holds an item).  ``states_explored`` counts
-    the states of all stages.
+    traceback chain (None, or (group index, placement, rest)), which
+    ``batches`` unwinds into its configuration; and ``word_ids`` its row of
+    ``words``, the distinct occupancy words (bit ``i`` set once node ``i``
+    holds an item).  ``states_explored`` counts the states of all stages.
 
     A topology's candidates are final state ids, ranked: ``ranked`` orders
     the final states once for every topology read off the run, ``project``
@@ -208,8 +208,6 @@ class ConfigDpResult:
         self.word_ids = word_ids
         self.states_explored = states_explored
         self._exact: dict[int, float] = {}
-        #: Per node, each action's packed signature (see ``exact_values``).
-        self._words: list[dict[str, int]] = [{} for _ in topology.nodes]
 
     @cached_property
     def candidates(self) -> np.ndarray:
@@ -224,7 +222,7 @@ class ConfigDpResult:
         return np.argsort(-self.surrogates[self.sum_ids], kind="stable")
 
     @cached_property
-    def _ranked_words(self) -> np.ndarray:
+    def _ranked_word_ids(self) -> np.ndarray:
         return self.word_ids[self.ranked]
 
     def project(self, nodes: tuple[int, ...]) -> np.ndarray:
@@ -245,7 +243,7 @@ class ConfigDpResult:
         """
         outside = ~sum(1 << c for c in nodes)
         inside = np.array([not word & outside for word in self.words], bool)
-        ranked = self.ranked[inside[self._ranked_words]]
+        ranked = self.ranked[inside[self._ranked_word_ids]]
         if len(self.sums) < len(self.sum_ids):
             ranked = ranked[np.sort(np.unique(self.sum_ids[ranked], return_index=True)[1])]
         return ranked
@@ -255,77 +253,58 @@ class ConfigDpResult:
         """The surrogate value of every row of ``sums``."""
         return _compile_surrogate(self.table, self.topology)(self.sums)
 
-    def placements(self, state: int, nodes: tuple[int, ...] | None = None) -> Placements:
-        """Final state ``state``'s traceback chain unwound into per-group
-        placements; with ``nodes``, the node map ``project`` took, renamed
-        onto the sub-topology's nodes."""
+    def batches(self, state: int, nodes: tuple[int, ...] | None = None) -> Batches:
+        """Final state ``state``'s configuration, its traceback chain unwound
+        into each node's items; with ``nodes``, the node map ``project``
+        took, those of the sub-topology's nodes.  The chain runs last group
+        first, so each item goes in front of its node's later ones."""
+        batches: list[tuple[str, ...]] = [()] * len(self.topology.nodes)
         chain = self.chains[state]
-        trace: list[tuple[tuple[int, str], ...] | None] = [None] * len(self.table.members)
         while chain is not None:
-            g, placement, chain = chain
-            trace[g] = placement
-        if nodes is not None:
-            rename = {c: s for s, c in enumerate(nodes)}
-            trace = [None if p is None else tuple((rename[c], a) for c, a in p)
-                     for p in trace]
-        return tuple(trace)
+            _g, placement, chain = chain
+            for i, action_id in placement:
+                batches[i] = (action_id,) + batches[i]
+        return tuple(batches) if nodes is None else tuple(batches[c] for c in nodes)
 
     def exact_values(self, states: Sequence[int]) -> list[float]:
         """``_exact_value`` of each final state in ``states``, computed once
         per state.  A state not valued yet is traced back first, and its
-        placements must add up to its row of ``sums`` exactly, else
+        batches must add up to its row of ``sums`` exactly, else
         ``StructuralError``.
 
-        The check packs each placed item's ``table.signature`` (which
-        raises where the action has no row at its node's level) itself, at
-        the slot width of ``sums``: unit ``w`` of node ``i`` at bit ``(i *
+        The check adds up each placed item's ``table.word`` at the slot
+        width of ``sums`` (which raises where the action has no row at its
+        node's level, or a unit times the horizon does not fit a slot),
+        shifted to its node's slots: unit ``w`` of node ``i`` at bit ``(i *
         (K+1) + w)`` times the slot bits, so a configuration's packed sum is
         its row's little-endian bytes read as one integer.  A node may hold
-        at most the horizon items (one cap unit per path), and each unit
-        times the horizon must fit a slot (``_pack``), so no slot carries
-        into the next, and the two integers agree exactly when every node's
-        sums do.
+        at most the horizon items (one cap unit per path), so no slot
+        carries into the next, and the two integers agree exactly when
+        every node's sums do.
         """
         todo = [state for state in dict.fromkeys(states) if state not in self._exact]
         if todo:
             rows = self.sums[self.sum_ids[todo]]
             size = rows.nbytes // len(todo)
             raw = rows.tobytes()
-            words = self._words
-            groups = len(self.table.members)
+            slot = rows.itemsize
+            node_bits = 8 * slot * rows.shape[-1]
+            nodes = [(level, i * node_bits)
+                     for i, (level, _parent, _key) in enumerate(self.topology.nodes)]
+            word = self.table.word
             horizon = self.table.instance.horizon
             for r, state in enumerate(todo):
-                trace: list[tuple[tuple[int, str], ...] | None] = [None] * groups
-                count = [0] * len(words)
+                batches = self.batches(state)
                 total = 0
-                chain = self.chains[state]
-                while chain is not None:
-                    g, placement, chain = chain
-                    trace[g] = placement
-                    for i, action_id in placement:
-                        try:
-                            total += words[i][action_id]
-                        except KeyError:
-                            total += words[i].setdefault(action_id, self._pack(i, action_id))
-                        count[i] += 1
-                row = raw[r * size:(r + 1) * size]
-                if max(count) > horizon or total != int.from_bytes(row, "little"):
+                for (level, shift), items in zip(nodes, batches):
+                    for action_id in items:
+                        total += word(action_id, level, slot) << shift
+                row = int.from_bytes(raw[r * size:(r + 1) * size], "little")
+                if max(map(len, batches)) > horizon or total != row:
                     raise StructuralError("traceback signature sums do not match the "
                                           "configuration")
-                self._exact[state] = _exact_value(self.table, self.topology, tuple(trace))
+                self._exact[state] = _exact_value(self.table, self.topology, batches)
         return [self._exact[state] for state in states]
-
-    def _pack(self, node: int, action_id: str) -> int:
-        """``action_id``'s signature at ``node``'s level, packed at the
-        node's slots of a ``sums`` row (see ``exact_values``)."""
-        units = self.table.signature(action_id, self.topology.nodes[node][0])
-        slot = self.sums.dtype
-        most = max(units) * max(self.table.instance.horizon, 1)
-        if min(units) < 0 or most >> 8 * slot.itemsize:
-            raise StructuralError("a signature does not fit the slots of the "
-                                  "configuration's unit sums")
-        row = bytes(node * len(units) * slot.itemsize) + np.array(units, slot).tobytes()
-        return int.from_bytes(row, "little")
 
 
 def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> int:
@@ -344,6 +323,20 @@ def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> i
     return min(math.ceil(mu * _RISK_UNITS / budget), _RISK_UNITS)
 
 
+def _signature_word(signature: Callable[[str, int], tuple[int, ...]], horizon: int,
+                    action_id: str, level: int, slot_bytes: int) -> int:
+    """``signature(action_id, level)`` packed into one integer, unit ``w``
+    at bit ``w * 8 * slot_bytes``: node 0's slots of a row of unit sums
+    held in ``slot_bytes`` a slot (see ``ConfigDpResult.exact_values``).
+    Every unit times ``horizon`` must fit a slot, else ``StructuralError``."""
+    units = signature(action_id, level)
+    bits = 8 * slot_bytes
+    if min(units) < 0 or (max(units) * max(horizon, 1)) >> bits:
+        raise StructuralError("a signature does not fit the slots of the "
+                              "configuration's unit sums")
+    return sum(u << (w * bits) for w, u in enumerate(units))
+
+
 #: Per group in processing order, its member cell at one level: the
 #: members with a row there, each with a value (signature or packed word).
 _Cells = tuple[tuple[tuple[str, object], ...], ...]
@@ -360,8 +353,10 @@ class _SolveTable:
     and risk share from ``_risk_units``; per level, each group's member
     cells (the members with a row there) and their largest unit; those
     cells with each signature packed into one integer per slot width (unit
-    ``w`` at bit ``w * slot_bits``); and ``_outcomes`` of each (level,
-    items) batch.  It is the one input every per-topology stage reads the
+    ``w`` at bit ``w * slot_bits``), which ``config_dp`` adds; each
+    signature packed again per slot width by ``_signature_word``, which
+    the traceback check adds; and ``_outcomes`` of each (level, items)
+    batch.  It is the one input every per-topology stage reads the
     instance, grid, max_ref and eps from.  It lives for one solve only and
     is never stored on the instance, so a repeated solve computes
     everything again.
@@ -388,6 +383,9 @@ class _SolveTable:
                                        max_ref=max_ref))
         #: ``risk(action_id, level)``: ``_risk_units``, once per key.
         self.risk = cache(partial(_risk_units, instance, eps))
+        #: ``word(action_id, level, slot_bytes)``: ``_signature_word``, once
+        #: per key.
+        self.word = cache(partial(_signature_word, self.signature, instance.horizon))
         #: ``outcomes(level, items)``: ``_outcomes`` of a batch, once per key.
         self.outcomes = cache(partial(_outcomes, instance))
         self._cells: dict[int, tuple[_Cells, int]] = {}
@@ -679,34 +677,24 @@ def _compile_surrogate(table: _SolveTable, topology: Topology):
     return score
 
 
-def _items_at(n_nodes: int, placements: Placements) -> list[tuple[str, ...]]:
-    """Each node's items, in group-processing order."""
-    items_at: list[tuple[str, ...]] = [()] * n_nodes
-    for placement in placements:
-        for node_idx, action_id in placement or ():
-            items_at[node_idx] += (action_id,)
-    return items_at
-
-
-def materialize(table: _SolveTable, topology: Topology, placements: Placements
-                ) -> BlockNode:
-    """Build the concrete block tree a traceback describes, children first
+def materialize(table: _SolveTable, topology: Topology, batches: Batches) -> BlockNode:
+    """Build the concrete block tree of a configuration, children first
     over the reversed preorder table.
 
-    Items land on their nodes in group-processing order; transitions the
-    items can realize but the topology does not cover become terminal
-    leaves, and a node that can stay flat keeps a flat child.  Each node's
+    Each node holds its batch, items in group-processing order;
+    transitions the items can realize but the topology does not cover
+    become terminal leaves, and a node that can stay flat keeps a flat
+    child.  Each node's
     outcome keys come from the table's ``outcomes``.
     """
     nodes = topology.nodes
-    items_at = _items_at(len(nodes), placements)
 
     # Reversed preorder reaches siblings last to first, so each list of
     # (key, child) pairs is reversed back into topology order.
     built: list[list[tuple[int, BlockNode]]] = [[] for _ in nodes]
     for idx in range(len(nodes) - 1, -1, -1):
         level, parent, key = nodes[idx]
-        items = items_at[idx]
+        items = batches[idx]
         children = dict(reversed(built[idx]))
         node = BlockNode(items, level, children)
         _profit, _edges, outcomes, _stopped = table.outcomes(level, items)
@@ -734,10 +722,9 @@ def _outcomes(instance: Instance, level: int, items: tuple[str, ...]
     return profit, edges, keys, stopped
 
 
-def _exact_value(table: _SolveTable, topology: Topology, placements: Placements
-                 ) -> float:
+def _exact_value(table: _SolveTable, topology: Topology, batches: Batches) -> float:
     """Exact block value of the tree ``materialize`` builds from
-    ``placements``, computed over the reversed preorder table without
+    ``batches``, computed over the reversed preorder table without
     building it.
 
     The table's ``outcomes(level, items)`` gives ``_outcomes`` of a node's
@@ -752,10 +739,9 @@ def _exact_value(table: _SolveTable, topology: Topology, placements: Placements
     nodes = topology.nodes
     child_index = topology.child_index
     terminal = table.instance.terminal
-    items_at = _items_at(len(nodes), placements)
     values = [0.0] * len(nodes)
     for idx in range(len(nodes) - 1, -1, -1):
-        profit, edges, _keys, stopped = outcomes(nodes[idx][0], items_at[idx])
+        profit, edges, _keys, stopped = outcomes(nodes[idx][0], batches[idx])
         kids = child_index[idx]
         if not kids:
             values[idx] = stopped
@@ -837,7 +823,7 @@ def _reconstruct(topology: Topology, run: ConfigDpResult, ranked: np.ndarray,
             best_state, best_value = state, value
     lap("rescore")
 
-    tree = materialize(table, topology, run.placements(best_state, nodes))
+    tree = materialize(table, topology, run.batches(best_state, nodes))
     if block_profit_exact(instance, tree) != best_value:
         raise StructuralError("the materialized tree does not score its "
                               "rescored value")
@@ -918,9 +904,13 @@ class PtasDiagnostics:
     best_topology: int = -1
     best_surrogate: float | None = None
     surrogate_gap: float | None = None
-    partial: bool = False
     seconds: dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
+
+    @property
+    def partial(self) -> bool:
+        """Whether some topology's DP hit the state cap and was skipped."""
+        return self.capacity_errors > 0
 
 
 @dataclass
@@ -1028,7 +1018,6 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
                 ranked, nodes = dp.candidates, None
             else:
                 diag.capacity_errors += 1
-                diag.partial = True
                 continue
             found[ti] = _reconstruct(topo, dp, ranked, nodes, knobs.top_k, lap)
             diag.completed += 1

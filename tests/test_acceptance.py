@@ -88,6 +88,10 @@ def test_configuration_dp_is_complete_at_zero_rounding_loss():
     report = suite_report("signatures")
     assert report.passed
     assert all(row["pass"] for row in report.rows)
+    # The seed-0 report bytes, pinned as the ``ptas_e2e`` ones are.  Every
+    # candidate is rescored here, so every one is traced back and checked.
+    digest = hashlib.sha256(report.to_jsonl().encode()).hexdigest()
+    assert digest == "23566726bb28dc652de5854ab07b6e138872440a7f8ac0fe041bcc8848c08cd0"
     assert report.wall_seconds < 60.0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from stochprobe import (
     Pmf,
     PolicyNode,
     ProblemSpec,
+    PtasDiagnostics,
     StructuralError,
     UsageError,
     block_leaf,
@@ -418,6 +420,18 @@ def test_cli_ptas_prints_surrogate_gap(tmp_path, capsys):
     assert main(["ptas", "--in", str(path), "--grid", "0.25", "--blocks", "2",
                  "--depth", "2"]) == 0
     assert isinstance(cli_json(capsys)["surrogate_gap"], float)
+
+
+def test_cli_ptas_prints_every_diagnostics_field(tmp_path, capsys):
+    _inst, path = small_kernel_doc(tmp_path)
+    assert main(["ptas", "--in", str(path), "--grid", "0.25", "--blocks", "2",
+                 "--depth", "2"]) == 0
+    doc = cli_json(capsys)
+    fields = {f.name for f in dataclasses.fields(PtasDiagnostics)}
+    assert {"best_topology", "best_surrogate"} <= fields
+    assert doc.keys() == fields | {"value", "partial"}
+    assert doc["partial"] is (doc["capacity_errors"] > 0)
+    assert doc["surrogate_gap"] == doc["best_surrogate"] - doc["value"]
 
 
 def test_cli_simulate_policy_tree(tmp_path, capsys):

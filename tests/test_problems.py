@@ -116,7 +116,7 @@ def test_discretize_size_li_splits_small_outcomes():
     # Outcome 0.01 sits below the cut 0.1, so it splits 0.1-vs-0.9 between
     # the cut and zero; the big outcome 0.5 is already on the grid.
     image, dmap = discretize_size_li(
-        pmf((0.01, 0.5), (0.5, 0.5)), 0.1, 0.05, 0.3)
+        pmf((0.01, 0.5), (0.5, 0.5)), 0.1, 0.05)
     assert dict(image.entries) == {
         0.0: pytest.approx(0.45, abs=1e-12),
         0.1: pytest.approx(0.05, abs=1e-12),
@@ -129,18 +129,18 @@ def test_discretize_size_li_splits_small_outcomes():
 
 def test_discretize_size_li_identity_on_lattice():
     src = pmf((0.0, 0.25), (0.1, 0.25), (0.5, 0.5))
-    image, _dmap = discretize_size_li(src, 0.1, 0.05, 0.3)
+    image, _dmap = discretize_size_li(src, 0.1, 0.05)
     assert dict(image.entries) == pytest.approx(dict(src.entries), abs=1e-15)
 
 
 def test_discretize_size_li_point_mass_zero():
-    image, _dmap = discretize_size_li(pmf((0.0, 1.0)), 0.1, 0.05, 0.3)
+    image, _dmap = discretize_size_li(pmf((0.0, 1.0)), 0.1, 0.05)
     assert image.entries == ((0.0, 1.0),)
 
 
 def test_discretize_size_li_rejects_step_over_cut():
     with pytest.raises(ParameterError):
-        discretize_size_li(pmf((0.5, 1.0)), 0.1, 0.2, 0.3)
+        discretize_size_li(pmf((0.5, 1.0)), 0.1, 0.2)
 
 
 def test_discretize_size_li_preserves_small_part_mean():
@@ -152,7 +152,7 @@ def test_discretize_size_li_preserves_small_part_mean():
         raw = g.uniform(0.1, 1.0, size=len(outcomes))
         probs = raw / raw.sum()
         src = Pmf(tuple(zip(outcomes, (float(p) for p in probs))))
-        _image, dmap = discretize_size_li(src, cut, step, 0.3)
+        _image, dmap = discretize_size_li(src, cut, step)
         small_src = sum(o * p for o, p in src.entries if o <= cut)
         small_img = sum(
             dmap.representatives[lvl] * m

@@ -78,9 +78,9 @@ def _units(run, ranked, nodes=None):
 
 
 def _traces(run, ranked, nodes=None):
-    """The same candidates traced back in table order, renamed onto
-    ``nodes``'s topology when it is given."""
-    return [run.placements(state, nodes) for state in np.sort(ranked).tolist()]
+    """The same candidates traced back into their batches in table order,
+    on ``nodes``'s topology when it is given."""
+    return [run.batches(state, nodes) for state in np.sort(ranked).tolist()]
 
 
 @pytest.fixture
@@ -164,8 +164,7 @@ def test_config_dp_single_block_unit_cap(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(_SolveTable(capped(two_probe_kernel, 1), 0.25, 1.0, 0.3), top)
     assert len(result.candidates) == 3  # empty, {a1}, {a2}
-    sizes = sorted(sum(len(p) for p in trace if p is not None)
-                   for trace in _traces(result, result.candidates))
+    sizes = sorted(sum(map(len, batches)) for batches in _traces(result, result.candidates))
     assert sizes == [0, 1, 1]
 
 
@@ -191,21 +190,16 @@ def test_config_dp_state_cap_overflow(two_probe_kernel):
 
 
 def test_config_dp_placements_reproduce_signatures(two_probe_kernel):
-    # Regrouping the per-group placements by node and re-summing the action
-    # signatures must land exactly on the unit tuples the DP recorded.
+    # Re-summing each node's batch of action signatures must land exactly
+    # on the unit tuples the DP recorded.
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     levels = [level for level, _, _ in top.nodes]
     run = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 1.0), top)
     units = _units(run, run.candidates).tolist()
-    for i, trace in enumerate(_traces(run, run.candidates)):
-        per_node: dict[int, list[str]] = {}
-        for placed in trace:
-            for node_idx, action_id in placed or ():
-                per_node.setdefault(node_idx, []).append(action_id)
+    for i, batches in enumerate(_traces(run, run.candidates)):
         for node_idx, sig_units in enumerate(units[i]):
-            rebuilt = block_signature(
-                two_probe_kernel, per_node.get(node_idx, []),
-                levels[node_idx], 0.25, 1.0)
+            rebuilt = block_signature(two_probe_kernel, batches[node_idx],
+                                      levels[node_idx], 0.25, 1.0)
             assert rebuilt == tuple(sig_units)
 
 
@@ -217,8 +211,8 @@ def test_config_dp_skip_keeps_its_traceback():
                   [0.0, 1.0], 2)
     run = config_dp(_SolveTable(inst, 0.25, 1.0, 1.0), Topology(0))
     traces = _traces(run, run.candidates)
-    one_item = [trace for trace in traces if sum(len(p) for p in trace if p) == 1]
-    assert one_item == [(((0, "a"),), None)]
+    one_item = [batches for batches in traces if sum(map(len, batches)) == 1]
+    assert one_item == [(("a",),)]
 
 
 def _reference_risk_share(instance, action_id, level, eps):
@@ -232,13 +226,18 @@ def _reference_risk_share(instance, action_id, level, eps):
     return min(math.ceil(mu * units / (eps * eps)), units)
 
 
-def _unwind(chain, group_count):
-    """A traceback chain unwound into per-group placements."""
+def _unwind(chain, group_count, node_count):
+    """A traceback chain unwound into per-group placements, then regrouped
+    into each node's items in group order."""
     trace = [None] * group_count
     while chain is not None:
         g, placement, chain = chain
         trace[g] = placement
-    return tuple(trace)
+    batches = [()] * node_count
+    for placement in trace:
+        for node_idx, action_id in placement or ():
+            batches[node_idx] += (action_id,)
+    return tuple(batches)
 
 
 def _reference_config_dp(instance, topology, grid, max_ref, eps, *,
@@ -351,7 +350,8 @@ def _reference_config_dp(instance, topology, grid, max_ref, eps, *,
     raw = b"".join(sums.to_bytes(sum_bytes, "little") for sums in kept)
     units = np.frombuffer(raw, slot_dtype).reshape(len(kept), n_nodes, width)
     return (units.dtype, units.tolist(),
-            [_unwind(chain, len(group_order)) for chain in kept.values()], explored)
+            [_unwind(chain, len(group_order), n_nodes) for chain in kept.values()],
+            explored)
 
 
 def test_config_dp_candidates_are_the_p1_feasible_configurations():
@@ -401,8 +401,8 @@ def test_config_dp_candidates_are_the_p1_feasible_configurations():
     assert len(set(got)) == len(got)
     assert set(got) == feasible
     assert shared > 0 and infeasible - feasible
-    for placements in _traces(run, run.candidates):
-        tree = materialize(solve_table, top, placements)
+    for batches in _traces(run, run.candidates):
+        tree = materialize(solve_table, top, batches)
         assert check_block_properties(inst, tree, eps, 2).p1_ok
 
 
@@ -528,8 +528,8 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
     ranked = []
     exact_value = ptas._exact_value
     monkeypatch.setattr(ptas, "_exact_value",
-                        lambda table, top, placements: ranked.append(placements)
-                        or exact_value(table, top, placements))
+                        lambda table, top, batches: ranked.append(batches)
+                        or exact_value(table, top, batches))
     cases = ties = 0
     for seed in range(40):
         q = 7 + seed % 4
@@ -559,14 +559,14 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
 
 
 def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
-    # Every ranked candidate's exact value, computed from its placements,
+    # Every ranked candidate's exact value, computed from its batches,
     # equals the value of the tree materialize builds from them.  Flat-heavy
     # rows put several items on one node, so batch prefixes matter.
     scored = []
     exact_value = ptas._exact_value
     monkeypatch.setattr(ptas, "_exact_value",
-                        lambda table, top, placements: scored.append(
-                            (placements, exact_value(table, top, placements)))
+                        lambda table, top, batches: scored.append(
+                            (batches, exact_value(table, top, batches)))
                         or scored[-1][1])
     cases = ties = multi = 0
     for seed in range(100, 116):
@@ -586,12 +586,11 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
                 tree, value, _surrogate = _reconstruct(top, result, result.candidates, None,
                                                        count)
                 assert len(scored) == count
-                for placements, got in scored:
-                    built = materialize(solve_table, top, placements)
+                for batches, got in scored:
+                    built = materialize(solve_table, top, batches)
                     want = block_profit_exact(inst, built)
                     assert got == want
-                    placed = [i for p in placements if p for i, _action in p]
-                    multi += len(placed) > len(set(placed))
+                    multi += max(map(len, batches)) > 1
                 assert value == max(got for _, got in scored)
                 cases += 1
                 units = _units(result, result.candidates)
@@ -819,8 +818,8 @@ def test_materialized_trees_validate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     solve_table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
     run = config_dp(solve_table, top)
-    for placements in _traces(run, run.candidates):
-        tree = materialize(solve_table, top, placements)
+    for batches in _traces(run, run.candidates):
+        tree = materialize(solve_table, top, batches)
         assert block_profit_exact(two_probe_kernel, tree) >= -1e-12
 
 
@@ -832,11 +831,33 @@ def test_materialize_keeps_leaves_for_outcomes_that_underflow():
                    act("b", "gb", {0: ((0, 1.0), (2, 1e-200))})], [0.0, 1.0, 2.0], 2)
     assert batch_masses_exact(inst, BlockNode(("a", "b"), 0))[0] == {1: 1.0, 2: 0.0}
     assert [j for j, _mass in ptas._outcomes(inst, 0, ("a", "b"))[1]] == [1, 0]
-    placements = (((0, "a"),), ((0, "b"),))
-    tree = materialize(_SolveTable(inst, 0.25, 1.0, 0.3), Topology(0), placements)
+    tree = materialize(_SolveTable(inst, 0.25, 1.0, 0.3), Topology(0), (("a", "b"),))
     assert list(tree.children) == [1, 2, 0]
     leaves = {j: block_leaf(j) for j in (1, 2, 0)}
     assert repr(tree) == repr(BlockNode(("a", "b"), 0, leaves))
+
+
+def test_a_node_holding_two_groups_sees_them_in_group_order():
+    # Group gz holds a, the smallest action id, so it is folded in before ga
+    # although its name sorts after.  Both items share the root, read off a
+    # cover whose other node stays empty; the batch probes a, then b, and
+    # the reversed batch is worth less.
+    inst = kernel([act("a", "gz", {0: ((0, 0.75), (1, 0.25))}, profit=0.5),
+                   act("b", "ga", {0: ((0, 0.5), (2, 0.5))}, profit=0.25)],
+                  [0.0, 1.0, 2.0], 2)
+    table = _SolveTable(inst, 0.25, 1.0, 1.0)
+    assert table.members == (("a",), ("b",))
+    run = config_dp(table, Topology(0, ((2, Topology(2)),)))
+    state = next(s for s in range(len(run.chains)) if sum(map(len, run.batches(s))) == 2)
+    assert run.batches(state) == (("a", "b"), ())
+    top = Topology(0)
+    batches = run.batches(state, (0,))
+    assert batches == (("a", "b"),)
+    tree = materialize(table, top, batches)
+    assert tree.items == ("a", "b")
+    value = ptas._exact_value(table, top, batches)
+    assert value == block_profit_exact(inst, tree) == run.exact_values([state])[0]
+    assert value > ptas._exact_value(table, top, (("b", "a"),))
 
 
 def test_topology_child_index():
@@ -1197,11 +1218,9 @@ def _check_signature_sums(levels, traced, sums_want, signature):
     rows: list[int] = []
     keys: dict[tuple[str, int], int] = {}  # (action, level) -> its signature row
     cols: list[int] = []
-    for r, placements in enumerate(traced):
-        for placement in placements:
-            if placement is None:
-                continue
-            for node_idx, action_id in placement:
+    for r, batches in enumerate(traced):
+        for node_idx, items in enumerate(batches):
+            for action_id in items:
                 rows.append(r * n_nodes + node_idx)
                 cols.append(keys.setdefault((action_id, levels[node_idx]), len(keys)))
     width = sums_want.shape[-1]
@@ -1222,18 +1241,15 @@ def _winner_reference(table, top, run, ranked, nodes, top_k):
         start = table.instance.start_level
         return repr(block_leaf(start)), table.instance.terminal[start], None
     states = ranked[:top_k].tolist()
-    traced = [run.placements(state) for state in states]
+    traced = [run.batches(state) for state in states]
     _check_signature_sums([level for level, _, _ in run.topology.nodes], traced,
                           run.sums[run.sum_ids[states]], table.signature)
     best, best_value = -1, float("-inf")
-    for i, placements in enumerate(traced):
-        value = ptas._exact_value(table, run.topology, placements)
+    for i, batches in enumerate(traced):
+        value = ptas._exact_value(table, run.topology, batches)
         if value > best_value:
             best, best_value = i, value
-    rename = {c: s for s, c in enumerate(nodes)}
-    placements = tuple(None if p is None else tuple((rename[c], a) for c, a in p)
-                       for p in traced[best])
-    tree = materialize(table, top, placements)
+    tree = materialize(table, top, tuple(traced[best][c] for c in nodes))
     return (repr(tree), best_value,
             float(run.surrogates[run.sum_ids[states[best]]]))
 
@@ -1421,7 +1437,7 @@ def test_the_traceback_check_bounds_each_nodes_items_by_the_horizon():
     chains[0] = (1, ((0, "z"),), None)
     changed = ConfigDpResult(table, top, result.sums, result.sum_ids, chains,
                              result.words, result.word_ids, result.states_explored)
-    assert changed.exact_values([0]) == [ptas._exact_value(table, top, (None, ((0, "z"),)))]
+    assert changed.exact_values([0]) == [ptas._exact_value(table, top, (("z",),))]
 
 
 def test_the_traceback_check_needs_slots_that_hold_horizon_times_each_unit(
@@ -1435,11 +1451,11 @@ def test_the_traceback_check_needs_slots_that_hold_horizon_times_each_unit(
     result = config_dp(table, top)
     assert result.sums.dtype == np.dtype("<u2")
     state = next(s for s in range(len(result.chains))
-                 if result.placements(s) == (((0, "a1"),), None))
+                 if result.batches(s) == (("a1",),))
     narrow = ConfigDpResult(table, top, result.sums.astype("<u1"), result.sum_ids,
                             result.chains, result.words, result.word_ids,
                             result.states_explored)
     with pytest.raises(StructuralError, match="does not fit"):
         narrow.exact_values([state])
     assert result.exact_values([state]) == [
-        ptas._exact_value(table, top, (((0, "a1"),), None))]
+        ptas._exact_value(table, top, (("a1",),))]
