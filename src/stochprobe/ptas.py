@@ -123,49 +123,46 @@ def enumerate_topologies(reach: Sequence[Sequence[int]], block_budget: int,
     (ascending keys, each at least ``L``; see ``level_reach``).  With every
     ``reach[L] = range(L, K)`` this is the full level enumeration; a
     narrower table yields the same topologies in the same order, minus
-    those with a child at a key outside the table.  Exceeding
-    ``TOPOLOGY_CAP`` raises a capacity error.
+    those with a child at a key outside the table.
+
+    Subtrees are built bottom-up, deepest tree depth first, once per
+    (level, depth) and shared.  Per level, ``tails[r]`` lists the child
+    tuples with ``r`` nodes over the keys folded in so far, last key
+    first: those that skip the key, then those that take it by child
+    size, child subtree and rest.  The result is the root's tables by
+    node count.  Each entry of one depth's tables extends to a topology
+    of its own, so ``CapacityError`` comes as soon as they would pass
+    ``TOPOLOGY_CAP``, before they are built.
     """
     if block_budget < 1 or depth_limit < 1:
         raise ParameterError("block_budget and depth_limit must be at least 1")
-    memo: dict[tuple[int, int, int], tuple[Topology, ...]] = {}
-    result: list[Topology] = []
-
-    def exact(level: int, nodes: int, depth: int) -> tuple[Topology, ...]:
-        """Topologies rooted at ``level`` with exactly ``nodes`` nodes."""
-        key = (level, nodes, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: list[Topology] = []
-        if nodes >= 1 and depth >= 1:
-            keys = reach[level]
-
-            def assign(i: int, remaining: int, acc: list[tuple[int, Topology]]) -> None:
-                if i == len(keys):
-                    if remaining == 0:
-                        out.append(Topology(level, tuple(acc)))
-                    return
-                assign(i + 1, remaining, acc)
-                if remaining > 0 and depth > 1:
-                    for size in range(1, remaining + 1):
-                        for sub in exact(keys[i], size, depth - 1):
-                            acc.append((keys[i], sub))
-                            assign(i + 1, remaining - size, acc)
-                            acc.pop()
-
-            assign(0, nodes - 1, [])
-        memo[key] = tuple(out)
-        return memo[key]
-
-    for n in range(1, block_budget + 1):
-        for topo in exact(start_level, n, depth_limit):
-            result.append(topo)
-            if len(result) > TOPOLOGY_CAP:
-                raise CapacityError(
-                    f"topology enumeration exceeded the cap of {TOPOLOGY_CAP}",
-                    states_explored=len(result))
-    return tuple(result)
+    levels = [[start_level]]
+    for _ in range(1, min(depth_limit, block_budget)):
+        levels.append(sorted({key for level in levels[-1] for key in reach[level]}))
+    # below[level][n]: the subtrees of n nodes rooted at ``level`` a depth down.
+    below: dict[int, list[list[Topology]]] = {}
+    for depth in reversed(range(len(levels))):
+        spares = range(block_budget - depth)
+        subtrees: dict[int, list[list[Topology]]] = {}
+        built = 0  # entries in this depth's tables
+        for level in levels[depth]:
+            tails: list[list[tuple]] = [[()]] + [[] for _ in spares[1:]]
+            built += 1
+            for key in reversed(reach[level] if depth + 1 < len(levels) else ()):
+                kids = below[key]
+                built += sum(len(kids[s]) * len(tails[r - s])
+                             for r in spares for s in range(1, r + 1))
+                if built > TOPOLOGY_CAP:
+                    raise CapacityError(
+                        f"topology enumeration exceeded the cap of {TOPOLOGY_CAP}",
+                        states_explored=built)
+                for r in reversed(spares):  # tails[r - s] are not grown yet
+                    tails[r] += [((key, sub),) + rest for s in range(1, r + 1)
+                                 for sub in kids[s] for rest in tails[r - s]]
+            subtrees[level] = [[]] + [[Topology(level, tail) for tail in table]
+                                      for table in tails]
+        below = subtrees
+    return tuple(top for tops in below[start_level] for top in tops)
 
 
 # --- configuration DP -------------------------------------------------------
@@ -806,8 +803,6 @@ def _reconstruct(topology: Topology, run: ConfigDpResult, ranked: np.ndarray,
     is materialized, on ``topology``; its tree must score that value under
     ``block_profit_exact``, else ``StructuralError``.
     """
-    if top_k < 1:
-        raise ParameterError("top_k must be at least 1")
     table = run.table
     instance = table.instance
     start = instance.start_level
@@ -969,6 +964,9 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         raise ParameterError("eps must lie in (0, 1]")
     if knobs.grid <= 0.0:
         raise ParameterError("grid must be positive")
+    for name in ("top_k", "block_budget", "depth_limit", "state_cap"):
+        if getattr(knobs, name) < 1:
+            raise ParameterError(f"{name} must be at least 1")
     max_ref = estimate_max(instance, knobs.max_hint)
     max_ref_source = knobs.max_hint
     if max_ref <= 0.0:

@@ -160,6 +160,125 @@ def test_topologies_count_cap_overflow(monkeypatch):
         enumerate_topologies(all_levels(4), 8, 6, 0)
 
 
+def _recursive_topologies(reach, block_budget, depth_limit, start_level):
+    """Reference enumeration: a depth-first search over each node's keys in
+    ascending order, memoized per (level, nodes, depth), that checks the
+    cap only as complete topologies come out."""
+    if block_budget < 1 or depth_limit < 1:
+        raise ParameterError("block_budget and depth_limit must be at least 1")
+    memo = {}
+    result = []
+
+    def exact(level, nodes, depth):
+        key = (level, nodes, depth)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        out = []
+        if nodes >= 1 and depth >= 1:
+            keys = reach[level]
+
+            def assign(i, remaining, acc):
+                if i == len(keys):
+                    if remaining == 0:
+                        out.append(Topology(level, tuple(acc)))
+                    return
+                assign(i + 1, remaining, acc)
+                if remaining > 0 and depth > 1:
+                    for size in range(1, remaining + 1):
+                        for sub in exact(keys[i], size, depth - 1):
+                            acc.append((keys[i], sub))
+                            assign(i + 1, remaining - size, acc)
+                            acc.pop()
+
+            assign(0, nodes - 1, [])
+        memo[key] = tuple(out)
+        return memo[key]
+
+    for n in range(1, block_budget + 1):
+        for topo in exact(start_level, n, depth_limit):
+            result.append(topo)
+            if len(result) > ptas.TOPOLOGY_CAP:
+                raise CapacityError("topology enumeration exceeded the cap",
+                                    states_explored=len(result))
+    return tuple(result)
+
+
+def _enumerated_or_capped(enumerate_, *args):
+    try:
+        return enumerate_(*args)
+    except CapacityError:
+        return "capacity"
+
+
+def test_topologies_match_the_recursive_reference(monkeypatch):
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(300):
+        K = int(rng.integers(1, 8))
+        reach = tuple(tuple(j for j in range(level, K) if rng.random() < 0.6)
+                      for level in range(K))
+        cases.append((reach, int(rng.integers(1, 7)), int(rng.integers(1, 8)),
+                      int(rng.integers(0, K))))
+    cases += [(all_levels(K), budget, depth, 0)
+              for K in (1, 3, 5) for budget in (1, 4, 6) for depth in (1, 3, 7)]
+    suite = [_e2e_shaped(seed, *shape)[0]
+             for seed, shape in enumerate(((5, 2, 4, 8), (6, 2, 3, 4), (4, 3, 3, 4)))]
+    suite += [_probemax_13(seed)[0] for seed in range(3)]
+    suite += [gen_random_kernel(seed, GenParams(n=3, levels=4, q=7)) for seed in range(3)]
+    cases += [(level_reach(inst), budget, depth, inst.start_level)
+              for inst in suite for budget, depth in ((6, 4), (4, 3), (3, 5))]
+    capped_some = False
+    for case in cases:
+        want = _recursive_topologies(*case)
+        assert enumerate_topologies(*case) == want
+        # A cap just under the count must stop both; at the count neither.
+        for cap in {max(1, len(want) - 1), len(want)}:
+            monkeypatch.setattr(ptas, "TOPOLOGY_CAP", cap)
+            got = _enumerated_or_capped(enumerate_topologies, *case)
+            assert got == _enumerated_or_capped(_recursive_topologies, *case)
+            capped_some |= got == "capacity"
+        monkeypatch.undo()
+    assert capped_some
+
+
+def test_topologies_of_a_row_reaching_1200_levels():
+    # One node with more child keys than Python's recursion limit.
+    n = 1200
+    inst = kernel([act("a", "g", {0: tuple((j, 1 / n) for j in range(n))})],
+                  list(range(n)), 1)
+    res = solve_ptas(inst, PtasKnobs(eps=0.3, grid=2 ** -11, block_budget=1,
+                                     depth_limit=1))
+    assert res.value == 599.5
+    assert res.value == block_profit_exact(inst, res.tree)
+    assert enumerate_topologies(level_reach(inst), 2, 2, 0)[1:] == tuple(
+        Topology(0, ((j, Topology(j)),)) for j in reversed(range(n)))
+
+
+@pytest.mark.parametrize("reach, block_budget, depth_limit", [
+    # One level whose pairs of children pass the cap.
+    ((tuple(range(150)),) + ((),) * 149, 3, 2),
+    # A hundred levels one depth down, each with fewer subtrees than the
+    # cap, but more than it together.
+    ((tuple(range(1, 101)),) + tuple(tuple(range(level, 101)) for level in range(1, 101)),
+     3, 3),
+])
+def test_topology_cap_raises_before_the_topologies_are_built(monkeypatch, reach,
+                                                             block_budget, depth_limit):
+    built = []
+
+    class Counted(Topology):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(ptas, "Topology", Counted)
+    monkeypatch.setattr(ptas, "TOPOLOGY_CAP", 200)
+    with pytest.raises(CapacityError):
+        enumerate_topologies(reach, block_budget, depth_limit, 0)
+    assert 0 < len(built) < 3 * 200
+
+
 def test_config_dp_single_block_unit_cap(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     result = config_dp(_SolveTable(capped(two_probe_kernel, 1), 0.25, 1.0, 0.3), top)
@@ -788,6 +907,27 @@ def test_solve_zero_caps_is_noop(witness_spec):
     knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4)
     res = solve_ptas(dataclasses.replace(inst, horizon=0), knobs)
     assert res.value == pytest.approx(inst.terminal[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("horizon, knob, value", [
+    (None, "top_k", 0), (0, "top_k", 0), (None, "block_budget", 0), (0, "block_budget", 0),
+    (None, "depth_limit", 0), (0, "depth_limit", -1), (None, "state_cap", 0),
+    (0, "state_cap", 0), (None, "eps", 0.0), (None, "grid", 0.0)])
+def test_solve_checks_every_knob_before_any_work(witness_spec, monkeypatch, horizon, knob,
+                                                  value):
+    inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
+    if horizon is not None:
+        inst = dataclasses.replace(inst, horizon=horizon)
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before every knob was checked")
+
+    monkeypatch.setattr(ptas, "estimate_max", no_work)
+    monkeypatch.setattr(ptas, "config_dp", no_work)
+    knobs = dataclasses.replace(
+        PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4), **{knob: value})
+    with pytest.raises(ParameterError):
+        solve_ptas(inst, knobs)
 
 
 def test_solve_survives_per_topology_capacity_errors(witness_spec):
