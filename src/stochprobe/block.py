@@ -131,49 +131,52 @@ def batch_outcomes(instance: Instance, node: BlockNode, masses: Callable
     return profit, outcomes, outcomes
 
 
-def block_edges(instance: Instance, node: BlockNode, masses: Callable
-                ) -> tuple[float, list[tuple[float, BlockNode]]]:
-    """The batch profit of an internal block and its (mass, child) edges
-    under ``masses``, in ``batch_outcomes`` order.
-
-    This is where block trees are checked: every outcome of positive mass
-    needs a child whose entry level equals its key.  Children no outcome
-    reaches are allowed, since materialized topologies keep them.
-    """
-    profit, outcomes, _all = batch_outcomes(instance, node, masses)
-    edges = []
-    for j, mass in outcomes:
-        child = node.children.get(j)
-        if child is None:
-            raise StructuralError(f"block at level {node.level} lacks a child for level {j}")
-        if child.level != j:
-            raise StructuralError(f"block child keyed {j} carries entry level {child.level}")
-        edges.append((mass, child))
-    return profit, edges
-
-
 def walk_blocks(instance: Instance, tree: BlockNode, masses: Callable, state: object = None,
                 step: Callable | None = None
                 ) -> Iterator[tuple[BlockNode, float | None, list[tuple[float, BlockNode]], object]]:
     """Checked preorder walk of a block tree, without recursion.
 
-    Yields (node, profit, edges, state) for every node the walk reaches,
-    with ``profit`` and ``edges`` as ``block_edges`` gives them; a leaf has
-    profit None and no edges.  ``state`` and ``step`` work as in
-    ``model.walk_policy``, except that ``step(node, profit, edges, state)``
-    may also return the node itself, which is then visited again with the
-    same edges.
+    Yields (node, profit, edges, state) for every node the walk reaches:
+    an internal block's batch profit under ``masses`` and its (mass,
+    child) edges in ``batch_outcomes`` order; a leaf has profit None and
+    no edges.  ``state`` and ``step`` work as in ``model.walk_policy``,
+    except that ``step(node, profit, edges, state)`` may also return the
+    node itself, which is then visited again with the same edges.
+
+    This is where block trees are checked, on every node: every outcome
+    of positive mass needs a child whose entry level equals its key, and
+    a leaf carries no items.  Children no outcome reaches are allowed,
+    since materialized topologies keep them.  The walk computes
+    ``batch_outcomes`` once per distinct (level, items) batch, in a dict
+    that lives as long as the walk; nothing is kept across calls.
     """
+    batches: dict[tuple[int, tuple[str, ...]], tuple] = {}
     stack: list = [(tree, state, None)]
     push = stack.append
     while stack:
         node, state, known = stack.pop()
-        if node.is_leaf:
+        children = node.children
+        if not children:
             if node.items:
                 raise StructuralError("batch node without children")
             yield node, None, (), state
             continue
-        profit, edges = known or block_edges(instance, node, masses)
+        if known is None:
+            key = (node.level, node.items)
+            found = batches.get(key)
+            if found is None:
+                found = batches[key] = batch_outcomes(instance, node, masses)
+            profit, outcomes, _all = found
+            edges = []
+            for j, mass in outcomes:
+                child = children.get(j)
+                if child is None:
+                    raise StructuralError(f"block at level {node.level} lacks a child for level {j}")
+                if child.level != j:
+                    raise StructuralError(f"block child keyed {j} carries entry level {child.level}")
+                edges.append((mass, child))
+        else:
+            profit, edges = known
         yield node, profit, edges, state
         if step is None:
             for _, child in reversed(edges):
@@ -261,6 +264,8 @@ def blockify(instance: Instance, policy_tree: PolicyNode, eps: float, max_ref: f
     values = subtree_values(instance, policy_tree)
     spread_cap = eps * eps * max_ref
     mu_cap = eps * eps
+    # Risk mass by level, then action: each row is read once per call.
+    risks: dict[int, dict[str, float]] = {}
 
     # Chain starts in discovery order: the root, then the up-children each
     # start's segments route to (``starts`` grows as the loop runs).  A
@@ -272,24 +277,56 @@ def blockify(instance: Instance, policy_tree: PolicyNode, eps: float, max_ref: f
     plans = []
     for start in starts:
         level = start.level
-        chain: list[PolicyNode] = []
+        risk = risks.setdefault(level, {})
+        # Per segment its items and up-children by level; a node joins the
+        # open segment when the summed risk mass and, per child level, the
+        # spread [lo, hi] of child subtree values stay within their caps.
+        segments: list[tuple[list[str], dict[int, PolicyNode]]] = []
+        mu = 0.0
         node = start
-        while node is not None and not node.is_leaf:
-            chain.append(node)
-            node = node.children.get(level)
-        segments = []
-        for seg in _segment(instance, chain, values, level, spread_cap, mu_cap):
-            targets: dict[int, PolicyNode] = {}
-            for u in seg:  # later nodes overwrite: deepest wins
-                for j, child in u.children.items():
-                    if j != level:
-                        targets[j] = child
+        while node is not None and node.action is not None:
+            action = node.action
+            mu_u = risk.get(action)
+            if mu_u is None:
+                mu_u = risk[action] = instance.action(action).rows[level].risk_mass(level)
+            children = node.children
+            fits = bool(segments) and mu + mu_u <= mu_cap
+            if fits:
+                for j, child in children.items():
+                    v = values[id(child)]
+                    low = lo.get(j, v)
+                    high = hi.get(j, v)
+                    if v < low:
+                        low = v
+                    if v > high:
+                        high = v
+                    if high - low > spread_cap:
+                        fits = False
+                        break
+                    lo[j] = low
+                    hi[j] = high
+            if fits:
+                items.append(action)
+                mu += mu_u
+            else:
+                items = [action]
+                targets: dict[int, PolicyNode] = {}
+                segments.append((items, targets))
+                mu = mu_u
+                lo = {j: values[id(child)] for j, child in children.items()}
+                hi = dict(lo)
+            for j, child in children.items():  # later nodes overwrite: deepest wins
+                if j != level:
+                    targets[j] = child
+            node = children.get(level)
+        planned = []
+        for items, targets in segments:
             up = {}
             for j, target in targets.items():
                 up[j] = len(starts)
                 starts.append(target)
-            segments.append((tuple(u.action for u in seg), up))
-        plans.append((level, None if node is None else node.level, segments))
+            planned.append((tuple(items), up))
+        plans.append((level, None if node is None else node.level, planned))
 
     blocks: list[BlockNode | None] = [None] * len(starts)
     for k in reversed(range(len(starts))):
@@ -302,36 +339,3 @@ def blockify(instance: Instance, policy_tree: PolicyNode, eps: float, max_ref: f
             block = BlockNode(items, level, children)
         blocks[k] = block
     return blocks[0]
-
-
-def _segment(instance: Instance, chain: list[PolicyNode], values: dict[int, float],
-             level: int, spread_cap: float, mu_cap: float) -> list[list[PolicyNode]]:
-    segments: list[list[PolicyNode]] = []
-    lo: dict[int, float] = {}
-    hi: dict[int, float] = {}
-    mu = 0.0
-    for u in chain:
-        row = instance.action(u.action).rows[level]
-        mu_u = row.risk_mass(level)
-        child_vals = {j: values[id(c)] for j, c in u.children.items()}
-        if segments:
-            ok = mu + mu_u <= mu_cap
-            if ok:
-                for j, v in child_vals.items():
-                    new_lo = min(lo.get(j, v), v)
-                    new_hi = max(hi.get(j, v), v)
-                    if new_hi - new_lo > spread_cap:
-                        ok = False
-                        break
-            if ok:
-                segments[-1].append(u)
-                mu += mu_u
-                for j, v in child_vals.items():
-                    lo[j] = min(lo.get(j, v), v)
-                    hi[j] = max(hi.get(j, v), v)
-                continue
-        segments.append([u])
-        mu = mu_u
-        lo = dict(child_vals)
-        hi = dict(child_vals)
-    return segments

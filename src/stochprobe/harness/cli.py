@@ -3,6 +3,9 @@
 Subcommands cover the full workflow: generate a spec, compile and solve
 it exactly, run the approximation pipeline, score baselines, replay a
 policy by sampling, run an acceptance suite, and validate a document.
+``simulate`` checks a policy document with ``validate_policy_tree``
+before it replays it, so an infeasible policy exits 2; a block document
+gets only the checks of the block walk.
 Exit codes: 0 success, 1 failed assertion or non-compliant input, 2
 usage, malformed input or any other package error (a
 ``StochprobeError``), 3 capacity overrun, including input nested deeper
@@ -20,7 +23,8 @@ import sys
 
 from ..exact import optimal_policy, solve
 from ..exceptions import CapacityError, StochprobeError, UsageError
-from ..model import Instance, evaluate_policy, validate_instance
+from ..model import (Instance, PolicyNode, evaluate_policy, validate_instance,
+                     validate_policy_tree)
 from ..problems import (ProblemSpec, build_committed, build_probemax,
                         build_probetopk, build_sbk, build_target, expected_max,
                         greedy_probemax, sbk_from_skp, skp_kernel, weitzman)
@@ -140,6 +144,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_kernel(args.path)
     policy = parse_policy_or_block(_read(args.policy))
+    if isinstance(policy, PolicyNode):
+        validate_policy_tree(instance, policy)
     result = simulate(instance, policy, seed=args.seed, trials=args.trials)
     _emit({"mean": result.mean, "half_width": result.half_width,
            "trials": result.trials})

@@ -263,65 +263,88 @@ def serialize_instance(instance: Instance) -> str:
     return _dumps(doc)
 
 
-def _policy_node(row: list, where: str, children: dict[int, PolicyNode]) -> PolicyNode:
-    if row[0] is not None:
-        _str(row[0], f"{where}.action")
-    return PolicyNode(row[0], _int(row[1], f"{where}.level"), _int(row[2], f"{where}.t"),
-                      children)
-
-
-def _block_node(row: list, where: str, children: dict[int, BlockNode]) -> BlockNode:
-    items = _list(row[0], f"{where}.items", _str, "action ids")
-    return BlockNode(items, _int(row[1], f"{where}.level"), children)
-
-
-#: Per tree kind: the document key, the node fields a row holds before its
-#: parent's row index, and the parser that makes the node of a row.
-_TREES: dict[type, tuple[str, tuple[str, ...], Callable]] = {
-    PolicyNode: ("policy", ("action", "level", "t"), _policy_node),
-    BlockNode: ("blocks", ("items", "level"), _block_node),
+#: Per tree kind: the document key and the node fields a row holds before
+#: its parent's row index.
+_TREES: dict[type, tuple[str, tuple[str, ...]]] = {
+    PolicyNode: ("policy", ("action", "level", "t")),
+    BlockNode: ("blocks", ("items", "level")),
 }
 
 
 def _serialize_tree(tree: PolicyNode | BlockNode, kind: type) -> str:
-    key, fields, _ = _TREES[kind]
+    key = _TREES[kind][0]
+    policy = kind is PolicyNode
     rows: list[list[object]] = []
     stack = [(tree, -1)]
     while stack:
         node, parent = stack.pop()
-        rows.append([getattr(node, name) for name in fields] + [parent])
-        for j, child in sorted(node.children.items(), reverse=True):
-            if child.level != j:
-                raise StructuralError(f"child keyed {j} carries entry level {child.level}")
-            stack.append((child, len(rows) - 1))
+        if policy:
+            rows.append([node.action, node.level, node.t, parent])
+        else:
+            rows.append([node.items, node.level, parent])
+        if node.children:
+            index = len(rows) - 1
+            for j, child in sorted(node.children.items(), reverse=True):
+                if child.level != j:
+                    raise StructuralError(f"child keyed {j} carries entry level {child.level}")
+                stack.append((child, index))
     return _dumps({key: rows})
 
 
 def _parse_tree(obj: Mapping[str, object], kind: type) -> Any:
-    """Rows after the first go into their parent's children, keyed by entry level."""
-    key, fields, node_of = _TREES[kind]
+    """One checked pass over the rows: each row after the first goes into
+    its parent's children, keyed by entry level.
+
+    Every row is checked for its length, its parent (an earlier row, -1
+    for the root), its field types and a repeated child level; a failed
+    check names the field, as in ``policy[3].level``.  That field path is
+    built only when a check fails, and nothing is kept across calls.
+    """
+    key, fields = _TREES[kind]
     unknown = sorted(set(obj) - {key})
     if unknown:
         _fail(unknown[0], "unknown field")
     rows = obj.get(key)
-    if not isinstance(rows, list) or not rows:
+    if type(rows) is not list or not rows:
         _fail(key, "expected a non-empty list of rows")
+    policy = kind is PolicyNode
+    width = len(fields) + 1
     kids: list[dict[int, Any]] = []
     for i, row in enumerate(rows):
-        where = f"{key}[{i}]"
-        if not isinstance(row, list) or len(row) != len(fields) + 1:
-            _fail(where, f"expected [{', '.join(fields)}, parent]")
-        parent = _int(row[-1], f"{where}.parent")
+        if type(row) is not list or len(row) != width:
+            _fail(f"{key}[{i}]", f"expected [{', '.join(fields)}, parent]")
+        parent = row[-1]
+        if type(parent) is not int:
+            parent = _int(parent, f"{key}[{i}].parent")
         if not (parent == -1 if i == 0 else 0 <= parent < i):
-            _fail(f"{where}.parent", f"expected {-1 if i == 0 else 'an earlier row'}, got {parent}")
-        kids.append({})
-        node = node_of(row, where, kids[-1])
+            _fail(f"{key}[{i}].parent", f"expected {-1 if i == 0 else 'an earlier row'}, got {parent}")
+        children: dict[int, Any] = {}
+        kids.append(children)
+        if policy:
+            action, level, t = row[0], row[1], row[2]
+            if action is not None and type(action) is not str:
+                action = _str(action, f"{key}[{i}].action")
+            if type(level) is not int:
+                level = _int(level, f"{key}[{i}].level")
+            if type(t) is not int:
+                t = _int(t, f"{key}[{i}].t")
+            node = PolicyNode(action, level, t, children)
+        else:
+            items, level = row[0], row[1]
+            if type(items) is list and all(type(item) is str for item in items):
+                items = tuple(items)
+            else:
+                items = _list(items, f"{key}[{i}].items", _str, "action ids")
+            if type(level) is not int:
+                level = _int(level, f"{key}[{i}].level")
+            node = BlockNode(items, level, children)
         if i == 0:
             root = node
-        elif node.level in kids[parent]:
-            _fail(f"{where}.level", f"row {parent} already has a child at level {node.level}")
         else:
-            kids[parent][node.level] = node
+            siblings = kids[parent]
+            if level in siblings:
+                _fail(f"{key}[{i}].level", f"row {parent} already has a child at level {level}")
+            siblings[level] = node
     return root
 
 

@@ -215,62 +215,62 @@ def validate_instance(instance: Instance) -> ComplianceReport:
     return ComplianceReport(tuple(found), not found)
 
 
-def policy_edges(instance: Instance, node: PolicyNode) -> tuple[TransitionRow, list[PolicyNode]]:
-    """The row of an internal node and the children it reaches:
-    ``children[i]`` follows the outcome ``row.support[i]``.
-
-    This is where policy trees are checked: the row must exist, every
-    positive-mass outcome needs a child whose entry level equals its key,
-    and no child may sit at a level outside the row.  Children at
-    zero-mass outcomes of the row are allowed and never visited.
-    """
-    row = instance.action(node.action).rows.get(node.level)
-    if row is None:
-        raise StructuralError(f"action {node.action!r} has no row at level {node.level}")
-    children = node.children
-    reached = []
-    for j, _ in row.support:
-        child = children.get(j)
-        if child is None:
-            raise StructuralError(
-                f"node probing {node.action!r} at level {node.level} lacks a child for level {j}")
-        if child.level != j:
-            raise StructuralError(f"child keyed {j} carries entry level {child.level}")
-        reached.append(child)
-    if len(children) > len(reached):
-        for j in children:
-            if j not in row.mass_at:
-                raise StructuralError(
-                    f"node probing {node.action!r} at level {node.level} has a stray child at level {j}")
-    return row, reached
-
-
 def walk_policy(instance: Instance, tree: PolicyNode, state: object = None,
                 step: Callable | None = None
                 ) -> Iterator[tuple[PolicyNode, TransitionRow | None, Sequence[PolicyNode], object]]:
     """Checked preorder walk of a policy tree, without recursion.
 
-    Yields (node, row, children, state) for every node the walk reaches,
-    with ``row`` and ``children`` as ``policy_edges`` gives them; a leaf
-    has row None and no children.  By default every child is visited, in
-    row order, and the state stays None.  ``step(node, row, children,
-    state)`` instead returns the (child, state) pairs to visit next, in
-    visiting order; a child it leaves out is not visited.
+    Yields (node, row, children, state) for every node the walk reaches;
+    a leaf has row None and no children.  An internal node's
+    ``children[i]`` follows the outcome ``row.support[i]``.  By default
+    every child is visited, in row order, and the state stays None.
+    ``step(node, row, children, state)`` instead returns the (child,
+    state) pairs to visit next, in visiting order; a child it leaves out
+    is not visited.
+
+    This is where policy trees are checked, on every node: the row must
+    exist, every positive-mass outcome needs a child whose entry level
+    equals its key, and no child may sit at a level outside the row.
+    Children at zero-mass outcomes of the row are allowed and never
+    visited.  The walk looks up each distinct action's rows once, in a
+    dict that lives as long as the walk; nothing is kept across calls.
     """
+    rows_of: dict[str, Mapping[int, TransitionRow]] = {}
     stack = [(tree, state)]
     push = stack.append
     while stack:
         node, state = stack.pop()
-        if node.action is None:
+        action = node.action
+        if action is None:
             yield node, None, (), state
             continue
-        row, children = policy_edges(instance, node)
-        yield node, row, children, state
+        rows = rows_of.get(action)
+        if rows is None:
+            rows = rows_of[action] = instance.action(action).rows
+        row = rows.get(node.level)
+        if row is None:
+            raise StructuralError(f"action {action!r} has no row at level {node.level}")
+        children = node.children
+        reached = []
+        for j, _ in row.support:
+            child = children.get(j)
+            if child is None:
+                raise StructuralError(
+                    f"node probing {action!r} at level {node.level} lacks a child for level {j}")
+            if child.level != j:
+                raise StructuralError(f"child keyed {j} carries entry level {child.level}")
+            reached.append(child)
+        if len(children) > len(reached):
+            for j in children:
+                if j not in row.mass_at:
+                    raise StructuralError(
+                        f"node probing {action!r} at level {node.level} has a stray child at level {j}")
+        yield node, row, reached, state
         if step is None:
-            for child in reversed(children):
+            for child in reversed(reached):
                 push((child, None))
         else:
-            stack.extend(reversed(step(node, row, children, state)))
+            stack.extend(reversed(step(node, row, reached, state)))
 
 
 def walk_policy_reversed(instance: Instance, tree: PolicyNode, state: object = None,

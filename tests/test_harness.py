@@ -446,6 +446,23 @@ def test_cli_simulate_policy_tree(tmp_path, capsys):
     assert abs(doc["mean"] - optimal_value(inst)) <= 2.0 * width
 
 
+def test_cli_simulate_rejects_an_infeasible_policy(tmp_path, capsys):
+    # Action a probed again below itself: every node checks out, the path does not.
+    inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))}, profit=1.0)], [0.0, 1.0], 3)
+    path = tmp_path / "kernel.json"
+    path.write_text(serialize_instance(inst))
+    doc = {"policy": [["a", 0, 1, -1], ["a", 0, 2, 0], [None, 1, 2, 0],
+                      [None, 0, 3, 1], [None, 1, 3, 1]]}
+    with pytest.raises(StructuralError, match="action 'a' repeats along a path"):
+        validate_policy_tree(inst, parse_policy(json.dumps(doc)))
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--in", str(path), "--policy", str(policy_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: action 'a' repeats along a path\n"
+
+
 def test_cli_check_passes_compliant_kernel(tmp_path, capsys):
     _inst, path = small_kernel_doc(tmp_path)
     assert main(["check", "--in", str(path)]) == 0
