@@ -8,7 +8,8 @@ before it replays it, so an infeasible policy exits 2; a block document
 gets only the checks of the block walk.
 Exit codes: 0 success, 1 failed assertion or non-compliant input, 2
 usage, malformed input or any other package error (a
-``StochprobeError``), 3 capacity overrun, including input nested deeper
+``StochprobeError``), such as a refused ``suite --set`` override or an
+unwritable ``--out`` path; 3 capacity overrun, including input nested deeper
 than Python's recursion limit (a RecursionError from JSON decoding).
 Policy and block documents are flat tables, so only nested non-tree
 JSON, such as a deeply nested ``meta``, gets there.
@@ -33,7 +34,7 @@ from .gen import GenParams, gen_random
 from .io import (parse_instance, parse_policy_or_block, serialize_block_tree,
                  serialize_instance, serialize_spec)
 from .sim import simulate
-from .suites import SUITES, RunConfig, run_suite
+from .suites import SUITES, RunConfig, _write_text, run_suite
 
 __all__ = ["main"]
 
@@ -50,8 +51,7 @@ def _write_out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, text)
 
 
 def _emit(doc: dict[str, object]) -> None:
@@ -102,10 +102,10 @@ def _cmd_ptas(args: argparse.Namespace) -> int:
     knobs = PtasKnobs(eps=args.eps, grid=args.grid, block_budget=args.blocks,
                       depth_limit=args.depth, top_k=args.topk)
     result = solve_ptas(instance, knobs)
-    diag = result.diagnostics
-    _emit({"value": result.value, **dataclasses.asdict(diag), "partial": diag.partial})
     if args.out:
         _write_out(serialize_block_tree(result.tree), args.out)
+    diag = result.diagnostics
+    _emit({"value": result.value, **dataclasses.asdict(diag), "partial": diag.partial})
     return 0
 
 

@@ -110,7 +110,7 @@ def _ratio(value: float, opt: float) -> float:
 
 
 def _count(config: RunConfig, default: int) -> int:
-    return int(config.overrides.get("count", default))
+    return config.overrides.get("count", default)
 
 
 def _child(g) -> int:
@@ -616,14 +616,38 @@ SUITES: dict[str, Callable[[RunConfig], tuple[list[Row], dict[str, object]]]] = 
     "baselines": _suite_baselines,
 }
 
+#: The overrides each suite reads.
+_READS = {**dict.fromkeys(SUITES, ("count",)), "baselines": (),
+          **dict.fromkeys(("lemma31", "alg1", "target"), ("count", "eps"))}
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; ``UsageError`` where it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
 
 def run_suite(config: RunConfig) -> Report:
     """Run one suite and optionally write the JSONL report (at ``out``)
-    and the rendered table (at ``out`` + ".txt")."""
+    and the rendered table (at ``out`` + ".txt").  Overrides the suite
+    does not read, a ``count`` below 1 or not an integer and an ``eps``
+    outside (0, 1] are refused before it runs."""
     fn = SUITES.get(config.suite)
     if fn is None:
         raise UsageError(f"unknown suite {config.suite!r}; choose from "
                          + ", ".join(sorted(SUITES)))
+    reads = _READS[config.suite]
+    for key, value in config.overrides.items():
+        if key not in reads:
+            raise UsageError(f"suite {config.suite} reads no override {key!r}; it reads: "
+                             + (", ".join(reads) or "none"))
+        if key == "count" and not (type(value) is int and value >= 1):
+            raise ParameterError(f"count must be an integer of at least 1, got {value!r}")
+        if key == "eps" and not (type(value) in (int, float) and 0.0 < value <= 1.0):
+            raise ParameterError(f"eps must be a number in (0, 1], got {value!r}")
     start = time.perf_counter()
     rows, summary = fn(config)
     wall = time.perf_counter() - start
@@ -632,8 +656,6 @@ def run_suite(config: RunConfig) -> Report:
     report = Report(suite=config.suite, seed=config.seed, rows=rows,
                     summary=summary, passed=passed, wall_seconds=wall)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_jsonl())
-        with open(config.out + ".txt", "w", encoding="utf-8") as fh:
-            fh.write(report.to_table())
+        _write_text(config.out, report.to_jsonl())
+        _write_text(config.out + ".txt", report.to_table())
     return report

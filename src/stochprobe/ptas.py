@@ -11,8 +11,8 @@ other extends and read off by every topology it extends.  Each run's
 configurations are ranked once by a batched surrogate, and every topology
 read off the run takes its own from that order; only the most promising are
 traced back into per-node batches, checked against their unit sums and
-valued exactly once per run, and the best of them is built into a concrete
-block tree.
+valued exactly once per run.  Only the solve's winner is built into a
+concrete block tree, once, and that tree is checked to score its value.
 """
 
 from __future__ import annotations
@@ -681,8 +681,7 @@ def materialize(table: _SolveTable, topology: Topology, batches: Batches) -> Blo
     Each node holds its batch, items in group-processing order;
     transitions the items can realize but the topology does not cover
     become terminal leaves, and a node that can stay flat keeps a flat
-    child.  Each node's
-    outcome keys come from the table's ``outcomes``.
+    child.  Each node's outcome keys come from the table's ``outcomes``.
     """
     nodes = topology.nodes
 
@@ -782,48 +781,23 @@ def _covers(topologies: Sequence[Topology]) -> list[tuple[int, tuple[int, ...]]]
 _STAGES = ("enumerate", "dp", "rank", "rescore", "materialize")
 
 
-def _reconstruct(topology: Topology, run: ConfigDpResult, ranked: np.ndarray,
-                 nodes: tuple[int, ...] | None, top_k: int,
-                 lap: Callable[[str], None] = lambda _stage: None
-                 ) -> tuple[BlockNode, float, float | None]:
-    """Rescore the top-k candidates of ``topology`` exactly and return the
-    best as (tree, value, its surrogate value); with no candidates, the
-    do-nothing policy and no surrogate.  ``lap`` is called with each
-    stage's name ("rank", "rescore", "materialize") as it ends.
-
-    ``ranked`` holds final state ids of ``run``, a run of ``topology`` or
-    of one it is a sub-topology of, by descending surrogate, as
-    ``ConfigDpResult.project`` reads them off with the node map ``nodes``
-    (None for the run's own topology).  Only the ``top_k`` best are traced
-    back, checked to reproduce their unit sums and valued by
-    ``_exact_value`` in the run's topology, without building a tree, each
-    once per run (a node left empty passes its entry level's value
-    through, so the value is the same in every topology read off the
-    run).  The first strictly best exact value wins, and only the winner
-    is materialized, on ``topology``; its tree must score that value under
-    ``block_profit_exact``, else ``StructuralError``.
-    """
-    table = run.table
-    instance = table.instance
-    start = instance.start_level
+def _rescore(run: ConfigDpResult, ranked: np.ndarray, top_k: int,
+             lap: Callable[[str], None] = lambda _stage: None
+             ) -> tuple[int, float] | None:
+    """Of the first ``top_k`` of ``ranked`` (final state ids of ``run`` by
+    descending surrogate, as ``ConfigDpResult.project`` reads them off),
+    the first with the strictly best exact value, as (state, value); None
+    when ``ranked`` is empty.  ``run.exact_values`` traces back, checks and
+    values each state once per run, without building a tree.  ``lap`` is
+    called with "rank" and "rescore" as those stages end."""
     if len(ranked) == 0:
-        return block_leaf(start), instance.terminal[start], None
+        return None
     top = ranked[:top_k].tolist()
     lap("rank")
-
-    best_state = -1
-    best_value = float("-inf")
-    for state, value in zip(top, run.exact_values(top)):
-        if value > best_value:
-            best_state, best_value = state, value
+    values = run.exact_values(top)
+    best = max(range(len(top)), key=values.__getitem__)
     lap("rescore")
-
-    tree = materialize(table, topology, run.batches(best_state, nodes))
-    if block_profit_exact(instance, tree) != best_value:
-        raise StructuralError("the materialized tree does not score its "
-                              "rescored value")
-    lap("materialize")
-    return tree, best_value, float(run.surrogates[run.sum_ids[best_state]])
+    return top[best], values[best]
 
 
 def estimate_max(instance: Instance, hint: str) -> float:
@@ -874,9 +848,8 @@ class PtasDiagnostics:
     one per member of a cover whose run hit the state cap, failed runs
     included) and ``states_explored`` the states of those runs.
     ``candidates`` (configurations kept) and ``materialized``
-    (configurations exactly rescored: at most ``top_k`` per topology, of
-    which only the winner is built into a tree) are summed over the
-    completed topologies.
+    (configurations exactly rescored, at most ``top_k`` per topology,
+    without building a tree) are summed over the completed topologies.
     ``best_surrogate`` is the surrogate value of the returned tree's
     configuration and ``surrogate_gap`` that minus the returned value; both
     are None when the do-nothing policy is returned.  ``seconds`` holds
@@ -885,7 +858,8 @@ class PtasDiagnostics:
     topology's ranked candidates off its run, which for the first topology
     read off a run includes scoring and ranking all the run's final states;
     rescore times tracing back, checking and valuing the top_k not valued
-    yet.  It is wall time, so it differs between runs."""
+    yet; materialize times building and checking the winner's one tree.
+    It is wall time, so it differs between runs."""
 
     max_ref: float
     max_ref_source: str
@@ -923,26 +897,20 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     item-less parent, whose subtree a smaller topology already offers, so
     those topologies are not searched.  Every other topology is searched
     and rescored, and the first strictly best exact value in enumeration
-    order wins.
+    order wins; the do-nothing policy wins ties.
 
-    The configuration DP runs once per cover: an enumerated topology that
-    no other enumerated topology extends (by adding whole subtrees), found
-    by removing single leaves, largest topologies first (``_covers``).
-    Every other topology is a member of one cover, and its configurations
-    are the cover's with the nodes it lacks left empty.  Since the DP
-    carries every state it reaches (none is parked), a member's own run
-    would reach, order and trace back exactly the cover's states with
-    those nodes empty; an empty node passes its entry level's value
-    through, so surrogates and exact values agree too.  So the cover's
-    final states are scored and ranked once (``ConfigDpResult.ranked``),
-    and each member filters that order through the node map ``_covers``
-    hands it (``ConfigDpResult.project``), which gives its candidate state
-    ids in the order its own ranking would; it rescores its top_k from the
-    cover's exact values, traced back, checked and valued once per final
-    state; only its winner is materialized on the member itself.  A cover's
-    run is dropped once its members are done.  If a cover's run hits the
-    state cap, each of its members runs its own DP, with the same result
-    as reading it off.
+    The configuration DP runs once per cover (``_covers``): an enumerated
+    topology that no other enumerated topology extends by whole subtrees.
+    Every other topology is a member of one cover, and reads its ranked
+    candidates off the cover's run through its node map
+    (``ConfigDpResult.project``), as its own run would give them.  If a
+    cover's run hits the state cap, each of its members runs its own DP
+    and reads itself off it through the identity map.  Each topology
+    rescores its top_k from its run's exact values (``_rescore``) and
+    keeps its winner's value, batches on its own nodes and surrogate; a
+    cover's run is dropped once its members are done.  Only the solve's
+    winner is built into a tree, once, and that tree must score its value
+    under ``block_profit_exact``, else ``StructuralError``.
 
     The DP keeps the small-risk property P1 at ``knobs.eps``, so
     every candidate, and so the returned tree, passes
@@ -1005,30 +973,37 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         diag.states_explored += result.states_explored
         return result
 
-    found: list[tuple[BlockNode, float, float | None] | None] = [None] * len(topologies)
+    found: list[tuple[float, Batches, float] | None] = [None] * len(topologies)
     for ci, group in members.items():
         cover = run(topologies[ci])
         for ti, nodes in group:
-            topo = topologies[ti]
-            if cover is not None:
-                dp, ranked = cover, cover.project(nodes)
-            elif ti != ci and (dp := run(topo)) is not None:
-                ranked, nodes = dp.candidates, None
-            else:
+            dp = cover
+            if dp is None and ti != ci:
+                dp, nodes = run(topologies[ti]), tuple(range(len(nodes)))
+            if dp is None:
                 diag.capacity_errors += 1
                 continue
-            found[ti] = _reconstruct(topo, dp, ranked, nodes, knobs.top_k, lap)
+            ranked = dp.project(nodes)
+            if (winner := _rescore(dp, ranked, knobs.top_k, lap)) is not None:
+                state, value = winner
+                found[ti] = (value, dp.batches(state, nodes),
+                             float(dp.surrogates[dp.sum_ids[state]]))
             diag.completed += 1
             diag.candidates += len(ranked)
             diag.materialized += min(knobs.top_k, len(ranked))
         # Drop this cover's run before the next one starts.
         cover = dp = ranked = None
-    best_tree: BlockNode = block_leaf(start)
     best_value = instance.terminal[start]
     for ti, outcome in enumerate(found):
-        if outcome is not None and outcome[1] > best_value:
-            best_tree, best_value, diag.best_surrogate = outcome
-            diag.best_topology = ti
-    if diag.best_surrogate is not None:
-        diag.surrogate_gap = diag.best_surrogate - best_value
-    return PtasResult(best_tree, best_value, diag)
+        if outcome is not None and outcome[0] > best_value:
+            best_value, diag.best_topology = outcome[0], ti
+    if diag.best_topology < 0:
+        return PtasResult(block_leaf(start), best_value, diag)
+    _value, batches, diag.best_surrogate = found[diag.best_topology]
+    tree = materialize(table, topologies[diag.best_topology], batches)
+    if block_profit_exact(instance, tree) != best_value:
+        raise StructuralError("the materialized tree does not score its "
+                              "rescored value")
+    lap("materialize")
+    diag.surrogate_gap = diag.best_surrogate - best_value
+    return PtasResult(tree, best_value, diag)

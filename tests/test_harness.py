@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
 
 import pytest
 
@@ -47,7 +49,7 @@ from stochprobe.harness import (
     simulate,
     stream,
 )
-from stochprobe.harness import cli
+from stochprobe.harness import cli, suites
 from stochprobe.harness.cli import _load_kernel, main
 
 from conftest import act, kernel
@@ -545,6 +547,48 @@ def test_cli_suite_round_trip(tmp_path, capsys):
 def test_cli_suite_rejects_malformed_override(capsys):
     assert main(["suite", "--name", "oracle", "--set", "count"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, override, message", [
+    ("lemma31", "count=abc", "count must be an integer of at least 1, got 'abc'"),
+    ("lemma31", "eps=abc", "eps must be a number in (0, 1], got 'abc'"),
+    ("lemma31", "count=-3", "count must be an integer of at least 1, got -3"),
+    ("lemma31", "count=0", "count must be an integer of at least 1, got 0"),
+    ("lemma31", "count=2.5", "count must be an integer of at least 1, got 2.5"),
+    ("lemma31", "count=true", "count must be an integer of at least 1, got True"),
+    ("lemma31", "eps=0", "eps must be a number in (0, 1], got 0"),
+    ("lemma31", "eps=1.5", "eps must be a number in (0, 1], got 1.5"),
+    ("lemma31", "eps=NaN", "eps must be a number in (0, 1], got nan"),
+    ("lemma31", "cuont=3", "suite lemma31 reads no override 'cuont'; it reads: count, eps"),
+    ("oracle", "eps=0.3", "suite oracle reads no override 'eps'; it reads: count"),
+    ("baselines", "count=3", "suite baselines reads no override 'count'; it reads: none"),
+])
+def test_cli_suite_refuses_bad_overrides_before_running(name, override, message,
+                                                        monkeypatch, capsys):
+    def no_run(_config):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(suites.SUITES, name, no_run)
+    assert main(["suite", "--name", name, "--set", override]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_suite_takes_an_integer_eps_of_one(capsys):
+    assert main(["suite", "--name", "lemma31", "--set", "count=2", "--set", "eps=1"]) == 0
+    assert "rows=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["gen", "ptas", "suite"])
+def test_cli_unwritable_out_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    _inst, path = small_kernel_doc(tmp_path)
+    argv = {"gen": ["gen"],
+            "ptas": ["ptas", "--in", str(path), "--grid", "0.25", "--blocks", "2"],
+            "suite": ["suite", "--name", "oracle", "--set", "count=1"]}[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+    assert captured.out == ""
 
 
 def test_cli_baseline_greedy(tmp_path, capsys):

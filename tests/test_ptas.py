@@ -36,7 +36,7 @@ from stochprobe.ptas import (
     ConfigDpResult,
     _SolveTable,
     _compile_surrogate,
-    _reconstruct,
+    _rescore,
     config_dp,
     materialize,
 )
@@ -81,6 +81,22 @@ def _traces(run, ranked, nodes=None):
     """The same candidates traced back into their batches in table order,
     on ``nodes``'s topology when it is given."""
     return [run.batches(state, nodes) for state in np.sort(ranked).tolist()]
+
+
+def _winner(top, run, ranked, nodes, top_k):
+    """The rescoring of ``top`` read off ``run`` through the node map
+    ``nodes`` (None for the run's own topology), as (tree, value,
+    surrogate): the winning state materialized on ``top``, checked to
+    score its value; with no candidates, the do-nothing policy and no
+    surrogate."""
+    instance = run.table.instance
+    winner = _rescore(run, ranked, top_k)
+    if winner is None:
+        return block_leaf(instance.start_level), instance.terminal[instance.start_level], None
+    state, value = winner
+    tree = materialize(run.table, top, run.batches(state, nodes))
+    assert block_profit_exact(instance, tree) == value
+    return tree, value, float(run.surrogates[run.sum_ids[state]])
 
 
 @pytest.fixture
@@ -593,7 +609,7 @@ def test_deep_flat_chain_topology():
     started = time.perf_counter()
     table = _SolveTable(inst, 0.25, 1.0, 0.3)
     result = config_dp(table, top)
-    tree, value, _surrogate = _reconstruct(top, result, result.candidates, None, 32)
+    tree, value, _surrogate = _winner(top, result, result.candidates, None, 32)
     assert time.perf_counter() - started < 5.0
     assert len(result.candidates) == 1101
     assert tree.items == ("a",)
@@ -668,7 +684,7 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
                 assert got.tolist() == want
                 order = sorted(range(len(want)), key=lambda i: -want[i])
                 ranked.clear()
-                _reconstruct(top, result, result.candidates, None, len(want))
+                _winner(top, result, result.candidates, None, len(want))
                 traces = _traces(result, result.candidates)
                 assert ranked == [traces[i] for i in order]
                 cases += 1
@@ -702,8 +718,8 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
                 result = config_dp(solve_table, top)
                 count = len(result.candidates)
                 scored.clear()
-                tree, value, _surrogate = _reconstruct(top, result, result.candidates, None,
-                                                       count)
+                tree, value, _surrogate = _winner(top, result, result.candidates, None,
+                                                  count)
                 assert len(scored) == count
                 for batches, got in scored:
                     built = materialize(solve_table, top, batches)
@@ -730,7 +746,7 @@ def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
         changed = ConfigDpResult(solve_table, top, sums, result.sum_ids, result.chains,
                                  result.words, result.word_ids, result.states_explored)
         with pytest.raises(StructuralError):
-            _reconstruct(top, changed, changed.candidates, None, len(result.sums))
+            _winner(top, changed, changed.candidates, None, len(result.sums))
 
 
 def test_rescoring_rejects_an_action_at_a_level_without_its_row(two_probe_kernel):
@@ -751,14 +767,14 @@ def test_rescoring_rejects_an_action_at_a_level_without_its_row(two_probe_kernel
 def test_reconstruct_single_candidate(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     run = config_dp(_SolveTable(capped(two_probe_kernel, 0), 0.25, 1.0, 0.3), top)
-    tree, value, _surrogate = _reconstruct(top, run, run.candidates, None, 32)
+    tree, value, _surrogate = _winner(top, run, run.candidates, None, 32)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reconstruct_empty_candidates_is_noop(two_probe_kernel):
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     run = config_dp(_SolveTable(two_probe_kernel, 0.25, 1.0, 0.3), top)
-    tree, value, _surrogate = _reconstruct(top, run, np.zeros(0, np.intp), None, 32)
+    tree, value, _surrogate = _winner(top, run, np.zeros(0, np.intp), None, 32)
     assert value == pytest.approx(two_probe_kernel.terminal[0], abs=1e-12)
 
 
@@ -773,10 +789,10 @@ def test_reconstruct_exact_rescoring_beats_surrogate_order():
     top = enumerate_topologies(all_levels(2), 1, 1, 0)[0]
     table = _SolveTable(inst, 0.0625, 1.0, 0.3)
     result = config_dp(table, top)
-    tree1, value1, _surrogate1 = _reconstruct(top, result, result.candidates, None, 1)
+    tree1, value1, _surrogate1 = _winner(top, result, result.candidates, None, 1)
     assert tree1.items == ("b",)
     assert value1 == pytest.approx(0.4375, abs=1e-12)
-    tree2, value2, _surrogate2 = _reconstruct(top, result, result.candidates, None, 2)
+    tree2, value2, _surrogate2 = _winner(top, result, result.candidates, None, 2)
     assert tree2.items == ("a",)
     assert value2 == pytest.approx(0.4998, abs=1e-12)
 
@@ -877,7 +893,7 @@ def test_reachable_topologies_keep_value_and_tree_on_probemax():
                                     min(knobs.depth_limit, inst.horizon), start)
         for top in full:
             run = config_dp(table, top)
-            tree, value, _surrogate = _reconstruct(top, run, run.candidates, None, knobs.top_k)
+            tree, value, _surrogate = _winner(top, run, run.candidates, None, knobs.top_k)
             if value > best_value:
                 best_tree, best_value = tree, value
         assert res.diagnostics.topologies < len(full)
@@ -1023,7 +1039,7 @@ def _topology_run(table, top, state_cap):
         result = config_dp(table, top, state_cap=state_cap)
     except CapacityError as err:
         return ("capacity", err.states_explored)
-    tree, value, surrogate = _reconstruct(top, result, result.candidates, None, 32)
+    tree, value, surrogate = _winner(top, result, result.candidates, None, 32)
     units = _units(result, result.candidates)
     return (units.dtype, units.tolist(), _traces(result, result.candidates),
             result.states_explored, repr(tree), value, surrogate)
@@ -1075,13 +1091,15 @@ def test_solve_table_rejects_bad_grid_max_ref_or_eps(two_probe_kernel):
     _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
 
 
-def test_solve_runs_the_dp_per_cover_and_materializes_per_completed_topology(
-        witness_spec, monkeypatch):
+def test_solve_runs_the_dp_per_cover_and_builds_one_tree_per_solve(witness_spec,
+                                                                   monkeypatch):
     # Without a binding state cap one run serves all 16 topologies.  A
     # small cap stops the cover's run, so each member runs its own and
-    # some of those stop too; only the others reach the rescoring, and
-    # each builds one tree, its winner's.
-    calls = {"config_dp": 0, "materialize": 0}
+    # some of those stop too; only the others reach the rescoring.  Either
+    # way only the solve's winner is built and checked, once.  At state
+    # cap 1 no run completes, so the do-nothing policy wins and no tree is
+    # built.
+    calls = dict.fromkeys(("config_dp", "materialize", "block_profit_exact"), 0)
     for name in calls:
         original = getattr(ptas, name)
 
@@ -1094,12 +1112,31 @@ def test_solve_runs_the_dp_per_cover_and_materializes_per_completed_topology(
     knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4)
     diag = solve_ptas(inst, knobs).diagnostics
     assert (diag.dp_runs, diag.completed, diag.topologies) == (1, 16, 16)
-    assert calls == {"config_dp": 1, "materialize": 16}
-    calls.update(config_dp=0, materialize=0)
+    assert calls == {"config_dp": 1, "materialize": 1, "block_profit_exact": 1}
+    calls.update(dict.fromkeys(calls, 0))
     diag = solve_ptas(inst, dataclasses.replace(knobs, state_cap=200)).diagnostics
     assert 0 < diag.completed < diag.topologies
     assert 1 < diag.dp_runs <= diag.topologies
-    assert calls == {"config_dp": diag.dp_runs, "materialize": diag.completed}
+    assert diag.best_topology >= 0
+    assert calls == {"config_dp": diag.dp_runs, "materialize": 1, "block_profit_exact": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    res = solve_ptas(inst, dataclasses.replace(knobs, state_cap=1))
+    diag = res.diagnostics
+    assert (diag.completed, diag.capacity_errors, diag.best_topology) == (0, 16, -1)
+    assert repr(res.tree) == repr(block_leaf(inst.start_level))
+    assert diag.seconds["materialize"] == 0.0
+    assert calls == {"config_dp": diag.dp_runs, "materialize": 0, "block_profit_exact": 0}
+
+
+def test_solve_checks_the_tree_it_returns(witness_spec, monkeypatch):
+    # The one tree built is still checked against its rescored value.
+    exact = ptas.block_profit_exact
+    monkeypatch.setattr(ptas, "block_profit_exact",
+                        lambda instance, tree: exact(instance, tree) + 1.0)
+    inst, _ = build_probemax(witness_spec, step=1.0, theta=10.0)
+    knobs = PtasKnobs(eps=0.3, grid=0.1, block_budget=6, depth_limit=4)
+    with pytest.raises(StructuralError, match="does not score its rescored value"):
+        solve_ptas(inst, knobs)
 
 
 def test_rescoring_beats_the_surrogate_winner_off_grid():
@@ -1196,7 +1233,7 @@ def test_surrogate_gap_is_none_for_the_do_nothing_policy(witness_spec):
 
 def _per_topology_solve(inst, knobs):
     """``solve_ptas`` as the loop it was before covers: every topology
-    through its own ``config_dp`` and ``_reconstruct``, the first strictly
+    through its own ``config_dp`` and rescoring, the first strictly
     better exact value winning.  Returns the fields the solve must
     reproduce, and the indices of the topologies whose run hit the state
     cap."""
@@ -1217,7 +1254,7 @@ def _per_topology_solve(inst, knobs):
             failed.append(ti)
             continue
         cands = run.candidates
-        got_tree, got_value, surrogate = _reconstruct(top, run, cands, None, knobs.top_k)
+        got_tree, got_value, surrogate = _winner(top, run, cands, None, knobs.top_k)
         completed += 1
         candidates += len(cands)
         materialized += min(knobs.top_k, len(cands))
@@ -1342,7 +1379,7 @@ def _project_reference(run, nodes):
 
 
 def _rank_reference(run, states):
-    """``_reconstruct``'s per-topology ranking as it was: ``states`` by
+    """The rescoring's per-topology ranking as it was: ``states`` by
     descending surrogate, ties in table order (a stable sort)."""
     surrogates = run.surrogates[run.sum_ids[states]]
     return states[np.argsort(-surrogates, kind="stable")]
@@ -1434,7 +1471,7 @@ def _members_read_off_covers(inst, knobs, reference):
             winner = _winner_reference(table, tops[ti], run, ranked, nodes, knobs.top_k)
         else:
             ranked = run.project(nodes)
-            tree, value, surrogate = _reconstruct(tops[ti], run, ranked, nodes, knobs.top_k)
+            tree, value, surrogate = _winner(tops[ti], run, ranked, nodes, knobs.top_k)
             winner = (repr(tree), value, surrogate)
         members.append((ranked.tolist(), len(ranked), winner))
     value, tree = inst.terminal[start], repr(block_leaf(start))
@@ -1550,12 +1587,12 @@ def test_the_traceback_check_does_not_read_the_dps_packed_words(two_probe_kernel
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
     run = config_dp(table, top)
-    assert len(_reconstruct(top, run, run.candidates, None, 32)[0].items) > 0
+    assert len(_winner(top, run, run.candidates, None, 32)[0].items) > 0
     monkeypatch.setattr(_SolveTable, "packed", off_by_one)
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
     result = config_dp(table, top)
     with pytest.raises(StructuralError):
-        _reconstruct(top, result, result.candidates, None, len(result.candidates))
+        _winner(top, result, result.candidates, None, len(result.candidates))
 
 
 def test_the_traceback_check_bounds_each_nodes_items_by_the_horizon():
