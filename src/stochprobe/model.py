@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import eq, itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exceptions import ParameterError, StructuralError, UnknownActionError
 
 #: Tolerance for probability-mass accounting.
 PROB_TOL = 1e-9
+
+#: The key of a (key, mass) pair.
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -370,7 +374,11 @@ def cut_policy(instance: Instance, tree: PolicyNode, cost: Callable[[PolicyNode,
                limit: float) -> PolicyNode:
     """Replace by a dummy leaf every subtree whose path has spent ``limit``
     or more before reaching it, summing ``cost(node, row)`` over the
-    actions taken strictly before the subtree's root (ties are cut)."""
+    actions taken strictly before the subtree's root (ties are cut).
+
+    Children at zero-mass outcomes are dropped.  A subtree in which
+    nothing is cut or dropped, and whose children follow the row's
+    support order, is returned as it is, not rebuilt."""
     if 0.0 >= limit:
         return leaf_node(tree.level, tree.t)
     stopped: set[int] = set()
@@ -383,14 +391,29 @@ def cut_policy(instance: Instance, tree: PolicyNode, cost: Callable[[PolicyNode,
         return [(child, spent) for child in children]
 
     built: list[PolicyNode] = []
+    # The positions in ``built`` of results that are not their original
+    # subtree, ascending.
+    fresh: list[int] = []
     for node, row, _ in walk_policy_reversed(instance, tree, 0.0, step):
         if row is None:
             built.append(node)
             continue
-        cut = id(node) in stopped
-        kept = {}
-        for j, _ in row.support:
-            kept[j] = leaf_node(j, node.children[j].t) if cut else built.pop()
+        children = node.children
+        support = row.support
+        # The children's results, first child on top, unless the node is cut.
+        top = len(built) - len(support)
+        if id(node) in stopped:
+            kept = {j: leaf_node(j, children[j].t) for j, _ in support}
+        elif ((fresh and fresh[-1] >= top) or len(children) != len(support)
+              or not all(map(eq, children, map(_first, support)))):
+            while fresh and fresh[-1] >= top:
+                fresh.pop()
+            kept = {j: built.pop() for j, _ in support}
+        else:
+            del built[top:]
+            built.append(node)
+            continue
+        fresh.append(len(built))
         built.append(PolicyNode(node.action, node.level, node.t, kept))
     return built[0]
 

@@ -7,7 +7,8 @@ topologies over the levels the instance's rows can reach, runs a forward
 reachability DP over per-node signature sums under per-path placement caps
 and the small-risk property P1 (a node holds one item of any leave mass, or
 several whose leave masses sum to at most eps^2), once per topology that no
-other extends and read off by every topology it extends.  Each run's
+other extends and read off by every topology it extends; a star solve's
+covers may share one run over their union instead.  Each run's
 configurations are ranked once by a batched surrogate, and every topology
 read off the run takes its own from that order; only the most promising are
 traced back into per-node batches, checked against their unit sums and
@@ -43,6 +44,10 @@ _FLOOR_SLACK = 1e-9
 
 #: Risk units in one node's small-risk budget of eps^2 (see ``_risk_units``).
 _RISK_UNITS = 8
+
+#: A star solve's covers share one DP run over their union star only when
+#: it has at most this many nodes (see ``_union_star``).
+_UNION_STAR_NODES = 8
 
 
 def _floor_units(x: float, grid: float) -> int:
@@ -414,26 +419,33 @@ class _SolveTable:
 
 
 def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every nonempty antichain of the ``n`` nodes (no node an ancestor of
+    another) as an ascending tuple, in lexicographic order: each antichain
+    comes just before its extensions by larger nodes.  A stack of
+    (antichain, the larger nodes that may extend it) frames stands in for
+    recursion."""
     comparable = [set(anc) for anc in ancestors]
     for i, anc in enumerate(ancestors):
         for a in anc:
             comparable[a].add(i)
     out: list[tuple[int, ...]] = []
-
-    def grow(start: int, chosen: tuple[int, ...], blocked: frozenset[int]) -> None:
-        for i in range(start, n):
-            if i in blocked:
-                continue
-            sel = chosen + (i,)
-            out.append(sel)
-            grow(i + 1, sel, blocked | comparable[i] | {i})
-
-    grow(0, (), frozenset())
+    stack: list[tuple[tuple[int, ...], Sequence[int]]] = [((), range(n))]
+    while stack:
+        chosen, later = stack.pop()
+        if chosen:
+            out.append(chosen)
+        # The extension by the first later node pops next, so all of its
+        # own extensions come before the extension by the second.
+        for k in range(len(later) - 1, -1, -1):
+            i = later[k]
+            blocked = comparable[i]
+            stack.append((chosen + (i,), [j for j in later[k + 1:] if j not in blocked]))
     return out
 
 
 def config_dp(table: _SolveTable, topology: Topology, *,
-              state_cap: int = DEFAULT_STATE_CAP) -> ConfigDpResult:
+              state_cap: int = DEFAULT_STATE_CAP,
+              cover_masks: Sequence[int] = ()) -> ConfigDpResult:
     """Forward reachability over configurations.
 
     Groups are folded in one at a time (ordered by their smallest action
@@ -465,6 +477,16 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     removed) is this run restricted to the states whose removed nodes are
     empty, state for state and in order, which ``ConfigDpResult.project``
     reads off; a state's occupancy word says which nodes hold an item.
+
+    With ``cover_masks`` (node masks of sub-topologies, bit ``i`` for node
+    ``i``), a placement is kept only where the occupancy word after it
+    lies inside one of them.  Occupancy only grows, so every state whose
+    occupancy lies inside a mask is still reached, in the same order and
+    with the same traceback, and each masked sub-topology reads off the
+    run as before.  The masks' subsets are listed once, antichains outside
+    them are dropped, and the fitting placements are listed per (caps,
+    occupancy) word instead of per caps word; without masks none of this
+    runs.
 
     The result holds the final states in the last stage's insertion order:
     their distinct unit sums, unpacked in one numpy pass, and per state its
@@ -519,12 +541,27 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     slot_dtype = np.dtype(f"<u{next(b for b in (1, 2, 4, 8) if 8 * b >= sum_bits)}")
     sb = 8 * slot_dtype.itemsize
 
+    # With cover masks, ``inside`` holds every occupancy word inside one,
+    # and a placement's fit is listed per (caps, occupancy) word.
+    inside: set[int] | None = None
+    open_all = caps_all
+    if cover_masks:
+        inside = {0}
+        for cover in cover_masks:
+            sub = cover
+            while sub:
+                inside.add(sub)
+                sub = (sub - 1) & cover
+        open_all |= occ_all << occ_shift
+
     # Per antichain: its nodes, the mask of the paths it covers, and the
     # caps it spends (one unit in each covered path's slot).
     path_masks = [sum(1 << j for j, path in enumerate(paths) if i in path)
                   for i in range(n_nodes)]
     covers: list[tuple[tuple[int, ...], int, int]] = []
     for chain in _antichains(n_nodes, ancestors):
+        if inside is not None and sum(1 << i for i in chain) not in inside:
+            continue
         mask = 0
         for i in chain:
             mask |= path_masks[i]
@@ -533,14 +570,16 @@ def config_dp(table: _SolveTable, topology: Topology, *,
 
     # Per group: (covered path mask, packed delta, placement tuple, per
     # touched node its (index, risk share, first-item delta)), in antichain
-    # order, then member order node by node.  The delta adds the unit sums
-    # and subtracts the covered caps and the risk shares in one integer
-    # add; a node's first item also spends one more risk unit and sets the
-    # node's occupancy bit, per residual word.
+    # order, then member order node by node; with cover masks, also each
+    # delta's node mask.  The delta adds the unit sums and subtracts the
+    # covered caps and the risk shares in one integer add; a node's first
+    # item also spends one more risk unit and sets the node's occupancy
+    # bit, per residual word.
     packed = [table.packed(level, sb) for level in levels]
     risk = table.risk
     deltas_by_group: list[list[tuple[int, int, tuple[tuple[int, str], ...],
                                      tuple[tuple[int, int, int], ...]]]] = []
+    nodes_by_group: list[list[int]] = []
     for g in range(len(table.members)):
         # Per node: (packed word shifted to the node's slots, less its risk
         # share, (node, action), (node, risk share, first-item delta)) of
@@ -564,6 +603,9 @@ def config_dp(table: _SolveTable, topology: Topology, *,
                 words, placement, need = zip(*combo)
                 deltas.append((mask, sum(words) - spent, placement, need))
         deltas_by_group.append(deltas)
+        if inside is not None:
+            nodes_by_group.append([sum(1 << i for i, _a in placement)
+                                   for _mask, _d, placement, _need in deltas])
 
     # Each state maps to its traceback chain: None at the start, else
     # (group index, placement, the chain it extends).  A skip reuses its
@@ -572,23 +614,30 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     explored = 1
     for g, deltas in enumerate(deltas_by_group):
         nxt: dict[int, tuple | None] = {}
-        # Caps word -> the deltas whose covered paths all have a unit left;
-        # residual word -> the (delta, placement) pairs of those that also
-        # have the risk left on every node they touch.  Both keep delta
-        # order.
+        # Caps word (with cover masks, caps and occupancy word) -> the
+        # deltas whose covered paths all have a unit left (and that leave
+        # the occupancy inside a mask); residual word -> the (delta,
+        # placement) pairs of those that also have the risk left on every
+        # node they touch.  Both keep delta order.
         opened: dict[int, list] = {}
         fitting: dict[int, list[tuple[int, tuple[tuple[int, str], ...]]]] = {}
         for key, chain in prev.items():
             word = key & low_all
             fits = fitting.get(word)
             if fits is None:
-                caps_word = word & caps_all
-                open_deltas = opened.get(caps_word)
+                open_word = word & open_all
+                open_deltas = opened.get(open_word)
                 if open_deltas is None:
                     open_paths = sum(1 << j for j in range(len(paths))
-                                     if caps_word >> (j * cb) & slot_all)
-                    open_deltas = opened[caps_word] = [
-                        delta for delta in deltas if not delta[0] & ~open_paths]
+                                     if open_word >> (j * cb) & slot_all)
+                    if inside is None:
+                        open_deltas = [delta for delta in deltas
+                                       if not delta[0] & ~open_paths]
+                    else:
+                        occ = open_word >> occ_shift
+                        open_deltas = [delta for delta, nodes in zip(deltas, nodes_by_group[g])
+                                       if not delta[0] & ~open_paths and occ | nodes in inside]
+                    opened[open_word] = open_deltas
                 left = [word >> shift & risk_all for shift in risk_shift]
                 fits = fitting[word] = []
                 for _covered, d, placement, need in open_deltas:
@@ -777,6 +826,31 @@ def _covers(topologies: Sequence[Topology]) -> list[tuple[int, tuple[int, ...]]]
     return found
 
 
+def _union_star(topologies: Sequence[Topology], covers: Sequence[int]
+                ) -> tuple[Topology, list[tuple[int, ...]], list[int]] | None:
+    """The one run a star solve's covers can share: when every topology is
+    a star (a root and leaves), there are at least two covers, and the
+    union star (the root and every leaf key, ascending) has at most
+    ``_UNION_STAR_NODES`` nodes, returns that star, each topology's
+    key-matched node map into it, and the node mask of each cover in
+    ``covers`` (topology indices); else None.
+
+    Every state of the union's run carries every union node, and the run
+    holds the states of all covers at once, so a wide union costs more
+    time and memory than its covers' runs one after another: the bound
+    keeps such solves on their covers."""
+    if len(covers) < 2 or any(child.children for top in topologies
+                              for _key, child in top.children):
+        return None
+    leaves = dict(child for top in topologies for child in top.children)
+    if 1 + len(leaves) > _UNION_STAR_NODES:
+        return None
+    union = Topology(topologies[0].level, tuple(sorted(leaves.items())))
+    row = {key: i for i, (key, _leaf) in enumerate(union.children, 1)}
+    maps = [(0,) + tuple(row[key] for key, _leaf in top.children) for top in topologies]
+    return union, maps, [sum(1 << c for c in maps[ci]) for ci in covers]
+
+
 #: The stages ``PtasDiagnostics.seconds`` times, in pipeline order.
 _STAGES = ("enumerate", "dp", "rank", "rescore", "materialize")
 
@@ -844,9 +918,11 @@ class PtasDiagnostics:
     came from: the ``max_hint`` that estimated it ("exact",
     "greedy_probemax" or "terminal_bound"), or "fallback" when that
     estimate was not positive and 1.0 was used instead.  ``dp_runs``
-    counts the configuration DP runs the solve made (one per cover, plus
-    one per member of a cover whose run hit the state cap, failed runs
-    included) and ``states_explored`` the states of those runs.
+    counts the configuration DP runs the solve made, failed runs included:
+    one over the union star when a star solve's covers share it (see
+    ``solve_ptas``); else, or after that run hit the state cap, one per
+    cover plus one per member of a cover whose run hit the state cap.
+    ``states_explored`` counts the states of those runs.
     ``candidates`` (configurations kept) and ``materialized``
     (configurations exactly rescored, at most ``top_k`` per topology,
     without building a tree) are summed over the completed topologies.
@@ -905,12 +981,23 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     candidates off the cover's run through its node map
     (``ConfigDpResult.project``), as its own run would give them.  If a
     cover's run hits the state cap, each of its members runs its own DP
-    and reads itself off it through the identity map.  Each topology
-    rescores its top_k from its run's exact values (``_rescore``) and
-    keeps its winner's value, batches on its own nodes and surrogate; a
-    cover's run is dropped once its members are done.  Only the solve's
-    winner is built into a tree, once, and that tree must score its value
-    under ``block_profit_exact``, else ``StructuralError``.
+    and reads itself off it through the identity map.
+
+    A star solve (every topology a root and leaves, as always where
+    ``min(depth_limit, horizon) <= 2``) with several covers and a small
+    union star (``_union_star``) runs the DP once, on the root and every
+    leaf key, with the covers' node masks: only states whose occupied
+    nodes lie inside one cover are kept, and those are the states the
+    covers' own runs reach, in the same order and with the same
+    tracebacks.  Every topology reads itself off that run through its
+    key-matched node map.  If that run hits the state cap, the covers run
+    as above.
+
+    Each topology rescores its top_k from its run's exact values
+    (``_rescore``) and keeps its winner's value, batches on its own nodes
+    and surrogate; a cover's run is dropped once its members are done.
+    Only the solve's winner is built into a tree, once, and that tree must
+    score its value under ``block_profit_exact``, else ``StructuralError``.
 
     The DP keeps the small-risk property P1 at ``knobs.eps``, so
     every candidate, and so the returned tree, passes
@@ -961,10 +1048,11 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         members.setdefault(ci, []).append((ti, nodes))
     lap("enumerate")
 
-    def run(topo: Topology) -> ConfigDpResult | None:
+    def run(topo: Topology, cover_masks: Sequence[int] = ()) -> ConfigDpResult | None:
         diag.dp_runs += 1
         try:
-            result = config_dp(table, topo, state_cap=knobs.state_cap)
+            result = config_dp(table, topo, state_cap=knobs.state_cap,
+                               cover_masks=cover_masks)
         except CapacityError as err:
             diag.states_explored += err.states_explored
             return None
@@ -974,25 +1062,35 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         return result
 
     found: list[tuple[float, Batches, float] | None] = [None] * len(topologies)
-    for ci, group in members.items():
-        cover = run(topologies[ci])
-        for ti, nodes in group:
-            dp = cover
-            if dp is None and ti != ci:
-                dp, nodes = run(topologies[ti]), tuple(range(len(nodes)))
-            if dp is None:
-                diag.capacity_errors += 1
-                continue
-            ranked = dp.project(nodes)
-            if (winner := _rescore(dp, ranked, knobs.top_k, lap)) is not None:
-                state, value = winner
-                found[ti] = (value, dp.batches(state, nodes),
-                             float(dp.surrogates[dp.sum_ids[state]]))
-            diag.completed += 1
-            diag.candidates += len(ranked)
-            diag.materialized += min(knobs.top_k, len(ranked))
-        # Drop this cover's run before the next one starts.
-        cover = dp = ranked = None
+
+    def read(ti: int, dp: ConfigDpResult, nodes: tuple[int, ...]) -> None:
+        ranked = dp.project(nodes)
+        if (winner := _rescore(dp, ranked, knobs.top_k, lap)) is not None:
+            state, value = winner
+            found[ti] = (value, dp.batches(state, nodes),
+                         float(dp.surrogates[dp.sum_ids[state]]))
+        diag.completed += 1
+        diag.candidates += len(ranked)
+        diag.materialized += min(knobs.top_k, len(ranked))
+
+    star = _union_star(topologies, list(members))
+    if star is not None and (dp := run(star[0], star[2])) is not None:
+        for ti, nodes in enumerate(star[1]):
+            read(ti, dp, nodes)
+    else:
+        for ci, group in members.items():
+            cover = run(topologies[ci])
+            for ti, nodes in group:
+                dp = cover
+                if dp is None and ti != ci:
+                    dp, nodes = run(topologies[ti]), tuple(range(len(nodes)))
+                if dp is None:
+                    diag.capacity_errors += 1
+                    continue
+                read(ti, dp, nodes)
+            # Drop this cover's run before the next one starts.
+            cover = dp = None
+    dp = None
     best_value = instance.terminal[start]
     for ti, outcome in enumerate(found):
         if outcome is not None and outcome[0] > best_value:

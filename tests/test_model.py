@@ -196,6 +196,61 @@ def test_truncation_rejects_bad_eps():
         truncate_policy(inst, tree, 1.5)
 
 
+def _rebuilt_truncation(inst, tree, eps):
+    """``truncate_policy`` as it was: every kept internal node rebuilt with
+    its children in row order, each cut child replaced by a dummy leaf."""
+    budget = 1.0 / eps
+
+    def build(node, spent):
+        if node.is_leaf:
+            return node
+        row = inst.action(node.action).rows[node.level]
+        spent += row.risk_mass(node.level)
+        cut = spent >= budget
+        return PolicyNode(node.action, node.level, node.t, {
+            j: leaf_node(j, node.children[j].t) if cut else build(node.children[j], spent)
+            for j, _p in row.support})
+
+    return build(tree, 0.0)
+
+
+def test_truncation_keeps_untouched_subtrees_as_they_are():
+    # The result reads like the tree rebuilt node by node, and shares each
+    # subtree that has no cut, no zero-mass child and its children in row
+    # order; every other node is new.
+    inst = kernel([act("a", "ga", {0: ((0, 0.5), (1, 0.5), (2, 0.0))}),
+                   act("b", "gb", {0: ((0, 0.5), (1, 0.5)), 1: ((1, 0.5), (2, 0.5))}),
+                   act("c", "gc", {1: ((1, 0.5), (2, 0.5))})], [0.0, 1.0, 2.0], 3)
+    up = PolicyNode("c", 1, 2, {2: leaf_node(2, 3), 1: leaf_node(1, 3)})  # out of row order
+    stray = PolicyNode("a", 0, 2, {0: leaf_node(0, 3), 1: leaf_node(1, 3), 2: leaf_node(2, 3)})
+    handmade = PolicyNode("b", 0, 1, {0: stray, 1: up})
+    cases = [(inst, handmade, 1.0), (inst, handmade, 0.6)]
+    for seed in range(24):
+        random_inst = gen_random_kernel(seed, GenParams(n=7, levels=3, horizon=7))
+        cases.append((random_inst, gen_random_policy(random_inst, seed + 7, stop=0.05),
+                      (0.3, 0.6)[seed % 2]))
+    shared = rebuilt = 0
+    for inst, tree, eps in cases:
+        out = truncate_policy(inst, tree, eps)
+        assert repr(out) == repr(_rebuilt_truncation(inst, tree, eps))
+        cut = {id(node) for node, _phi, _mu in truncation_cut_set(inst, tree, eps)}
+
+        def touched(orig, new):
+            nonlocal shared, rebuilt
+            if id(orig) in cut:
+                assert new.is_leaf and new is not orig
+                return True
+            below = [touched(orig.children[j], child) for j, child in new.children.items()]
+            changed = any(below) or list(new.children) != list(orig.children)
+            assert (new is orig) is not changed
+            shared += not changed and not orig.is_leaf
+            rebuilt += changed
+            return changed
+
+        touched(tree, out)
+    assert shared >= 200 and rebuilt >= 60
+
+
 def test_subtree_values_match_reevaluation():
     inst = gen_random_kernel(3, GenParams(n=4, levels=3, horizon=4))
     tree = gen_random_policy(inst, 4)

@@ -32,6 +32,7 @@ from stochprobe import (
 )
 from stochprobe import ptas
 from stochprobe.harness import GenParams, gen_random, gen_random_kernel
+from stochprobe.harness.gen import stream
 from stochprobe.ptas import (
     ConfigDpResult,
     _SolveTable,
@@ -1265,6 +1266,24 @@ def _per_topology_solve(inst, knobs):
     return fields, failed, tops
 
 
+def _union_runs(inst, knobs, tops, dp_runs, states_explored):
+    """``dp_runs`` and ``states_explored`` of the solve, given those of its
+    runs per cover: a star solve whose covers share a union star runs
+    ``config_dp`` once over it instead, and runs its covers after it only
+    when that run hits the state cap."""
+    covers = list(dict.fromkeys(ci for ci, _nodes in ptas._covers(tops)))
+    star = ptas._union_star(tops, covers)
+    if star is None:
+        return dp_runs, states_explored
+    max_ref = estimate_max(inst, knobs.max_hint)
+    table = _SolveTable(inst, knobs.grid, max_ref if max_ref > 0.0 else 1.0, knobs.eps)
+    try:
+        run = config_dp(table, star[0], state_cap=knobs.state_cap, cover_masks=star[2])
+    except CapacityError as err:
+        return 1 + dp_runs, err.states_explored + states_explored
+    return 1, run.states_explored
+
+
 def _flat_chain_kernel(horizon):
     """One level and two items that never leave it: with a block budget
     past 63 the topologies are chains of up to that many nodes, all of
@@ -1314,10 +1333,11 @@ def test_solve_reads_every_topology_off_its_cover_like_a_per_topology_loop():
                diag.completed, diag.candidates, diag.materialized, diag.capacity_errors)
         assert got == want
         # One run per cover, plus one per member of a cover whose run
-        # stopped at the state cap.
+        # stopped at the state cap; or one over a star solve's union.
         covers = [ci for ci, _nodes in ptas._covers(tops)]
         fallback = [ti for ti, ci in enumerate(covers) if ci != ti and ci in failed]
-        assert diag.dp_runs == len(set(covers)) + len(fallback)
+        assert diag.dp_runs == _union_runs(inst, knobs, tops,
+                                           len(set(covers)) + len(fallback), 0)[0]
         fallbacks += bool(fallback)
         member_errors += any(covers[ti] != ti for ti in failed)
         shared += diag.dp_runs < diag.topologies
@@ -1530,12 +1550,13 @@ def test_each_member_ranks_off_its_cover_as_its_own_ranking_did():
         assert got == want
         assert got_diagnostics == diagnostics
         diag = (res := solve_ptas(inst, knobs)).diagnostics
+        tops = enumerate_topologies(level_reach(inst), knobs.block_budget,
+                                    min(knobs.depth_limit, inst.horizon), inst.start_level)
         assert (res.value, repr(res.tree), diag.best_topology, diag.best_surrogate,
                 diag.completed, diag.candidates, diag.materialized, diag.capacity_errors,
-                diag.dp_runs, diag.states_explored) == diagnostics
-        fallbacks += diag.dp_runs > len({ci for ci, _ in ptas._covers(
-            enumerate_topologies(level_reach(inst), knobs.block_budget,
-                                 min(knobs.depth_limit, inst.horizon), inst.start_level))})
+                diag.dp_runs, diag.states_explored
+                ) == diagnostics[:8] + _union_runs(inst, knobs, tops, *diagnostics[8:])
+        fallbacks += diagnostics[8] > len({ci for ci, _ in ptas._covers(tops)})
     assert fallbacks >= 3
 
 
@@ -1636,3 +1657,157 @@ def test_the_traceback_check_needs_slots_that_hold_horizon_times_each_unit(
         narrow.exact_values([state])
     assert result.exact_values([state]) == [
         ptas._exact_value(table, top, (("a1",),))]
+
+
+def _recursive_antichains(n, ancestors):
+    """``ptas._antichains`` as it was, growing each antichain recursively."""
+    comparable = [set(anc) for anc in ancestors]
+    for i, anc in enumerate(ancestors):
+        for a in anc:
+            comparable[a].add(i)
+    out = []
+
+    def grow(start, chosen, blocked):
+        for i in range(start, n):
+            if i in blocked:
+                continue
+            sel = chosen + (i,)
+            out.append(sel)
+            grow(i + 1, sel, blocked | comparable[i] | {i})
+
+    grow(0, (), frozenset())
+    return out
+
+
+def test_antichains_match_the_recursive_reference():
+    # Every topology of up to seven nodes over three levels, stars of up to
+    # twelve leaves and a 40-node chain: the same antichains in the same order.
+    tops = list(enumerate_topologies(all_levels(3), 7, 7, 0))
+    tops += [Topology(0, tuple((j, Topology(j)) for j in range(leaves)))
+             for leaves in range(13)]
+    tops += enumerate_topologies(((0,),), 40, 40, 0)[-1:]
+    for top in tops:
+        ancestors = []
+        for _level, parent, _key in top.nodes:
+            ancestors.append(() if parent < 0 else ancestors[parent] + (parent,))
+        want = _recursive_antichains(len(ancestors), ancestors)
+        assert ptas._antichains(len(ancestors), ancestors) == want
+    assert len(tops) > 1000
+    assert len(want) == 40
+
+
+def _ptas_wide(seed, index):
+    """Input ``index`` of the ptas-wide benchmark workload at ``seed``:
+    Probemax n 4, m 2 on the 13-level greedy grid, with its knobs."""
+    child = int(stream(seed, "ptas-wide", index).integers(0, 2 ** 63))
+    spec = gen_random(child, GenParams(kind="probemax", n=4, m=2, support=3, levels=8, q=8,
+                                       step=1.0, eps=0.3))
+    inst, _ = build_probemax(spec)
+    return inst, PtasKnobs(eps=0.3, grid=0.125, block_budget=4, depth_limit=3, top_k=32,
+                           max_hint="greedy_probemax")
+
+
+def _support6_star():
+    """A 12-level Probemax whose three items have six outcomes each: a star
+    solve of many covers whose union star has 11 nodes, past the bound."""
+    spec = gen_random(0, GenParams(kind="probemax", n=3, m=2, support=6, levels=12, q=8,
+                                   step=1.0, lossless=False))
+    inst, _ = build_probemax(spec, step=1.0, theta=11.0)
+    assert inst.values.level_count == 12
+    return inst, PtasKnobs(eps=0.3, grid=0.125, block_budget=4, depth_limit=3, top_k=32,
+                           max_hint="exact")
+
+
+def _union_cases():
+    return [_ptas_wide(seed, index) for seed in range(4) for index in range(4)] + [
+        _support6_star()]
+
+
+def _star_solve(inst, knobs):
+    """The solve's table, topologies and covers (in the solve's order)."""
+    max_ref = estimate_max(inst, knobs.max_hint)
+    table = _SolveTable(inst, knobs.grid, max_ref, knobs.eps)
+    tops = enumerate_topologies(level_reach(inst), knobs.block_budget,
+                                min(knobs.depth_limit, inst.horizon), inst.start_level)
+    return table, tops, list(dict.fromkeys(ci for ci, _nodes in ptas._covers(tops)))
+
+
+def test_every_topology_reads_off_the_union_run_as_off_its_own(monkeypatch):
+    # Ranked batches, surrogates and exact values of every topology of a
+    # star solve read off one masked run over the union star equal those
+    # of its own run.  The masks keep fewer states than the covers' runs
+    # hold in all, and fewer than an unmasked union run.
+    monkeypatch.setattr(ptas, "_UNION_STAR_NODES", 12)
+    sizes = []
+    for inst, knobs in _union_cases():
+        table, tops, covers = _star_solve(inst, knobs)
+        star, maps, masks = ptas._union_star(tops, covers)
+        union = config_dp(table, star, cover_masks=masks)
+        if len(star.nodes) <= 8:
+            assert union.states_explored < config_dp(table, star).states_explored
+        assert union.states_explored < sum(config_dp(table, tops[ci]).states_explored
+                                           for ci in covers)
+        for top, nodes in zip(tops, maps):
+            own = config_dp(table, top)
+            got, want = union.project(nodes), own.candidates
+            assert [union.batches(s, nodes) for s in got] == [own.batches(s) for s in want]
+            assert (union.surrogates[union.sum_ids[got]].tolist()
+                    == own.surrogates[own.sum_ids[want]].tolist())
+            assert (union.exact_values(got[:2 * knobs.top_k].tolist())
+                    == own.exact_values(want[:2 * knobs.top_k].tolist()))
+        sizes.append(len(star.nodes))
+    assert len(covers) > 50 and sizes[-1] == 11
+    assert 4 <= min(sizes[:-1]) and max(sizes[:-1]) <= 8
+
+
+def _solve_fields(inst, knobs):
+    res = solve_ptas(inst, knobs)
+    diag = res.diagnostics
+    return ((res.value, repr(res.tree), diag.best_topology, diag.best_surrogate,
+             diag.completed, diag.candidates, diag.materialized, diag.capacity_errors),
+            diag.dp_runs, diag.states_explored)
+
+
+def test_star_solves_on_the_union_match_the_cover_path(monkeypatch):
+    # Each solve returns what the cover path returns, from one DP run.  The
+    # support-6 star's union is past the bound, so it keeps its covers
+    # unless the bound is lifted.
+    for inst, knobs in _union_cases():
+        _table, tops, covers = _star_solve(inst, knobs)
+        with monkeypatch.context() as patch:
+            patch.setattr(ptas, "_union_star", lambda *_args: None)
+            want, cover_runs, cover_states = _solve_fields(inst, knobs)
+        assert cover_runs == len(covers) > 1
+        with monkeypatch.context() as patch:
+            if inst.values.level_count == 12:
+                assert _solve_fields(inst, knobs) == (want, cover_runs, cover_states)
+                patch.setattr(ptas, "_UNION_STAR_NODES", 12)
+            got, runs, states = _solve_fields(inst, knobs)
+        assert got == want
+        assert runs == 1 and states < cover_states
+
+
+def test_a_union_run_at_the_state_cap_leaves_the_covers_to_finish(monkeypatch):
+    # Where the union run stops at the state cap, the covers run after it
+    # exactly as the cover path runs them, their members too where a cover
+    # stops; the failed union run adds one run and its states.
+    seen = set()
+    for inst, knobs in [_ptas_wide(seed, 0) for seed in (0, 3)]:
+        table, tops, covers = _star_solve(inst, knobs)
+        star, _maps, masks = ptas._union_star(tops, covers)
+        for cap in (40, 160, 340):
+            capped_knobs = dataclasses.replace(knobs, state_cap=cap)
+            try:
+                config_dp(table, star, state_cap=cap, cover_masks=masks)
+                continue
+            except CapacityError as err:
+                union_states = err.states_explored
+            with monkeypatch.context() as patch:
+                patch.setattr(ptas, "_union_star", lambda *_args: None)
+                want, cover_runs, cover_states = _solve_fields(inst, capped_knobs)
+            got, runs, states = _solve_fields(inst, capped_knobs)
+            assert got == want
+            assert (runs, states) == (1 + cover_runs, union_states + cover_states)
+            seen.add(want[-1] > 0)
+    # Some covers stop too at the smaller caps, none at the larger.
+    assert seen == {False, True}
