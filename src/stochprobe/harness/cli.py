@@ -8,8 +8,9 @@ before it replays it, so an infeasible policy exits 2; a block document
 gets only the checks of the block walk.
 Exit codes: 0 success, 1 failed assertion or non-compliant input, 2
 usage, malformed input or any other package error (a
-``StochprobeError``), such as a refused ``suite --set`` override or an
-unwritable ``--out`` path; 3 capacity overrun, including input nested deeper
+``StochprobeError``), such as a refused ``suite --set`` override, an
+unwritable ``--out`` path, a non-finite number in a document or a
+result that overflows to inf; 3 capacity overrun, including input nested deeper
 than Python's recursion limit (a RecursionError from JSON decoding).
 Policy and block documents are flat tables, so only nested non-tree
 JSON, such as a deeply nested ``meta``, gets there.
@@ -26,7 +27,7 @@ from ..exact import optimal_policy, solve
 from ..exceptions import CapacityError, StochprobeError, UsageError
 from ..model import (Instance, PolicyNode, evaluate_policy, validate_instance,
                      validate_policy_tree)
-from ..problems import (ProblemSpec, build_committed, build_probemax,
+from ..problems import (KINDS, ProblemSpec, build_committed, build_probemax,
                         build_probetopk, build_sbk, build_target, expected_max,
                         greedy_probemax, sbk_from_skp, skp_kernel, weitzman)
 from ..ptas import PtasKnobs, solve_ptas
@@ -55,7 +56,11 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _emit(doc: dict[str, object]) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise StochprobeError("the result holds a number that is not finite") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _build_kernel(spec: ProblemSpec) -> Instance:
@@ -171,9 +176,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    obj = parse_instance(_read(args.path))
-    instance = obj if isinstance(obj, Instance) else _build_kernel(obj)
-    report = validate_instance(instance)
+    report = validate_instance(_load_kernel(args.path))
     _emit({"compliant": report.compliant, "violations": list(report.violations)})
     return 0 if report.compliant else 1
 
@@ -191,9 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate a random problem spec")
-    gen.add_argument("--kind", default="probemax",
-                     choices=["probemax", "probetopk", "committed_probetopk",
-                              "committed_pandora", "target", "sbk"])
+    gen.add_argument("--kind", default="probemax", choices=KINDS)
     gen.add_argument("--n", type=int, default=5)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--m", type=int, default=None)

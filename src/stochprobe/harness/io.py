@@ -19,6 +19,7 @@ Metadata round-trips through a tuple convention: JSON arrays inside
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from typing import Any, Callable
 
@@ -51,6 +52,8 @@ def _fail(field: str, why: str) -> None:
 def _num(value: object, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(field, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or past the float range
+        _fail(field, f"expected a finite number, got {value!r:.40}")
     return float(value)
 
 
@@ -202,7 +205,7 @@ def _parse_kernel(obj: Mapping[str, object]) -> Instance:
 def _loads(text: str) -> Mapping[str, object]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level: expected an object")

@@ -123,8 +123,16 @@ class DiscretizationMap:
         return max(worst, abs(total - 1.0))
 
 
-def _on_grid(x: float, step: float) -> int:
+def _units(x: float, step: float) -> float:
+    """``x / step``, which must be finite, else ``ParameterError``."""
     units = x / step
+    if not math.isfinite(units):
+        raise ParameterError(f"{x!r} over the step {step!r} is not a finite number")
+    return units
+
+
+def _on_grid(x: float, step: float) -> int:
+    units = _units(x, step)
     nearest = round(units)
     if abs(units - nearest) > _GRID_TOL * max(1.0, abs(units)):
         raise ParameterError(f"{x!r} is not a multiple of the step {step!r}")
@@ -157,7 +165,7 @@ def discretize_value(pmf: Pmf, theta: float, step: float) -> tuple[Pmf, Discreti
         if outcome >= theta:
             parts: tuple[tuple[int, float], ...] = ((top, prob),)
         else:
-            lvl = int(math.floor(outcome / step + _GRID_TOL))
+            lvl = int(math.floor(_units(outcome, step) + _GRID_TOL))
             ride = prob * (1.0 - scale)
             if ride > 0.0:
                 parts = ((lvl, prob * scale), (top, ride))
@@ -185,7 +193,7 @@ def discretize_size_li(pmf: Pmf, small_cut: float,
     prelim: list[tuple[float, list[tuple[float, float]]]] = []
     for outcome, prob in pmf.entries:
         if outcome > small_cut:
-            v = math.floor(outcome / step + _GRID_TOL) * step
+            v = math.floor(_units(outcome, step) + _GRID_TOL) * step
             prelim.append((outcome, [(v, prob)]))
             values.append(v)
         else:
@@ -265,7 +273,7 @@ def _value_grid(eps: float, w_greedy: float, step: float | None, theta: float | 
         if step is None:
             step = eps * w_greedy
         if theta is None:
-            theta = math.ceil(w_greedy / eps / step - _GRID_TOL) * step
+            theta = math.ceil(_units(w_greedy / eps, step) - _GRID_TOL) * step
     top = _on_grid(theta, step)
     if top + 1 > level_cap:
         raise CapacityError(
@@ -447,7 +455,7 @@ def build_target(spec: ProblemSpec, *, small_cut: float | None = None,
         small_cut = eps * eps
     if step is None:
         step = small_cut
-    top = int(math.ceil(1.0 / step - _GRID_TOL))
+    top = int(math.ceil(_units(1.0, step) - _GRID_TOL))
     if top + 1 > level_cap:
         raise CapacityError(
             f"size grid needs {top + 1} levels, over the cap {level_cap}")

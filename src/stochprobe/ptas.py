@@ -315,9 +315,10 @@ def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> i
 
     The budget eps^2 splits into ``_RISK_UNITS`` units, and an item takes
     its leave mass in units, rounded up; an item whose leave mass exceeds
-    eps^2 takes ``_RISK_UNITS + 1``, which only an empty node can give
-    (see ``config_dp``).  Units that sum to at most ``_RISK_UNITS`` thus
-    certify leave masses that sum to at most eps^2."""
+    eps^2 takes ``_RISK_UNITS + 1``, the whole slot a node starts with in
+    ``config_dp``, which only an empty node (by its occupancy bit) can give.
+    Units that sum to at most ``_RISK_UNITS`` thus certify leave masses
+    that sum to at most eps^2."""
     mu = instance.action(action_id).rows[level].risk_mass(level)
     budget = eps * eps
     if mu > budget:
@@ -390,32 +391,27 @@ class _SolveTable:
         self.word = cache(partial(_signature_word, self.signature, instance.horizon))
         #: ``outcomes(level, items)``: ``_outcomes`` of a batch, once per key.
         self.outcomes = cache(partial(_outcomes, instance))
-        self._cells: dict[int, tuple[_Cells, int]] = {}
-        self._packed: dict[tuple[int, int], _Cells] = {}
+        #: ``cells(level)``: ``_level_cells``, once per key.
+        self.cells = cache(partial(_level_cells, instance, self.members, self.signature))
+        #: ``packed(level, slot_bits)``: ``_packed_cells``, once per key.
+        self.packed = cache(partial(_packed_cells, self.cells))
 
-    def cells(self, level: int) -> tuple[_Cells, int]:
-        """Per group, its members with a row at ``level`` and their
-        signatures; and the largest unit among all of them (0 if none)."""
-        hit = self._cells.get(level)
-        if hit is None:
-            action = self.instance.action
-            cells = tuple(tuple((a, self.signature(a, level)) for a in members
-                                if level in action(a).rows)
-                          for members in self.members)
-            unit_max = max((max(u) for cell in cells for _a, u in cell), default=0)
-            hit = self._cells[level] = (cells, unit_max)
-        return hit
 
-    def packed(self, level: int, slot_bits: int) -> _Cells:
-        """``cells(level)`` with each signature packed into one integer."""
-        key = (level, slot_bits)
-        hit = self._packed.get(key)
-        if hit is None:
-            hit = self._packed[key] = tuple(
-                tuple((a, sum(uw << (w * slot_bits) for w, uw in enumerate(u)))
-                      for a, u in cell)
-                for cell in self.cells(level)[0])
-        return hit
+def _level_cells(instance: Instance, members: Sequence[Sequence[str]],
+                 signature: Callable, level: int) -> tuple[_Cells, int]:
+    """Per group of ``members``, its members with a row at ``level`` and
+    their signatures; and the largest unit among all of them (0 if none)."""
+    cells = tuple(tuple((a, signature(a, level)) for a in group
+                        if level in instance.action(a).rows)
+                  for group in members)
+    return cells, max((max(u) for cell in cells for _a, u in cell), default=0)
+
+
+def _packed_cells(cells: Callable, level: int, slot_bits: int) -> _Cells:
+    """``cells(level)`` with each signature packed into one integer."""
+    return tuple(tuple((a, sum(uw << (w * slot_bits) for w, uw in enumerate(u)))
+                       for a, u in cell)
+                 for cell in cells(level)[0])
 
 
 def _antichains(n: int, ancestors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -515,21 +511,20 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     # node its risk are ever added, so no low slot underflows.
     cb = max(cap.bit_length(), 1)
     caps_bits = len(paths) * cb
-    caps_all = (1 << caps_bits) - 1
     slot_all = (1 << cb) - 1
     init_key = 0
     for j in range(len(paths)):
         init_key |= cap << (j * cb)
-    # A node's risk slot reads ``risk_empty`` until its first item, which
-    # also spends one unit: ``_RISK_UNITS + 1 - share`` is left after it, so
-    # a lone item over eps^2 leaves 0, small ones leave at least 1, and a
-    # later item fits only where more than its share is left.
-    risk_empty = _RISK_UNITS + 2
-    rb = risk_empty.bit_length()
+    # A node's risk slot starts at ``_RISK_UNITS + 1``; its occupancy bit
+    # says whether it holds an item.  The first item fits any share and
+    # leaves ``_RISK_UNITS + 1 - share``: 0 for a lone item over eps^2, at
+    # least 1 for small ones.  A later item fits where more than its share
+    # is left.
+    rb = (_RISK_UNITS + 1).bit_length()
     risk_all = (1 << rb) - 1
     risk_shift = [caps_bits + i * rb for i in range(n_nodes)]
     for shift in risk_shift:
-        init_key |= risk_empty << shift
+        init_key |= (_RISK_UNITS + 1) << shift
     occ_shift = caps_bits + n_nodes * rb
     occ_all = (1 << n_nodes) - 1
     low_bits = occ_shift + n_nodes
@@ -544,7 +539,7 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     # With cover masks, ``inside`` holds every occupancy word inside one,
     # and a placement's fit is listed per (caps, occupancy) word.
     inside: set[int] | None = None
-    open_all = caps_all
+    open_all = (1 << caps_bits) - 1
     if cover_masks:
         inside = {0}
         for cover in cover_masks:
@@ -554,40 +549,38 @@ def config_dp(table: _SolveTable, topology: Topology, *,
                 sub = (sub - 1) & cover
         open_all |= occ_all << occ_shift
 
-    # Per antichain: its nodes, the mask of the paths it covers, and the
-    # caps it spends (one unit in each covered path's slot).
+    # Per antichain: its nodes, their node mask, the mask of the paths it
+    # covers, and the caps it spends (one unit in each covered path's slot).
     path_masks = [sum(1 << j for j, path in enumerate(paths) if i in path)
                   for i in range(n_nodes)]
-    covers: list[tuple[tuple[int, ...], int, int]] = []
+    covers: list[tuple[tuple[int, ...], int, int, int]] = []
     for chain in _antichains(n_nodes, ancestors):
-        if inside is not None and sum(1 << i for i in chain) not in inside:
+        nodes = sum(1 << i for i in chain)
+        if inside is not None and nodes not in inside:
             continue
         mask = 0
         for i in chain:
             mask |= path_masks[i]
-        covers.append((chain, mask, sum(1 << (j * cb) for j in range(len(paths))
-                                        if mask >> j & 1)))
+        covers.append((chain, nodes, mask, sum(1 << (j * cb) for j in range(len(paths))
+                                               if mask >> j & 1)))
 
     # Per group: (covered path mask, packed delta, placement tuple, per
-    # touched node its (index, risk share, first-item delta)), in antichain
-    # order, then member order node by node; with cover masks, also each
-    # delta's node mask.  The delta adds the unit sums and subtracts the
-    # covered caps and the risk shares in one integer add; a node's first
-    # item also spends one more risk unit and sets the node's occupancy
-    # bit, per residual word.
+    # touched node its (index, risk share, occupancy bit), node mask), in
+    # antichain order, then member order node by node.  The delta adds the
+    # unit sums and subtracts the covered caps and the risk shares in one
+    # integer add; a node's first item also sets its occupancy bit, per
+    # residual word.
     packed = [table.packed(level, sb) for level in levels]
     risk = table.risk
-    deltas_by_group: list[list[tuple[int, int, tuple[tuple[int, str], ...],
-                                     tuple[tuple[int, int, int], ...]]]] = []
-    nodes_by_group: list[list[int]] = []
+    deltas_by_group: list[list[tuple]] = []
     for g in range(len(table.members)):
         # Per node: (packed word shifted to the node's slots, less its risk
-        # share, (node, action), (node, risk share, first-item delta)) of
-        # each member with a row at the node's level.
+        # share, (node, action), (node, risk share, occupancy bit)) of each
+        # member with a row at the node's level.
         at_node = []
         for i in range(n_nodes):
             unit = 1 << risk_shift[i]
-            first = (1 << (occ_shift + i)) - unit
+            first = 1 << (occ_shift + i)
             cell = []
             for a, word in packed[i][g]:
                 share = risk(a, levels[i])
@@ -595,17 +588,14 @@ def config_dp(table: _SolveTable, topology: Topology, *,
                              (i, a), (i, share, first)))
             at_node.append(cell)
         deltas = []
-        for chain, mask, spent in covers:
+        for chain, nodes, mask, spent in covers:
             per_node = [at_node[i] for i in chain]
             if not all(per_node):
                 continue
             for combo in product(*per_node):
                 words, placement, need = zip(*combo)
-                deltas.append((mask, sum(words) - spent, placement, need))
+                deltas.append((mask, sum(words) - spent, placement, need, nodes))
         deltas_by_group.append(deltas)
-        if inside is not None:
-            nodes_by_group.append([sum(1 << i for i, _a in placement)
-                                   for _mask, _d, placement, _need in deltas])
 
     # Each state maps to its traceback chain: None at the start, else
     # (group index, placement, the chain it extends).  A skip reuses its
@@ -630,19 +620,15 @@ def config_dp(table: _SolveTable, topology: Topology, *,
                 if open_deltas is None:
                     open_paths = sum(1 << j for j in range(len(paths))
                                      if open_word >> (j * cb) & slot_all)
-                    if inside is None:
-                        open_deltas = [delta for delta in deltas
-                                       if not delta[0] & ~open_paths]
-                    else:
-                        occ = open_word >> occ_shift
-                        open_deltas = [delta for delta, nodes in zip(deltas, nodes_by_group[g])
-                                       if not delta[0] & ~open_paths and occ | nodes in inside]
-                    opened[open_word] = open_deltas
+                    occ = open_word >> occ_shift
+                    open_deltas = opened[open_word] = [
+                        delta for delta in deltas if not delta[0] & ~open_paths
+                        and (inside is None or occ | delta[4] in inside)]
                 left = [word >> shift & risk_all for shift in risk_shift]
                 fits = fitting[word] = []
-                for _covered, d, placement, need in open_deltas:
+                for _covered, d, placement, need, _nodes in open_deltas:
                     for i, share, first in need:
-                        if left[i] == risk_empty:
+                        if not word & first:
                             d += first
                         elif left[i] <= share:
                             break

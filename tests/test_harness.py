@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import math
 import os
+import re
 
 import pytest
 
@@ -517,6 +519,68 @@ def test_cli_deep_policy_document_exits_3(tmp_path, capsys):
     assert main(["simulate", "--in", str(deep_path), "--policy", str(policy_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _one_error_line(capsys, *words: str) -> None:
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+    assert all(word in err[0] for word in words)
+
+
+def test_cli_refuses_non_finite_numbers_with_exit_2(tmp_path, capsys):
+    # json.loads lets NaN and Infinity through, and integers past the float
+    # range; no document written by the package holds them, so each is
+    # refused with the field it sits in.
+    path = tmp_path / "spec.json"
+    for pmf, field in (("[[0.0, NaN], [2.0, 0.5]]", "pmf[0].probability"),
+                       ("[[0.0, 0.5], [Infinity, 0.5]]", "pmf[1].outcome"),
+                       ("[[0.0, 0.5], [-Infinity, 0.5]]", "pmf[1].outcome"),
+                       ("[[0.0, 0.5], [1" + "0" * 400 + ", 0.5]]", "pmf[1].outcome")):
+        path.write_text('{"kind": "probemax", "m": 1, "eps": 0.3, "items": [{"pmf": '
+                        + pmf + "}]}")
+        with pytest.raises(ParseError, match=rf"items\[0\]\.{re.escape(field)}"):
+            parse_instance(path.read_text())
+        for command in ("check", "exact", "ptas"):
+            assert main([command, "--in", str(path)]) == 2
+            _one_error_line(capsys, field, "finite")
+    # An integer past Python's digit limit fails in decoding.
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_instance('{"kind": "probemax", "m": 1, "items": [{"pmf": [[0.0, 0.5], [1'
+                       + "0" * 5000 + ", 0.5]]}]}")
+
+
+def test_cli_refuses_an_overflowing_grid_quotient_with_exit_2(tmp_path, capsys):
+    # Finite outcomes whose quotient by the grid step overflows.
+    docs = [
+        # Probemax's default theta, W / eps / step, overflows.
+        {"kind": "probemax", "m": 2, "eps": 0.001,
+         "items": [{"pmf": [[1e308, 0.375], [2.0, 0.625]]}, {"pmf": [[0.0, 0.5], [3.0, 0.5]]}]},
+        # The grid top theta / step overflows.
+        {"kind": "probemax", "m": 2, "eps": 0.3,
+         "items": [{"pmf": [[0.0, 0.5], [1e308, 0.5]]}, {"pmf": [[0.0, 0.5], [3.0, 0.5]]}]},
+        # A size outcome over the step overflows.
+        {"kind": "target", "m": 1, "eps": 0.3, "target": 1.0,
+         "items": [{"pmf": [[1e308, 0.5], [1.0, 0.5]]}, {"pmf": [[0.0, 0.5], [1.0, 0.5]]}]},
+    ]
+    path = tmp_path / "spec.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        for command in ("check", "exact", "ptas"):
+            assert main([command, "--in", str(path)]) == 2
+            _one_error_line(capsys, "is not a finite number")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_reports_a_result_that_overflows_with_exit_2(tmp_path, capsys):
+    # A profit and a terminal value that sum past the float range make the
+    # optimum inf, which JSON cannot write.
+    inst = kernel([act("a", "g", {0: ((1, 1.0),)}, profit=1.7e308)], [0.0, 1.7e308], 1)
+    path = tmp_path / "kernel.json"
+    path.write_text(serialize_instance(inst))
+    assert optimal_value(inst) == math.inf
+    assert main(["exact", "--in", str(path)]) == 2
+    _one_error_line(capsys, "not finite")
 
 
 #: Every exception class ``stochprobe.exceptions`` defines.

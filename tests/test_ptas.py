@@ -1,6 +1,7 @@
 """Approximation pipeline: signatures, topologies, the placement DP, search."""
 
 import dataclasses
+import hashlib
 import math
 import time
 from itertools import product
@@ -1598,18 +1599,18 @@ def test_the_traceback_check_does_not_read_the_dps_packed_words(two_probe_kernel
                                                                 monkeypatch):
     # One packed word off by a unit makes the DP's sums wrong for every
     # state that places that action; the check packs its own signatures.
-    packed = _SolveTable.packed
+    packed = ptas._packed_cells
 
-    def off_by_one(self, level, slot_bits):
-        cells = packed(self, level, slot_bits)
-        (action_id, word), *rest = cells[0]
-        return ((action_id, word + 1), *rest), *cells[1:]
+    def off_by_one(cells, level, slot_bits):
+        packed_cells = packed(cells, level, slot_bits)
+        (action_id, word), *rest = packed_cells[0]
+        return ((action_id, word + 1), *rest), *packed_cells[1:]
 
     top = enumerate_topologies(all_levels(2), 2, 2, 0)[0]
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
     run = config_dp(table, top)
     assert len(_winner(top, run, run.candidates, None, 32)[0].items) > 0
-    monkeypatch.setattr(_SolveTable, "packed", off_by_one)
+    monkeypatch.setattr(ptas, "_packed_cells", off_by_one)
     table = _SolveTable(two_probe_kernel, 0.25, 1.0, 1.0)
     result = config_dp(table, top)
     with pytest.raises(StructuralError):
@@ -1811,3 +1812,34 @@ def test_a_union_run_at_the_state_cap_leaves_the_covers_to_finish(monkeypatch):
             seen.add(want[-1] > 0)
     # Some covers stop too at the smaller caps, none at the larger.
     assert seen == {False, True}
+
+
+def _ladder_8_3():
+    """Probemax 8/3 on the 13-level greedy grid, seeded as the ladder's
+    ``cross`` rungs are, at block budget 4 and depth 3."""
+    seed = int(stream(0, "cross", 0).integers(0, 2 ** 63))
+    spec = gen_random(seed, GenParams(kind="probemax", n=8, m=3, support=3, levels=8, q=8,
+                                      step=1.0, eps=0.3))
+    inst, _ = build_probemax(spec)
+    return inst, PtasKnobs(eps=0.3, grid=0.125, block_budget=4, depth_limit=3, top_k=32,
+                           max_hint="greedy_probemax")
+
+
+def test_pinned_solves_keep_their_answers():
+    # A ptas-wide solve whose 10 covers share one masked union run, and a
+    # depth-3 solve of 65 topologies read off 44 runs.  Any change to the
+    # DP's states, their order, tie-breaks or the rescoring moves a digest.
+    pins = [
+        (_ptas_wide(0, 0), (26, 1, 1902),
+         "335a1838a24f6094093514f5cff498c38020f81f62c309ea32267e4a53038163"),
+        (_ladder_8_3(), (65, 44, 182_654),
+         "36773730d6b2263ef21f9f74e8abb1b683ff78d325c869fc5ca472524666cda8"),
+    ]
+    for (inst, knobs), counts, digest in pins:
+        res = solve_ptas(inst, knobs)
+        d = res.diagnostics
+        assert (d.topologies, d.dp_runs, d.states_explored) == counts
+        fields = (res.value.hex(), repr(res.tree), d.best_topology, d.best_surrogate,
+                  d.candidates, d.materialized, d.capacity_errors, d.dp_runs,
+                  d.states_explored)
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
