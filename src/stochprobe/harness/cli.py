@@ -10,8 +10,11 @@ Exit codes: 0 success, 1 failed assertion or non-compliant input, 2
 usage, malformed input or any other package error (a
 ``StochprobeError``), such as a refused ``suite --set`` override, an
 unwritable ``--out`` path, a non-finite number in a document or a
-result that overflows to inf; 3 capacity overrun, including input nested deeper
-than Python's recursion limit (a RecursionError from JSON decoding).
+scale or result that overflows to inf; 3 capacity overrun, such as a
+builder past ``problems.LEVEL_CAP`` or an sbk spec whose scale estimate
+(``sbk_opt_exact``) passes ``problems.REFERENCE_CAP``, including input
+nested deeper than Python's recursion limit (a RecursionError from JSON
+decoding).
 Policy and block documents are flat tables, so only nested non-tree
 JSON, such as a deeply nested ``meta``, gets there.
 """

@@ -38,6 +38,17 @@ KINDS = ("probemax", "probetopk", "committed_probetopk", "committed_pandora",
 #: Tolerance for grid-alignment checks (theta on step, capacity on step).
 _GRID_TOL = 1e-9
 
+#: Most levels any builder compiles; more raise ``CapacityError``.
+LEVEL_CAP = 4096
+
+#: Most sorted k-tuples of levels ``build_probetopk`` compiles; more raise
+#: ``CapacityError``.
+TUPLE_CAP = 20_000
+
+#: Most memoized states ``target_opt_exact`` and ``sbk_opt_exact`` keep;
+#: a search past it raises ``CapacityError``.
+REFERENCE_CAP = 1 << 17
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -257,13 +268,13 @@ def _level_rows_from_map(dmap: DiscretizationMap, level_count: int) -> dict[int,
     return masses
 
 
-def _value_grid(eps: float, w_greedy: float, step: float | None, theta: float | None,
-                level_cap: int) -> tuple[float, float, int]:
+def _value_grid(eps: float, w_greedy: float, step: float | None,
+                theta: float | None) -> tuple[float, float, int]:
     """The value grid (step, theta, top level) of a Probemax-style build.
 
     By default it ties to the greedy set value W: step eps*W and theta
     W/eps rounded up onto the grid; ``step``/``theta`` override either.
-    A grid past ``level_cap`` levels raises ``CapacityError``.
+    A grid past ``LEVEL_CAP`` levels raises ``CapacityError``.
     """
     if step is None or theta is None:
         if w_greedy <= 0.0:
@@ -275,16 +286,15 @@ def _value_grid(eps: float, w_greedy: float, step: float | None, theta: float | 
         if theta is None:
             theta = math.ceil(_units(w_greedy / eps, step) - _GRID_TOL) * step
     top = _on_grid(theta, step)
-    if top + 1 > level_cap:
+    if top + 1 > LEVEL_CAP:
         raise CapacityError(
-            f"value grid needs {top + 1} levels, over the cap {level_cap}; "
+            f"value grid needs {top + 1} levels, over the cap {LEVEL_CAP}; "
             "try a coarser eps")
     return step, theta, top
 
 
 def build_probemax(spec: ProblemSpec, *, step: float | None = None,
-                   theta: float | None = None,
-                   level_cap: int = 4096) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
+                   theta: float | None = None) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
     """Compile Probemax: levels are the value grid, probing an item lifts the
     level to the max of the current one and the quantized draw, and the
     terminal payoff is the level's value.
@@ -298,7 +308,7 @@ def build_probemax(spec: ProblemSpec, *, step: float | None = None,
     if spec.m is None:
         raise ParameterError("probemax needs a probe budget m")
     chosen, w_greedy = greedy_probemax(spec)
-    step, theta, top = _value_grid(spec.eps, w_greedy, step, theta, level_cap)
+    step, theta, top = _value_grid(spec.eps, w_greedy, step, theta)
     reps = tuple(i * step for i in range(top + 1))
     maps: list[DiscretizationMap] = []
     actions: list[ActionSpec] = []
@@ -322,8 +332,7 @@ def build_probemax(spec: ProblemSpec, *, step: float | None = None,
 
 
 def build_probetopk(spec: ProblemSpec, *, step: float | None = None,
-                    theta: float | None = None, level_cap: int = 4096,
-                    tuple_cap: int = 20000) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
+                    theta: float | None = None) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
     """Compile ProbeTop-k: states are sorted k-tuples of grid levels ordered
     by (value sum, lexicographic); a draw is inserted and the minimum
     dropped; the terminal payoff is the tuple's value sum.
@@ -335,15 +344,14 @@ def build_probetopk(spec: ProblemSpec, *, step: float | None = None,
     if spec.m is None or spec.k is None:
         raise ParameterError("probetopk needs both m and k")
     if spec.k == 1:
-        return build_probemax(replace(spec, kind="probemax"), step=step,
-                              theta=theta, level_cap=level_cap)
+        return build_probemax(replace(spec, kind="probemax"), step=step, theta=theta)
     base = replace(spec, kind="probemax")
     chosen, w_greedy = greedy_probemax(base)
-    step, theta, top = _value_grid(spec.eps, w_greedy, step, theta, level_cap)
+    step, theta, top = _value_grid(spec.eps, w_greedy, step, theta)
     n_tuples = math.comb(top + spec.k, spec.k)
-    if n_tuples > tuple_cap:
+    if n_tuples > TUPLE_CAP:
         raise CapacityError(
-            f"k-tuple space has {n_tuples} states, over the cap {tuple_cap}")
+            f"k-tuple space has {n_tuples} states, over the cap {TUPLE_CAP}")
     base_reps = tuple(i * step for i in range(top + 1))
     states = sorted(combinations_with_replacement(range(top + 1), spec.k),
                     key=lambda s: (sum(base_reps[l] for l in s), s))
@@ -376,7 +384,7 @@ def build_probetopk(spec: ProblemSpec, *, step: float | None = None,
 # --- committed models ---------------------------------------------------------
 
 
-def build_committed(spec: ProblemSpec, *, level_cap: int = 64) -> Instance:
+def build_committed(spec: ProblemSpec) -> Instance:
     """Compile the committed models: the level counts accepted items, one
     action per distinct item threshold accepts any draw at or above it.
 
@@ -391,8 +399,8 @@ def build_committed(spec: ProblemSpec, *, level_cap: int = 64) -> Instance:
     if spec.k is None:
         raise ParameterError("committed models need a choose budget k")
     k = spec.k
-    if k + 1 > level_cap:
-        raise CapacityError(f"{k + 1} levels over the cap {level_cap}")
+    if k + 1 > LEVEL_CAP:
+        raise CapacityError(f"{k + 1} levels over the cap {LEVEL_CAP}")
     if pandora:
         horizon = len(spec.items)
     else:
@@ -435,8 +443,7 @@ def build_committed(spec: ProblemSpec, *, level_cap: int = 64) -> Instance:
 
 
 def build_target(spec: ProblemSpec, *, small_cut: float | None = None,
-                 step: float | None = None,
-                 level_cap: int = 4096) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
+                 step: float | None = None) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
     """Compile the target problem: levels are total size on a grid with a
     saturating top, insertion adds the quantized draw, and the terminal
     payoff is the indicator of reaching the relaxed target 1 - 2*eps.
@@ -456,9 +463,9 @@ def build_target(spec: ProblemSpec, *, small_cut: float | None = None,
     if step is None:
         step = small_cut
     top = int(math.ceil(_units(1.0, step) - _GRID_TOL))
-    if top + 1 > level_cap:
+    if top + 1 > LEVEL_CAP:
         raise CapacityError(
-            f"size grid needs {top + 1} levels, over the cap {level_cap}")
+            f"size grid needs {top + 1} levels, over the cap {LEVEL_CAP}")
     _on_grid(small_cut, step)
     reps = tuple(i * step for i in range(top + 1))
     relaxed = 1.0 - 2.0 * eps
@@ -486,9 +493,21 @@ def build_target(spec: ProblemSpec, *, small_cut: float | None = None,
     return instance, tuple(maps)
 
 
+def _memoize(memo: dict, key: tuple, value: float, name: str) -> float:
+    """Store ``value`` under ``key`` and return it; the state past
+    ``REFERENCE_CAP`` raises ``CapacityError``."""
+    memo[key] = value
+    if len(memo) > REFERENCE_CAP:
+        raise CapacityError(
+            f"{name} memoized {len(memo)} states, over the cap {REFERENCE_CAP}",
+            states_explored=len(memo))
+    return value
+
+
 def target_opt_exact(spec: ProblemSpec) -> float:
     """Adaptive optimum of Pr[total >= target] on the true distributions,
-    by exhaustive recursion; reference oracle for desk-scale instances."""
+    by exhaustive recursion; reference oracle for desk-scale instances,
+    capped at ``REFERENCE_CAP`` memoized states."""
     if spec.kind != "target":
         raise ParameterError("target_opt_exact expects a target spec")
     goal = spec.target if spec.target is not None else 1.0
@@ -511,8 +530,7 @@ def target_opt_exact(spec: ProblemSpec) -> float:
             val = sum(p * best(rest, left - 1, total + x)
                       for x, p in items[i].support())
             out = max(out, val)
-        memo[key] = out
-        return out
+        return _memoize(memo, key, out, "target_opt_exact")
 
     return best(frozenset(range(len(items))), m, 0.0)
 
@@ -525,7 +543,8 @@ def sbk_opt_exact(spec: ProblemSpec) -> float:
 
     Overflow forfeits everything banked so far, so the banked amount is part
     of the state and stopping early is always an option.  Exhaustive
-    recursion; reference oracle for desk-scale instances.
+    recursion; reference oracle for desk-scale instances, capped at
+    ``REFERENCE_CAP`` memoized states.
     """
     if spec.kind != "sbk":
         raise ParameterError("sbk_opt_exact expects an sbk spec")
@@ -548,16 +567,15 @@ def sbk_opt_exact(spec: ProblemSpec) -> float:
                 if used + x <= cap + _GRID_TOL:
                     val += p * best(rest, used + x, banked + profits[i])
             out = max(out, val)
-        memo[key] = out
-        return out
+        return _memoize(memo, key, out, "sbk_opt_exact")
 
     return best(frozenset(range(len(items))), 0.0, 0.0)
 
 
 def build_sbk(spec: ProblemSpec, *, max_ref_est: float | None = None,
               theta3: float | None = None,
-              small_cut: float | None = None, step: float | None = None,
-              level_cap: int = 4096) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
+              small_cut: float | None = None,
+              step: float | None = None) -> tuple[Instance, tuple[DiscretizationMap, ...]]:
     """Compile the blackjack knapsack onto a (size grid) x (profit coin)
     level space.
 
@@ -566,32 +584,42 @@ def build_sbk(spec: ProblemSpec, *, max_ref_est: float | None = None,
     and their profit capped at theta2.  Sizes then quantize like the target
     problem.  Each insertion adds its size level and ORs a coin of bias
     profit/theta3; the terminal pays theta3 on a set coin within the relaxed
-    capacity 1+2*eps.  theta3 defaults to est/eps^3, the next rung of the
-    est/eps power ladder; the literal eps-power size grids are far below
-    desk scale.
+    capacity 1+2*eps, floored onto the size grid.  theta3 defaults to
+    est/eps^3, the next rung of the est/eps power ladder; the literal
+    eps-power size grids are far below desk scale.
+
+    est defaults to ``sbk_opt_exact``, run only after the grid and
+    ``LEVEL_CAP`` checks pass; a non-finite est, theta2 or theta3 raises
+    ``ParameterError``.
     """
     if spec.kind != "sbk":
         raise ParameterError("build_sbk expects an sbk spec")
     if spec.capacity is None or abs(spec.capacity - 1.0) > _GRID_TOL:
         raise ParameterError("capacity must be normalized to 1")
     eps = spec.eps
+    if small_cut is None:
+        small_cut = eps * eps
+    if step is None:
+        step = small_cut
+    # Within _on_grid's tolerance of a multiple counts as on it.
+    units = _units(1.0 + 2.0 * eps, step)
+    fit_top = math.floor(units + _GRID_TOL * max(1.0, abs(units)))
+    bust = fit_top + 1
+    n_size = bust + 1
+    if 2 * n_size > LEVEL_CAP:
+        raise CapacityError(
+            f"size/coin space needs {2 * n_size} levels, over the cap {LEVEL_CAP}")
+    _on_grid(small_cut, step)
     est = max_ref_est if max_ref_est is not None else sbk_opt_exact(spec)
     if est <= 0.0:
         raise ParameterError("optimum estimate is 0; nothing to scale against")
     theta2 = est / (eps * eps)
     if theta3 is None:
         theta3 = est / (eps * eps * eps)
-    if small_cut is None:
-        small_cut = eps * eps
-    if step is None:
-        step = small_cut
-    fit_top = _on_grid(1.0 + 2.0 * eps, step)
-    bust = fit_top + 1
-    n_size = bust + 1
-    if 2 * n_size > level_cap:
-        raise CapacityError(
-            f"size/coin space needs {2 * n_size} levels, over the cap {level_cap}")
-    _on_grid(small_cut, step)
+    if not all(map(math.isfinite, (est, theta2, theta3))):
+        raise ParameterError(
+            f"optimum estimate {est!r}, theta2 {theta2!r} and theta3 {theta3!r} "
+            "must all be finite")
     size_reps = tuple(i * step for i in range(n_size - 1)) + (1.0 + 4.0 * eps,)
     assert spec.profits is not None
     maps: list[DiscretizationMap] = []

@@ -994,7 +994,8 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     recorded and skipped; the result is then flagged partial.  Topology
     enumeration past ``TOPOLOGY_CAP`` raises instead.  The do-nothing
     policy is always a candidate, so the returned value is at least the
-    start level's terminal payoff.
+    start level's terminal payoff.  A ``max_hint`` whose estimate is inf
+    or NaN raises ``ParameterError`` before anything is searched.
     """
     report = validate_instance(instance)
     if not report.compliant:
@@ -1010,6 +1011,9 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
             raise ParameterError(f"{name} must be at least 1")
     max_ref = estimate_max(instance, knobs.max_hint)
     max_ref_source = knobs.max_hint
+    if not math.isfinite(max_ref):
+        raise ParameterError(
+            f"max_hint {knobs.max_hint!r} gives the scale {max_ref!r}, which is not finite")
     if max_ref <= 0.0:
         # Degenerate all-zero instance; any scale works.
         max_ref, max_ref_source = 1.0, "fallback"

@@ -32,7 +32,7 @@ from stochprobe import (
     validate_instance,
     validate_policy_tree,
 )
-from stochprobe import exceptions
+from stochprobe import exceptions, problems
 from stochprobe.harness import (
     GenParams,
     RunConfig,
@@ -581,6 +581,27 @@ def test_cli_reports_a_result_that_overflows_with_exit_2(tmp_path, capsys):
     assert optimal_value(inst) == math.inf
     assert main(["exact", "--in", str(path)]) == 2
     _one_error_line(capsys, "not finite")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_ptas_refuses_a_scale_that_overflows_with_exit_2(tmp_path, capsys):
+    inst = kernel([act("a", "g", {0: ((1, 1.0),)}, profit=1.7e308)], [0.0, 1.7e308], 1)
+    path = tmp_path / "kernel.json"
+    path.write_text(serialize_instance(inst))
+    assert main(["ptas", "--in", str(path), "--grid", "0.25"]) == 2
+    _one_error_line(capsys, "max_hint", "not finite")
+
+
+def test_cli_check_stops_an_sbk_reference_past_its_cap_with_exit_3(tmp_path, monkeypatch,
+                                                                  capsys):
+    # Compiling an sbk spec runs sbk_opt_exact for its scale estimate.
+    path = tmp_path / "sbk.json"
+    path.write_text(serialize_spec(gen_random(0, GenParams(kind="sbk", n=6, step=0.125))))
+    assert main(["check", "--in", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(problems, "REFERENCE_CAP", 100)
+    assert main(["check", "--in", str(path)]) == 3
+    _one_error_line(capsys, "sbk_opt_exact", "over the cap 100")
 
 
 #: Every exception class ``stochprobe.exceptions`` defines.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -41,8 +44,9 @@ from stochprobe import (
     truncate_by_profit,
     weitzman,
 )
+from stochprobe import problems
 from stochprobe.exceptions import CapacityError
-from stochprobe.harness import GenParams, gen_random, gen_random_policy
+from stochprobe.harness import GenParams, gen_random, gen_random_policy, serialize_instance
 
 from conftest import act, kernel
 
@@ -233,9 +237,10 @@ def test_build_probemax_default_grid_ties_to_greedy(witness_spec):
     assert theta >= 3.7 / witness_spec.eps - 1e-9
 
 
-def test_build_probemax_level_cap(witness_spec):
+def test_build_probemax_level_cap(witness_spec, monkeypatch):
+    monkeypatch.setattr(problems, "LEVEL_CAP", 4)
     with pytest.raises(CapacityError):
-        build_probemax(witness_spec, level_cap=4)
+        build_probemax(witness_spec)
 
 
 # --- probetop-k compilation ---------------------------------------------------
@@ -266,11 +271,12 @@ def test_build_probetopk_pair_of_coins_sums_means():
     assert optimal_value(inst) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_build_probetopk_tuple_cap():
+def test_build_probetopk_tuple_cap(monkeypatch):
     coin = pmf((0.0, 0.5), (4.0, 0.5))
     spec = ProblemSpec("probetopk", (coin, coin), m=2, k=2)
+    monkeypatch.setattr(problems, "TUPLE_CAP", 2)
     with pytest.raises(CapacityError):
-        build_probetopk(spec, step=1.0, theta=4.0, tuple_cap=2)
+        build_probetopk(spec, step=1.0, theta=4.0)
 
 
 def test_build_probetopk_deep_k_builds_without_recursion():
@@ -411,6 +417,66 @@ def test_build_sbk_requires_unit_capacity():
         "sbk", (pmf((0.0, 1.0)),), profits=(0.5,), capacity=2.0, eps=0.5)
     with pytest.raises(ParameterError):
         build_sbk(spec, step=0.25)
+
+
+def test_build_sbk_floors_the_relaxed_capacity_onto_the_grid():
+    # eps 0.3, the spec default: 1 + 2 eps = 1.6 lies between 17 and 18
+    # steps of eps^2 = 0.09, so sizes up to 17 steps fit.
+    spec = gen_random(0, GenParams(kind="sbk", n=4, step=0.125))
+    assert spec.eps == 0.3
+    inst, _maps = build_sbk(spec)
+    assert inst.meta["fit_top"] == 17 and inst.values.level_count == 38
+    assert 0.0 < optimal_value(inst) < math.inf
+
+
+@pytest.mark.parametrize("eps, digest", [
+    (0.25, "7c5273c13e8420c8842c199f2583f4c4f824114f4add1440f2da24172bd4da92"),
+    (0.5, "1003b848727681f0150679253e392bc6dafab69d79ebf2edaad2f8e880041eba"),
+])
+def test_build_sbk_keeps_on_grid_kernels(eps, digest):
+    # 1 + 2 eps is a whole number of eps^2 steps at these eps; the kernels
+    # serialize to the bytes they had when that was required.
+    spec = gen_random(0, GenParams(kind="sbk", n=4, step=0.125, eps=eps))
+    inst, _maps = build_sbk(spec)
+    assert hashlib.sha256(serialize_instance(inst).encode()).hexdigest() == digest
+
+
+def test_build_sbk_checks_the_grid_before_the_estimate(monkeypatch):
+    def no_estimate(_spec):
+        raise AssertionError("sbk_opt_exact ran")
+
+    monkeypatch.setattr(problems, "sbk_opt_exact", no_estimate)
+    spec = ProblemSpec(
+        "sbk", (pmf((0.0, 1.0)),), profits=(0.5,), capacity=1.0, eps=0.5)
+    with pytest.raises(ParameterError, match="not a multiple of the step"):
+        build_sbk(spec, small_cut=0.25, step=0.1)
+    with pytest.raises(CapacityError, match="over the cap"):
+        build_sbk(spec, step=0.0001)
+
+
+def test_build_sbk_refuses_non_finite_scales():
+    huge = ProblemSpec(
+        "sbk", (pmf((0.0, 1.0)),) * 2, profits=(1.7e308, 1.7e308),
+        capacity=1.0, eps=0.5)
+    with pytest.raises(ParameterError, match="must all be finite"):
+        build_sbk(huge, step=0.25)
+    spec = ProblemSpec(
+        "sbk", (pmf((0.0, 1.0)),), profits=(0.5,), capacity=1.0, eps=0.5)
+    for knobs in ({"max_ref_est": 1e308}, {"max_ref_est": math.nan},
+                  {"theta3": math.inf}):
+        with pytest.raises(ParameterError, match="must all be finite"):
+            build_sbk(spec, step=0.25, **knobs)
+
+
+@pytest.mark.parametrize("reference, kind", [(target_opt_exact, "target"),
+                                             (sbk_opt_exact, "sbk")])
+def test_exhaustive_references_stop_past_their_cap(reference, kind, monkeypatch):
+    spec = gen_random(3, GenParams(kind=kind, n=6, m=6, step=0.125))
+    reference(spec)
+    monkeypatch.setattr(problems, "REFERENCE_CAP", 10)
+    with pytest.raises(CapacityError, match="over the cap 10") as info:
+        reference(spec)
+    assert info.value.states_explored == 11
 
 
 def test_sbk_opt_exact_banks_zero_size_profits():

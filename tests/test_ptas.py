@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import time
+import warnings
 from itertools import product
 
 import numpy as np
@@ -1207,6 +1208,17 @@ def test_max_ref_source_fallback():
     assert estimate_max(inst, "terminal_bound") == 0.0
     diag = solve_ptas(inst, PtasKnobs(grid=0.25, max_hint="terminal_bound")).diagnostics
     assert (diag.max_ref_source, diag.max_ref) == ("fallback", 1.0)
+
+
+def test_solve_refuses_a_scale_that_is_not_finite():
+    # max terminal plus horizon times best profit overflows to inf; the
+    # solve stops before any surrogate multiplies it.
+    inst = kernel([act("a", "g", {0: ((1, 1.0),)}, profit=1.7e308)], [0.0, 1.7e308], 1)
+    assert estimate_max(inst, "terminal_bound") == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="max_hint 'terminal_bound'"):
+            solve_ptas(inst, PtasKnobs(grid=0.25, max_hint="terminal_bound"))
 
 
 def test_solve_winners_keep_p1_on_wide_probemax():
