@@ -458,7 +458,13 @@ def _ranked(kernel: _Kernel, table: np.ndarray) -> None:
 
 def _sweep(kernel: _Kernel):
     """Yield the value table of every layer, bottom layer first, as a
-    (levels x masks) array whose columns follow the layer's masks."""
+    (levels x masks) array whose columns follow the layer's masks.
+
+    Callers run the whole sweep under one ``np.errstate(over="ignore",
+    invalid="ignore")``, so a value past the float range becomes inf
+    without a warning, as it does in Python floats.  The setting is not
+    made in here: a generator's context stays entered across its yields,
+    so it would leak into the caller between them."""
     terminal, levels, floor, runs = kernel.terminal, kernel.levels, kernel.floor, kernel.runs
     layers, depth, shape = kernel.layers, kernel.depth, kernel.shape
     G = len(kernel.groups)
@@ -500,8 +506,9 @@ def _root(instance: Instance) -> tuple[list[float], ExactStats]:
     start = perf_counter()
     kernel = _Kernel(instance)
     marks = []
-    for table in _sweep(kernel):
-        marks.append(perf_counter())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for table in _sweep(kernel):
+            marks.append(perf_counter())
     # Every layer above the bottom is a full table; the bottom is one column.
     widths = [len(layer) for layer in kernel.layers[:-1]] + [1]
     held = max((a + b for a, b in zip(widths, widths[1:])), default=1)
@@ -544,7 +551,8 @@ def optimal_policy(instance: Instance) -> PolicyNode:
     the group, and zero-probability branches are omitted.
     """
     kernel = _Kernel(instance)
-    tables = list(_sweep(kernel))[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = list(_sweep(kernel))[::-1]
     shape, depth, terminal = kernel.shape, kernel.depth, instance.terminal
     bottom = kernel.terminal[:, 0].tolist()
     holder: dict[None, PolicyNode] = {}

@@ -10,10 +10,11 @@ several whose leave masses sum to at most eps^2), once per topology that no
 other extends and read off by every topology it extends; a star solve's
 covers may share one run over their union instead.  Each run's
 configurations are ranked once by a batched surrogate, and every topology
-read off the run takes its own from that order; only the most promising are
-traced back into per-node batches, checked against their unit sums and
-valued exactly once per run.  Only the solve's winner is built into a
-concrete block tree, once, and that tree is checked to score its value.
+read off the run takes its own from that order; the most promising of
+every topology read off a run are traced back, checked against their unit
+sums and valued together, in one vectorized pass per run.  Only the solve's
+winner is built into a concrete block tree, once, and that tree is checked
+to score its value.
 """
 
 from __future__ import annotations
@@ -185,17 +186,20 @@ class ConfigDpResult:
     gives its row of ``sums``, the ``(U, nodes, K+1)`` array of the
     distinct per-node unit sums (first found first); ``chains`` its
     traceback chain (None, or (group index, placement, rest)), which
-    ``batches`` unwinds into its configuration; and ``word_ids`` its row of
-    ``words``, the distinct occupancy words (bit ``i`` set once node ``i``
-    holds an item).  ``states_explored`` counts the states of all stages.
+    ``traceback`` unwinds into per-node action masks and ``batches`` into
+    its configuration; and ``word_ids`` its row of ``words``, the distinct
+    occupancy words (bit ``i`` set once node ``i`` holds an item).
+    ``states_explored`` counts the states of all stages.
 
     A topology's candidates are final state ids, ranked: ``ranked`` orders
     the final states once for every topology read off the run, ``project``
     reads the candidates of the topology or of any of its sub-topologies
     off it, and ``candidates`` are the topology's own.  Surrogates of
-    ``sums``, the ranking and checked exact values of final states are
-    computed on first use and kept, so every topology read off the run
-    shares them.
+    ``sums`` and the ranking are computed on first use and kept, so every
+    topology read off the run shares them.  ``exact_values`` traces back,
+    checks and values any set of final states in one vectorized pass;
+    ``solve_ptas`` calls it once per run, on the union of the top_k of
+    every topology read off the run.
     """
 
     def __init__(self, table: _SolveTable, topology: Topology, sums: np.ndarray,
@@ -209,7 +213,6 @@ class ConfigDpResult:
         self.words = words
         self.word_ids = word_ids
         self.states_explored = states_explored
-        self._exact: dict[int, float] = {}
 
     @cached_property
     def candidates(self) -> np.ndarray:
@@ -255,58 +258,120 @@ class ConfigDpResult:
         """The surrogate value of every row of ``sums``."""
         return _compile_surrogate(self.table, self.topology)(self.sums)
 
+    def traceback(self, states: Sequence[int]) -> list[int]:
+        """The traceback chains of the final states in ``states`` unwound
+        into one action mask per node, state after state: node ``i``'s mask
+        in the ``r``-th state is entry ``r * nodes + i``.  A mask sets the
+        bit ``table.bit[a]`` where the node holds ``a``.  A node holds at
+        most one member of any group, and the bits follow the
+        group-processing order, so ``table.items`` reads a mask back into
+        the node's items in order."""
+        bit = self.table.bit
+        n_nodes = len(self.topology.nodes)
+        traced: list[int] = []
+        for state in states:
+            masks = [0] * n_nodes
+            chain = self.chains[state]
+            while chain is not None:
+                _g, placement, chain = chain
+                for i, action_id in placement:
+                    masks[i] |= bit[action_id]
+            traced += masks
+        return traced
+
     def batches(self, state: int, nodes: tuple[int, ...] | None = None) -> Batches:
-        """Final state ``state``'s configuration, its traceback chain unwound
+        """Final state ``state``'s configuration, its ``traceback`` read back
         into each node's items; with ``nodes``, the node map ``project``
-        took, those of the sub-topology's nodes.  The chain runs last group
-        first, so each item goes in front of its node's later ones."""
-        batches: list[tuple[str, ...]] = [()] * len(self.topology.nodes)
-        chain = self.chains[state]
-        while chain is not None:
-            _g, placement, chain = chain
-            for i, action_id in placement:
-                batches[i] = (action_id,) + batches[i]
-        return tuple(batches) if nodes is None else tuple(batches[c] for c in nodes)
+        took, those of the sub-topology's nodes."""
+        masks = self.traceback((state,))
+        items = self.table.items
+        return tuple(items(masks[c]) for c in (range(len(masks)) if nodes is None else nodes))
 
     def exact_values(self, states: Sequence[int]) -> list[float]:
-        """``_exact_value`` of each final state in ``states``, computed once
-        per state.  A state not valued yet is traced back first, and its
-        batches must add up to its row of ``sums`` exactly, else
-        ``StructuralError``.
+        """The exact value of each final state in ``states``: what
+        ``block_profit_exact`` gives the tree ``materialize`` builds from its
+        batches.  The distinct states are traced back, checked and valued
+        together, node by node, children first over the reversed preorder
+        table, without building a tree or a batch per state.
 
-        The check adds up each placed item's ``table.word`` at the slot
-        width of ``sums`` (which raises where the action has no row at its
-        node's level, or a unit times the horizon does not fit a slot),
-        shifted to its node's slots: unit ``w`` of node ``i`` at bit ``(i *
-        (K+1) + w)`` times the slot bits, so a configuration's packed sum is
-        its row's little-endian bytes read as one integer.  A node may hold
-        at most the horizon items (one cap unit per path), so no slot
-        carries into the next, and the two integers agree exactly when
-        every node's sums do.
+        Traceback: every chain is unwound into per-node action masks
+        (``traceback``), and each node's distinct masks get ids.  Check:
+        each distinct mask may hold at most the horizon items (one cap unit
+        per path); every item's signature (``table.signature``, which raises
+        where the action has no row at the node's level) must have no
+        negative unit, and each unit times the horizon must fit a slot of
+        ``sums``, so the DP's packed sums cannot have carried between
+        slots; and the mask's summed signature must equal the node's row of
+        ``sums`` for every state holding it, compared in one numpy
+        comparison per node.  Any failure raises ``StructuralError``.  The
+        DP's own packed words are not read.
+
+        Fold: each node's value is an array over the states.  A node
+        without topology children takes its batch's stopped value.  Any
+        other node adds to its batch profit, outcome by outcome in edge
+        order, mass times the child's value; an outcome without a child
+        adds ``mass * terminal[j]``, read as that product times a row of
+        ones, and a batch with fewer outcomes than the widest at the node
+        adds ``(1.0 * -0.0) * 1.0``, which leaves every float as it is.
+        These are the IEEE operations of ``block_profit_exact``, in its
+        order, so every value is its value bit for bit.  The fold runs
+        under ``np.errstate``, so an overflow gives inf silently, as it
+        does in Python floats.
         """
-        todo = [state for state in dict.fromkeys(states) if state not in self._exact]
-        if todo:
-            rows = self.sums[self.sum_ids[todo]]
-            size = rows.nbytes // len(todo)
-            raw = rows.tobytes()
-            slot = rows.itemsize
-            node_bits = 8 * slot * rows.shape[-1]
-            nodes = [(level, i * node_bits)
-                     for i, (level, _parent, _key) in enumerate(self.topology.nodes)]
-            word = self.table.word
-            horizon = self.table.instance.horizon
-            for r, state in enumerate(todo):
-                batches = self.batches(state)
-                total = 0
-                for (level, shift), items in zip(nodes, batches):
-                    for action_id in items:
-                        total += word(action_id, level, slot) << shift
-                row = int.from_bytes(raw[r * size:(r + 1) * size], "little")
-                if max(map(len, batches)) > horizon or total != row:
+        todo = list(dict.fromkeys(states))
+        if not todo:
+            return []
+        table = self.table
+        terminal = table.instance.terminal
+        horizon = table.instance.horizon
+        nodes = self.topology.nodes
+        n_nodes = len(nodes)
+        rows = self.sum_ids[todo]
+        slot_bits = 8 * self.sums.itemsize
+        traced = self.traceback(todo)
+        # Rows 0..n_nodes-1 take each node's values, children first; the
+        # last row is ones.
+        values = np.empty((n_nodes + 1, len(todo)))
+        values[n_nodes] = 1.0
+        states_at = np.arange(len(todo))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in range(n_nodes - 1, -1, -1):
+                level = nodes[idx][0]
+                index: dict[int, int] = {}
+                ids = np.array([index.setdefault(mask, len(index))
+                                for mask in traced[idx::n_nodes]], np.intp)
+                batches = list(map(table.items, index))
+                units = [table.units(level, items) for items in batches]
+                if any(smallest < 0 or (largest * max(horizon, 1)) >> slot_bits
+                       for _total, largest, smallest in units):
+                    raise StructuralError("a signature does not fit the slots of the "
+                                          "configuration's unit sums")
+                if max(map(len, batches)) > horizon or not np.array_equal(
+                        np.array([total for total, *_ in units], self.sums.dtype)[ids],
+                        self.sums[rows, idx]):
                     raise StructuralError("traceback signature sums do not match the "
                                           "configuration")
-                self._exact[state] = _exact_value(self.table, self.topology, batches)
-        return [self._exact[state] for state in states]
+                outcomes = [table.outcomes(level, items) for items in batches]
+                kids = self.topology.child_index[idx]
+                if not kids:
+                    values[idx] = np.array([stopped for *_, stopped in outcomes])[ids]
+                    continue
+                width = max(len(edges) for _profit, edges, _keys, _stopped in outcomes)
+                coefs = np.full((width, len(outcomes)), 1.0 * -0.0)
+                reads = np.full((width, len(outcomes)), n_nodes, np.intp)
+                for d, (_profit, edges, _keys, _stopped) in enumerate(outcomes):
+                    for k, (j, mass) in enumerate(edges):
+                        ci = kids.get(j)
+                        if ci is None:
+                            coefs[k, d] = mass * terminal[j]
+                        else:
+                            coefs[k, d], reads[k, d] = mass, ci
+                value = np.array([profit for profit, *_ in outcomes])[ids]
+                for coef, read in zip(coefs, reads):
+                    value += coef[ids] * values[read[ids], states_at]
+                values[idx] = value
+        value_of = dict(zip(todo, values[0].tolist()))
+        return [value_of[state] for state in states]
 
 
 def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> int:
@@ -326,20 +391,6 @@ def _risk_units(instance: Instance, eps: float, action_id: str, level: int) -> i
     return min(math.ceil(mu * _RISK_UNITS / budget), _RISK_UNITS)
 
 
-def _signature_word(signature: Callable[[str, int], tuple[int, ...]], horizon: int,
-                    action_id: str, level: int, slot_bytes: int) -> int:
-    """``signature(action_id, level)`` packed into one integer, unit ``w``
-    at bit ``w * 8 * slot_bytes``: node 0's slots of a row of unit sums
-    held in ``slot_bytes`` a slot (see ``ConfigDpResult.exact_values``).
-    Every unit times ``horizon`` must fit a slot, else ``StructuralError``."""
-    units = signature(action_id, level)
-    bits = 8 * slot_bytes
-    if min(units) < 0 or (max(units) * max(horizon, 1)) >> bits:
-        raise StructuralError("a signature does not fit the slots of the "
-                              "configuration's unit sums")
-    return sum(u << (w * bits) for w, u in enumerate(units))
-
-
 #: Per group in processing order, its member cell at one level: the
 #: members with a row there, each with a value (signature or packed word).
 _Cells = tuple[tuple[tuple[str, object], ...], ...]
@@ -356,10 +407,12 @@ class _SolveTable:
     and risk share from ``_risk_units``; per level, each group's member
     cells (the members with a row there) and their largest unit; those
     cells with each signature packed into one integer per slot width (unit
-    ``w`` at bit ``w * slot_bits``), which ``config_dp`` adds; each
-    signature packed again per slot width by ``_signature_word``, which
-    the traceback check adds; and ``_outcomes`` of each (level, items)
-    batch.  It is the one input every per-topology stage reads the
+    ``w`` at bit ``w * slot_bits``), which ``config_dp`` adds; one bit per
+    action, in group-processing order, and the items of each action mask
+    (``_mask_items``), which the traceback reads; the summed signature of
+    each (level, items) batch (``_batch_units``), which the traceback
+    check compares; and ``_outcomes`` of each (level, items) batch.  It is
+    the one input every per-topology stage reads the
     instance, grid, max_ref and eps from.  It lives for one solve only and
     is never stored on the instance, so a repeated solve computes
     everything again.
@@ -386,15 +439,42 @@ class _SolveTable:
                                        max_ref=max_ref))
         #: ``risk(action_id, level)``: ``_risk_units``, once per key.
         self.risk = cache(partial(_risk_units, instance, eps))
-        #: ``word(action_id, level, slot_bytes)``: ``_signature_word``, once
-        #: per key.
-        self.word = cache(partial(_signature_word, self.signature, instance.horizon))
+        actions = tuple(a for group in self.members for a in group)
+        #: ``bit[a]``: action ``a``'s bit in a node's action mask, the bits
+        #: in group-processing order.
+        self.bit = {a: 1 << i for i, a in enumerate(actions)}
+        #: ``items(mask)``: ``_mask_items``, once per key.
+        self.items = cache(partial(_mask_items, actions))
+        #: ``units(level, items)``: ``_batch_units``, once per key.
+        self.units = cache(partial(_batch_units, instance.values.level_count + 1,
+                                   self.signature))
         #: ``outcomes(level, items)``: ``_outcomes`` of a batch, once per key.
         self.outcomes = cache(partial(_outcomes, instance))
         #: ``cells(level)``: ``_level_cells``, once per key.
         self.cells = cache(partial(_level_cells, instance, self.members, self.signature))
         #: ``packed(level, slot_bits)``: ``_packed_cells``, once per key.
         self.packed = cache(partial(_packed_cells, self.cells))
+
+
+def _mask_items(actions: Sequence[str], mask: int) -> tuple[str, ...]:
+    """The actions whose bits ``mask`` sets, lowest bit first."""
+    items = []
+    while mask:
+        low = mask & -mask
+        items.append(actions[low.bit_length() - 1])
+        mask ^= low
+    return tuple(items)
+
+
+def _batch_units(width: int, signature: Callable, level: int, items: tuple[str, ...]
+                 ) -> tuple[list[int], int, int]:
+    """The summed ``signature`` of ``items`` at ``level`` (``width`` units,
+    all zero for no items), and the largest and smallest unit of any one
+    item's signature (0 for no items)."""
+    sigs = [signature(a, level) for a in items]
+    total = list(map(sum, zip(*sigs))) if sigs else [0] * width
+    return (total, max((max(u) for u in sigs), default=0),
+            min((min(u) for u in sigs), default=0))
 
 
 def _level_cells(instance: Instance, members: Sequence[Sequence[str]],
@@ -743,45 +823,14 @@ def _outcomes(instance: Instance, level: int, items: tuple[str, ...]
     under exact masses: the batch profit, its (key, mass) outcomes in edge
     order, and those outcomes before zero masses are dropped, whose keys
     ``materialize`` gives a child; then the batch's value where every
-    outcome stops at its terminal payoff, which ``_exact_value`` folds as
-    it folds any node."""
+    outcome stops at its terminal payoff, which
+    ``ConfigDpResult.exact_values`` folds as it folds any node."""
     profit, edges, keys = batch_outcomes(instance, BlockNode(items, level),
                                          batch_masses_exact)
     stopped = profit
     for j, mass in edges:
         stopped += mass * instance.terminal[j]
     return profit, edges, keys, stopped
-
-
-def _exact_value(table: _SolveTable, topology: Topology, batches: Batches) -> float:
-    """Exact block value of the tree ``materialize`` builds from
-    ``batches``, computed over the reversed preorder table without
-    building it.
-
-    The table's ``outcomes(level, items)`` gives ``_outcomes`` of a node's
-    items in group order.  Each node adds mass times child value to its
-    batch profit, outcome by outcome, as ``block_profit_exact`` does; a key
-    without a topology child takes its terminal payoff, so a node without
-    children takes the batch's stopped value, that fold done once per
-    batch.  The float operations are the same, so the value is the same
-    bit for bit.
-    """
-    outcomes = table.outcomes
-    nodes = topology.nodes
-    child_index = topology.child_index
-    terminal = table.instance.terminal
-    values = [0.0] * len(nodes)
-    for idx in range(len(nodes) - 1, -1, -1):
-        profit, edges, _keys, stopped = outcomes(nodes[idx][0], batches[idx])
-        kids = child_index[idx]
-        if not kids:
-            values[idx] = stopped
-            continue
-        for j, mass in edges:
-            ci = kids.get(j)
-            profit += mass * (terminal[j] if ci is None else values[ci])
-        values[idx] = profit
-    return values[0]
 
 
 def _covers(topologies: Sequence[Topology]) -> list[tuple[int, tuple[int, ...]]]:
@@ -841,25 +890,6 @@ def _union_star(topologies: Sequence[Topology], covers: Sequence[int]
 _STAGES = ("enumerate", "dp", "rank", "rescore", "materialize")
 
 
-def _rescore(run: ConfigDpResult, ranked: np.ndarray, top_k: int,
-             lap: Callable[[str], None] = lambda _stage: None
-             ) -> tuple[int, float] | None:
-    """Of the first ``top_k`` of ``ranked`` (final state ids of ``run`` by
-    descending surrogate, as ``ConfigDpResult.project`` reads them off),
-    the first with the strictly best exact value, as (state, value); None
-    when ``ranked`` is empty.  ``run.exact_values`` traces back, checks and
-    values each state once per run, without building a tree.  ``lap`` is
-    called with "rank" and "rescore" as those stages end."""
-    if len(ranked) == 0:
-        return None
-    top = ranked[:top_k].tolist()
-    lap("rank")
-    values = run.exact_values(top)
-    best = max(range(len(top)), key=values.__getitem__)
-    lap("rescore")
-    return top[best], values[best]
-
-
 def estimate_max(instance: Instance, hint: str) -> float:
     """Reference scale for grids and loss bounds.
 
@@ -912,16 +942,21 @@ class PtasDiagnostics:
     ``candidates`` (configurations kept) and ``materialized``
     (configurations exactly rescored, at most ``top_k`` per topology,
     without building a tree) are summed over the completed topologies.
-    ``best_surrogate`` is the surrogate value of the returned tree's
-    configuration and ``surrogate_gap`` that minus the returned value; both
-    are None when the do-nothing policy is returned.  ``seconds`` holds
-    the ``perf_counter`` seconds of the stages enumerate, dp, rank, rescore
-    and materialize, summed over topologies.  Rank times reading a
-    topology's ranked candidates off its run, which for the first topology
-    read off a run includes scoring and ranking all the run's final states;
-    rescore times tracing back, checking and valuing the top_k not valued
-    yet; materialize times building and checking the winner's one tree.
-    It is wall time, so it differs between runs."""
+    ``valued`` counts the distinct final states the solve traced back,
+    checked and valued, summed over its runs: a state in the top_k of
+    several topologies read off one run is valued once, so it is at most
+    ``materialized``.  ``best_surrogate`` is the surrogate value of the
+    returned tree's configuration and ``surrogate_gap`` that minus the
+    returned value; both are None when the do-nothing policy is returned.
+    ``seconds`` holds the ``perf_counter`` seconds of the stages
+    enumerate, dp, rank, rescore and materialize, summed over the solve.
+    Rank times projecting every topology's ranked candidates off a run,
+    which includes scoring and ranking all the run's final states once;
+    rescore times the one batched valuation per run (tracing back,
+    checking and valuing the union of those topologies' top_k) and
+    picking each topology's winner; materialize times building and
+    checking the winner's one tree.  It is wall time, so it differs
+    between runs."""
 
     max_ref: float
     max_ref_source: str
@@ -932,6 +967,7 @@ class PtasDiagnostics:
     dp_runs: int = 0
     candidates: int = 0
     materialized: int = 0
+    valued: int = 0
     best_topology: int = -1
     best_surrogate: float | None = None
     surrogate_gap: float | None = None
@@ -979,9 +1015,13 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     key-matched node map.  If that run hits the state cap, the covers run
     as above.
 
-    Each topology rescores its top_k from its run's exact values
-    (``_rescore``) and keeps its winner's value, batches on its own nodes
-    and surrogate; a cover's run is dropped once its members are done.
+    Every topology read off a run is read in two steps.  First each one
+    projects its ranked candidates off the run (the rank stage).  Then the
+    union of their top_k is traced back, checked and valued in one
+    ``ConfigDpResult.exact_values`` pass (the rescore stage), and each
+    topology keeps the first of its top_k with the strictly best exact
+    value: that value, its batches on the topology's own nodes and its
+    surrogate.  A cover's run is dropped once its members are done.
     Only the solve's winner is built into a tree, once, and that tree must
     score its value under ``block_profit_exact``, else ``StructuralError``.
 
@@ -1053,34 +1093,44 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
 
     found: list[tuple[float, Batches, float] | None] = [None] * len(topologies)
 
-    def read(ti: int, dp: ConfigDpResult, nodes: tuple[int, ...]) -> None:
-        ranked = dp.project(nodes)
-        if (winner := _rescore(dp, ranked, knobs.top_k, lap)) is not None:
-            state, value = winner
-            found[ti] = (value, dp.batches(state, nodes),
-                         float(dp.surrogates[dp.sum_ids[state]]))
-        diag.completed += 1
-        diag.candidates += len(ranked)
-        diag.materialized += min(knobs.top_k, len(ranked))
+    def read(dp: ConfigDpResult | None, group: Sequence[tuple[int, tuple[int, ...]]]
+             ) -> bool:
+        """Read every (topology index, node map) of ``group`` off ``dp``:
+        project each one's ranked candidates, value the union of their
+        top_k in one pass, and keep each one's first strictly best.  False,
+        reading nothing, when ``dp`` is None (its run hit the state cap).
+        No caller keeps ``dp``, so each run is dropped before the next one
+        starts."""
+        if dp is None:
+            return False
+        tops = []
+        for _ti, nodes in group:
+            ranked = dp.project(nodes)
+            tops.append(ranked[:knobs.top_k].tolist())
+            diag.candidates += len(ranked)
+            diag.materialized += len(tops[-1])
+        diag.completed += len(group)
+        lap("rank")
+        states = list(dict.fromkeys(state for top in tops for state in top))
+        value_of = dict(zip(states, dp.exact_values(states)))
+        diag.valued += len(states)
+        for (ti, nodes), top in zip(group, tops):
+            if top:
+                state = max(top, key=value_of.__getitem__)
+                found[ti] = (value_of[state], dp.batches(state, nodes),
+                             float(dp.surrogates[dp.sum_ids[state]]))
+        lap("rescore")
+        return True
 
     star = _union_star(topologies, list(members))
-    if star is not None and (dp := run(star[0], star[2])) is not None:
-        for ti, nodes in enumerate(star[1]):
-            read(ti, dp, nodes)
-    else:
+    if star is None or not read(run(star[0], star[2]), list(enumerate(star[1]))):
         for ci, group in members.items():
-            cover = run(topologies[ci])
+            if read(run(topologies[ci]), group):
+                continue
+            # The cover hit the state cap: each other member runs its own DP.
             for ti, nodes in group:
-                dp = cover
-                if dp is None and ti != ci:
-                    dp, nodes = run(topologies[ti]), tuple(range(len(nodes)))
-                if dp is None:
+                if ti == ci or not read(run(topologies[ti]), [(ti, tuple(range(len(nodes))))]):
                     diag.capacity_errors += 1
-                    continue
-                read(ti, dp, nodes)
-            # Drop this cover's run before the next one starts.
-            cover = dp = None
-    dp = None
     best_value = instance.terminal[start]
     for ti, outcome in enumerate(found):
         if outcome is not None and outcome[0] > best_value:

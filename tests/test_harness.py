@@ -8,6 +8,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -398,6 +401,7 @@ def test_cli_ptas_then_simulate(tmp_path, capsys):
     assert doc["value"] <= optimal_value(inst) + 1e-9
     assert doc["materialized"] <= doc["candidates"]
     assert doc["materialized"] <= 8 * doc["completed"]
+    assert 0 < doc["valued"] <= doc["materialized"]
     assert main(["simulate", "--in", str(path), "--policy", str(block_path),
                  "--trials", "500"]) == 0
     assert cli_json(capsys)["trials"] == 500
@@ -571,25 +575,42 @@ def test_cli_refuses_an_overflowing_grid_quotient_with_exit_2(tmp_path, capsys):
             _one_error_line(capsys, "is not a finite number")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_cli_reports_a_result_that_overflows_with_exit_2(tmp_path, capsys):
-    # A profit and a terminal value that sum past the float range make the
-    # optimum inf, which JSON cannot write.
+def _overflow_kernel_doc(tmp_path):
+    """A profit and a terminal value that sum past the float range."""
     inst = kernel([act("a", "g", {0: ((1, 1.0),)}, profit=1.7e308)], [0.0, 1.7e308], 1)
     path = tmp_path / "kernel.json"
     path.write_text(serialize_instance(inst))
+    return inst, path
+
+
+def test_cli_reports_a_result_that_overflows_with_exit_2(tmp_path, capsys):
+    # The optimum is inf, which JSON cannot write.
+    inst, path = _overflow_kernel_doc(tmp_path)
     assert optimal_value(inst) == math.inf
     assert main(["exact", "--in", str(path)]) == 2
     _one_error_line(capsys, "not finite")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_ptas_refuses_a_scale_that_overflows_with_exit_2(tmp_path, capsys):
-    inst = kernel([act("a", "g", {0: ((1, 1.0),)}, profit=1.7e308)], [0.0, 1.7e308], 1)
-    path = tmp_path / "kernel.json"
-    path.write_text(serialize_instance(inst))
+    _inst, path = _overflow_kernel_doc(tmp_path)
     assert main(["ptas", "--in", str(path), "--grid", "0.25"]) == 2
     _one_error_line(capsys, "max_hint", "not finite")
+
+
+@pytest.mark.parametrize("command", ["exact", "ptas"])
+def test_cli_prints_no_warning_before_the_error_of_a_sum_that_overflows(command, tmp_path):
+    # In a process of its own, whose stderr no warning filter of the test
+    # run touches: an overflowing Bellman sum leaves one error line.
+    _inst, path = _overflow_kernel_doc(tmp_path)
+    src = str(Path(stochprobe.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "stochprobe.harness.cli", command,
+                           "--in", str(path)], capture_output=True, text=True, env=env,
+                          timeout=120, check=False)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "not finite" in proc.stderr
 
 
 def test_cli_check_stops_an_sbk_reference_past_its_cap_with_exit_3(tmp_path, monkeypatch,

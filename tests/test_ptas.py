@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import struct
 import time
 import warnings
 from itertools import product
@@ -31,6 +32,7 @@ from stochprobe import (
     max_over_starts,
     optimal_value,
     solve_ptas,
+    validate_instance,
 )
 from stochprobe import ptas
 from stochprobe.harness import GenParams, gen_random, gen_random_kernel
@@ -39,7 +41,6 @@ from stochprobe.ptas import (
     ConfigDpResult,
     _SolveTable,
     _compile_surrogate,
-    _rescore,
     config_dp,
     materialize,
 )
@@ -89,17 +90,67 @@ def _traces(run, ranked, nodes=None):
 def _winner(top, run, ranked, nodes, top_k):
     """The rescoring of ``top`` read off ``run`` through the node map
     ``nodes`` (None for the run's own topology), as (tree, value,
-    surrogate): the winning state materialized on ``top``, checked to
-    score its value; with no candidates, the do-nothing policy and no
-    surrogate."""
+    surrogate): the first ``top_k`` of ``ranked`` valued in one
+    ``exact_values`` pass, and the first with the strictly best value
+    materialized on ``top``, checked to score its value; with no
+    candidates, the do-nothing policy and no surrogate."""
     instance = run.table.instance
-    winner = _rescore(run, ranked, top_k)
-    if winner is None:
+    states = ranked[:top_k].tolist()
+    if not states:
         return block_leaf(instance.start_level), instance.terminal[instance.start_level], None
-    state, value = winner
+    values = run.exact_values(states)
+    best = max(range(len(states)), key=values.__getitem__)
+    state, value = states[best], values[best]
     tree = materialize(run.table, top, run.batches(state, nodes))
     assert block_profit_exact(instance, tree) == value
     return tree, value, float(run.surrogates[run.sum_ids[state]])
+
+
+def _exact_value(table, topology, batches):
+    """The per-state reference of ``ConfigDpResult.exact_values``: the
+    exact block value of the tree ``materialize`` builds from ``batches``,
+    computed over the reversed preorder table without building it.  Each
+    node adds mass times child value to its batch profit, outcome by
+    outcome, as ``block_profit_exact`` does; a key without a topology
+    child takes its terminal payoff, so a node without children takes the
+    batch's stopped value."""
+    nodes = topology.nodes
+    terminal = table.instance.terminal
+    values = [0.0] * len(nodes)
+    for idx in range(len(nodes) - 1, -1, -1):
+        profit, edges, _keys, stopped = table.outcomes(nodes[idx][0], batches[idx])
+        kids = topology.child_index[idx]
+        if not kids:
+            values[idx] = stopped
+            continue
+        for j, mass in edges:
+            ci = kids.get(j)
+            profit += mass * (terminal[j] if ci is None else values[ci])
+        values[idx] = profit
+    return values[0]
+
+
+def _bits(values):
+    """Each float's IEEE bits, so -0.0 and 0.0 differ."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _spy_exact_values(monkeypatch, valued):
+    """Wrap ``ConfigDpResult.exact_values`` so that every call checks its
+    values against ``_exact_value`` of each state's batches, float bits
+    included, and appends (run, state, batches, value) per state to
+    ``valued``."""
+    exact_values = ConfigDpResult.exact_values
+
+    def checked(run, states):
+        got = exact_values(run, states)
+        traced = [run.batches(state) for state in states]
+        want = [_exact_value(run.table, run.topology, batches) for batches in traced]
+        assert _bits(got) == _bits(want)
+        valued.extend(zip([run] * len(states), states, traced, got))
+        return got
+
+    monkeypatch.setattr(ConfigDpResult, "exact_values", checked)
 
 
 @pytest.fixture
@@ -662,13 +713,14 @@ def _reference_surrogate(instance, topology, grid, profit_grid):
 
 def test_batched_surrogate_matches_scalar_reference(monkeypatch):
     # Masses k/q with q = 7..10 are off the binary lattice, so a reordered
-    # sum would change some surrogate in its last bits.
-    ranked = []
-    exact_value = ptas._exact_value
-    monkeypatch.setattr(ptas, "_exact_value",
-                        lambda table, top, batches: ranked.append(batches)
-                        or exact_value(table, top, batches))
-    cases = ties = 0
+    # sum would change some surrogate in its last bits.  Every exact value
+    # equals the per-state reference bit for bit: on each topology's own
+    # run, and in whole solves on the covers the topologies are read off,
+    # most of them not stars, and on the members that run their own DP
+    # where their cover stops at a small state cap.
+    valued = []
+    _spy_exact_values(monkeypatch, valued)
+    cases = ties = non_star = fallbacks = 0
     for seed in range(40):
         q = 7 + seed % 4
         inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
@@ -686,37 +738,60 @@ def test_batched_surrogate_matches_scalar_reference(monkeypatch):
                 got = _compile_surrogate(solve_table, top)(units)
                 assert got.tolist() == want
                 order = sorted(range(len(want)), key=lambda i: -want[i])
-                ranked.clear()
+                valued.clear()
                 _winner(top, result, result.candidates, None, len(want))
                 traces = _traces(result, result.candidates)
-                assert ranked == [traces[i] for i in order]
+                assert [batches for _run, _state, batches, _value in valued] == [
+                    traces[i] for i in order]
                 cases += 1
                 ties += len(set(want)) < len(want)
+        tops = enumerate_topologies(level_reach(inst), 3, 3, inst.start_level)
+        members = {tops[ti] for ti, (ci, _nodes) in enumerate(ptas._covers(tops)) if ci != ti}
+        for state_cap in (ptas.DEFAULT_STATE_CAP, 40):
+            valued.clear()
+            diag = solve_ptas(inst, PtasKnobs(eps=eps, grid=grid, block_budget=3, depth_limit=3,
+                                              top_k=8, max_hint="exact",
+                                              state_cap=state_cap)).diagnostics
+            assert diag.valued == len(valued) <= diag.materialized
+            runs = {run.topology for run, _state, _batches, _value in valued}
+            non_star += any(child.children for top in runs for _key, child in top.children)
+            fallbacks += bool(runs & members)
     assert cases >= 1500
     assert ties >= 500
+    assert non_star >= 15 and fallbacks >= 40
+
+
+def _signed_zero_kernel():
+    """A compliant kernel whose profits and some terminal payoffs are -0.0."""
+    return kernel([act("a", "ga", {0: ((0, 0.5), (1, 0.5)), 1: ((1, 0.75), (2, 0.25))},
+                       profit=-0.0),
+                   act("b", "gb", {0: ((0, 0.875), (2, 0.125)), 1: ((1, 1.0),)}, profit=-0.0),
+                   act("c", "gc", {0: ((0, 0.9375), (1, 0.0625))}, profit=-0.0)],
+                  [-0.0, -0.0, 2.0], 3)
 
 
 def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
     # Every ranked candidate's exact value, computed from its batches,
-    # equals the value of the tree materialize builds from them.  Flat-heavy
-    # rows put several items on one node, so batch prefixes matter.
+    # equals the value of the tree materialize builds from them, and the
+    # per-state reference bit for bit.  Flat-heavy rows put several items
+    # on one node, so batch prefixes matter.  Whole star solves read their
+    # topologies off one masked run over the union star.  The last kernel
+    # has -0.0 terminal payoffs and profits.
     scored = []
-    exact_value = ptas._exact_value
-    monkeypatch.setattr(ptas, "_exact_value",
-                        lambda table, top, batches: scored.append(
-                            (batches, exact_value(table, top, batches)))
-                        or scored[-1][1])
-    cases = ties = multi = 0
-    for seed in range(100, 116):
-        q = 7 + seed % 4
-        inst = gen_random_kernel(seed, GenParams(n=3 + seed % 3, levels=2 + seed % 3,
-                                                 horizon=1 + seed % 3, q=q,
-                                                 flat_bias=0.5 * (seed % 2)))
+    _spy_exact_values(monkeypatch, scored)
+    cases = ties = multi = unions = 0
+    instances = [(7 + seed % 4, gen_random_kernel(seed, GenParams(
+        n=3 + seed % 3, levels=2 + seed % 3, horizon=1 + seed % 3, q=7 + seed % 4,
+        flat_bias=0.5 * (seed % 2)))) for seed in range(100, 116)]
+    instances.append((4, _signed_zero_kernel()))
+    assert validate_instance(instances[-1][1]).compliant
+    for q, inst in instances:
         # At eps 1 the risk budget lets the most items share a node.
         grid, max_ref, eps = 1.0 / q, 1.3, 1.0
         solve_tables = [_SolveTable(capped(inst, caps), grid, max_ref, eps)
                         for caps in (inst.horizon, 2)]
-        for top in enumerate_topologies(level_reach(inst), 3, 2, inst.start_level):
+        tops = enumerate_topologies(level_reach(inst), 3, 2, inst.start_level)
+        for top in tops:
             for solve_table in solve_tables:
                 result = config_dp(solve_table, top)
                 count = len(result.candidates)
@@ -724,19 +799,25 @@ def test_tree_free_rescoring_matches_materialized_trees(monkeypatch):
                 tree, value, _surrogate = _winner(top, result, result.candidates, None,
                                                   count)
                 assert len(scored) == count
-                for batches, got in scored:
+                for _run, _state, batches, got in scored:
                     built = materialize(solve_table, top, batches)
                     want = block_profit_exact(inst, built)
                     assert got == want
                     multi += max(map(len, batches)) > 1
-                assert value == max(got for _, got in scored)
+                assert value == max(got for *_, got in scored)
                 cases += 1
                 units = _units(result, result.candidates)
                 surrogates = _compile_surrogate(solve_table, top)(units)
                 ties += len(set(surrogates.tolist())) < count
+        scored.clear()
+        diag = solve_ptas(inst, PtasKnobs(eps=eps, grid=grid, block_budget=3, depth_limit=2,
+                                          top_k=8, max_hint="exact")).diagnostics
+        assert diag.valued == len(scored) <= diag.materialized
+        unions += diag.dp_runs == 1 < len({ci for ci, _nodes in ptas._covers(tops)})
     assert cases >= 200
     assert ties >= 150
     assert multi >= 5000
+    assert unions >= 10
 
 
 def test_rescoring_rejects_a_changed_unit_row(two_probe_kernel):
@@ -1014,9 +1095,9 @@ def test_a_node_holding_two_groups_sees_them_in_group_order():
     assert batches == (("a", "b"),)
     tree = materialize(table, top, batches)
     assert tree.items == ("a", "b")
-    value = ptas._exact_value(table, top, batches)
+    value = _exact_value(table, top, batches)
     assert value == block_profit_exact(inst, tree) == run.exact_values([state])[0]
-    assert value > ptas._exact_value(table, top, (("b", "a"),))
+    assert value > _exact_value(table, top, (("b", "a"),))
 
 
 def test_topology_child_index():
@@ -1456,7 +1537,7 @@ def _winner_reference(table, top, run, ranked, nodes, top_k):
                           run.sums[run.sum_ids[states]], table.signature)
     best, best_value = -1, float("-inf")
     for i, batches in enumerate(traced):
-        value = ptas._exact_value(table, run.topology, batches)
+        value = _exact_value(table, run.topology, batches)
         if value > best_value:
             best, best_value = i, value
     tree = materialize(table, top, tuple(traced[best][c] for c in nodes))
@@ -1648,7 +1729,7 @@ def test_the_traceback_check_bounds_each_nodes_items_by_the_horizon():
     chains[0] = (1, ((0, "z"),), None)
     changed = ConfigDpResult(table, top, result.sums, result.sum_ids, chains,
                              result.words, result.word_ids, result.states_explored)
-    assert changed.exact_values([0]) == [ptas._exact_value(table, top, (("z",),))]
+    assert changed.exact_values([0]) == [_exact_value(table, top, (("z",),))]
 
 
 def test_the_traceback_check_needs_slots_that_hold_horizon_times_each_unit(
@@ -1669,7 +1750,7 @@ def test_the_traceback_check_needs_slots_that_hold_horizon_times_each_unit(
     with pytest.raises(StructuralError, match="does not fit"):
         narrow.exact_values([state])
     assert result.exact_values([state]) == [
-        ptas._exact_value(table, top, (("a1",),))]
+        _exact_value(table, top, (("a1",),))]
 
 
 def _recursive_antichains(n, ancestors):

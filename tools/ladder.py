@@ -20,10 +20,12 @@ new tree first.  A process builds its input, then times one
 
 Printed (and written to ``--out``), one JSON object: per shape and side
 the median wall time and median peak RSS over the repeats, the solve's
-``dp_runs`` and ``states_explored``, and a digest of (value, tree repr,
+``dp_runs``, ``states_explored`` and ``valued`` (None from a tree whose
+diagnostics lack it), and a digest of (value, tree repr,
 ``best_topology``, ``best_surrogate``, ``candidates``, ``materialized``);
-and whether every run of both sides gave the same digest.  Exits 1 when
-a run fails.
+and whether every run of both sides gave the same digest.  ``valued`` is
+left out of the digest, so trees from before and after it was added
+still agree.  Exits 1 when a run fails.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ def child(name: str, src: Path) -> dict:
     return {"wall_s": wall,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "dp_runs": d.dp_runs, "states_explored": d.states_explored,
+            "valued": getattr(d, "valued", None),
             "digest": hashlib.sha256(repr(answer).encode()).hexdigest()[:16]}
 
 
@@ -145,6 +148,7 @@ def summarize(runs: list[dict]) -> dict:
                      "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
                      "dp_runs": results[0]["dp_runs"],
                      "states_explored": results[0]["states_explored"],
+                     "valued": results[0]["valued"],
                      "digest": results[0]["digest"], "runs": len(results)}
     both = len(out) == len(SIDES)
     if both:
