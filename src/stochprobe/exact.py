@@ -143,7 +143,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .exceptions import CapacityError, ParameterError
+from .exceptions import CapacityError
 from .model import ActionSpec, Instance, PolicyNode, TransitionRow, leaf_node
 
 #: Hard cap on the (mask, level) cells of all layers together, the sum over
@@ -519,20 +519,17 @@ def _root(instance: Instance) -> tuple[list[float], ExactStats]:
     return table[:, 0].tolist(), stats
 
 
-def solve(instance: Instance, start_level: int | None = None) -> tuple[float, ExactStats]:
-    """Optimal expected profit from (start_level, t=1) with all actions
-    available, and what the solve did."""
-    start = instance.start_level if start_level is None else start_level
-    K = instance.values.level_count
-    if not 0 <= start < K:
-        raise ParameterError(f"start_level {start} is outside the levels 0..{K - 1}")
+def solve(instance: Instance) -> tuple[float, ExactStats]:
+    """Optimal expected profit from the instance's start level at t=1 with
+    all actions available, and what the solve did."""
     values, stats = _root(instance)
-    return values[start], stats
+    return values[instance.start_level], stats
 
 
-def optimal_value(instance: Instance, start_level: int | None = None) -> float:
-    """Optimal expected profit from (start_level, t=1) with all actions available."""
-    return solve(instance, start_level)[0]
+def optimal_value(instance: Instance) -> float:
+    """Optimal expected profit from the instance's start level at t=1 with
+    all actions available."""
+    return solve(instance)[0]
 
 
 def max_over_starts(instance: Instance) -> float:

@@ -24,15 +24,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from ..exact import optimal_policy, solve
-from ..exceptions import CapacityError, StochprobeError, UsageError
+from ..exceptions import CapacityError, ParameterError, StochprobeError, UsageError
 from ..model import (Instance, PolicyNode, evaluate_policy, validate_instance,
                      validate_policy_tree)
-from ..problems import (KINDS, ProblemSpec, build_committed, build_probemax,
-                        build_probetopk, build_sbk, build_target, expected_max,
-                        greedy_probemax, sbk_from_skp, skp_kernel, weitzman)
+from ..problems import (KINDS, LEVEL_CAP, ProblemSpec, _on_grid, build_committed,
+                        build_probemax, build_probetopk, build_sbk, build_target,
+                        expected_max, greedy_probemax, sbk_from_skp, skp_kernel,
+                        weitzman)
 from ..ptas import PtasKnobs, solve_ptas
 from .gen import GenParams, gen_random
 from .io import (parse_instance, parse_policy_or_block, serialize_block_tree,
@@ -117,6 +119,26 @@ def _cmd_ptas(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sbk14_step(spec: ProblemSpec) -> float:
+    """The size grid of an sbk spec's knapsack kernel: the step ``capacity /
+    k`` of the smallest ``k`` of at least ``ceil(capacity / eps^2)`` that
+    puts the capacity and every size at or below it on the grid.  The
+    kernel is exact on any grid that holds every size, so its values do
+    not depend on ``k``.  A grid past ``LEVEL_CAP`` levels (``k`` plus the
+    empty and overflow levels) raises ``CapacityError``."""
+    capacity = spec.capacity or 1.0
+    sizes = {capacity} | {x for pmf in spec.items for x, _p in pmf.support()
+                          if x <= capacity}
+    for k in range(math.ceil(capacity / (spec.eps * spec.eps)), LEVEL_CAP - 1):
+        try:
+            for x in sizes:
+                _on_grid(x, capacity / k)
+        except ParameterError:
+            continue
+        return capacity / k
+    raise CapacityError(f"the sbk14 size grid needs more than {LEVEL_CAP} levels")
+
+
 def _cmd_baseline(args: argparse.Namespace) -> int:
     obj = parse_instance(_read(args.path))
     if args.algo == "greedy":
@@ -135,9 +157,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     if isinstance(obj, ProblemSpec):
         if obj.kind != "sbk":
             raise UsageError("baseline sbk14 needs an sbk spec or a knapsack kernel")
-        step = obj.eps * obj.eps
         kernel = skp_kernel(obj.items, obj.profits, capacity=obj.capacity or 1.0,
-                            step=step)
+                            step=_sbk14_step(obj))
     else:
         kernel = obj
         if kernel.meta.get("kind") != "skp":

@@ -7,8 +7,8 @@ topologies over the levels the instance's rows can reach, runs a forward
 reachability DP over per-node signature sums under per-path placement caps
 and the small-risk property P1 (a node holds one item of any leave mass, or
 several whose leave masses sum to at most eps^2), once per topology that no
-other extends and read off by every topology it extends; a star solve's
-covers may share one run over their union instead.  Each run's
+other extends and read off by every topology it extends; a star solve
+with a small union star runs once, over that star, instead.  Each run's
 configurations are ranked once by a batched surrogate, and every topology
 read off the run takes its own from that order; the most promising of
 every topology read off a run are traced back, checked against their unit
@@ -545,9 +545,10 @@ def config_dp(table: _SolveTable, topology: Topology, *,
 
     A stage expands each state only by the placements that fit it: those
     whose covered paths all have a cap unit left and whose nodes all have
-    the risk left.  States share their residual caps and risk often, so
-    each stage lists the fitting placements (in placement order) once per
-    distinct residual word, when that word first appears.  A state with no
+    the risk left.  States share their residual caps, risk and occupancy
+    often, so each stage lists the fitting placements (in placement order)
+    once per distinct residual word, when that word first appears, in one
+    pass over the group's placements.  A state with no
     cap left is carried like any other: its skip keeps it, and no
     placement fits it.  So the run of a sub-topology (whole subtrees
     removed) is this run restricted to the states whose removed nodes are
@@ -559,10 +560,11 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     lies inside one of them.  Occupancy only grows, so every state whose
     occupancy lies inside a mask is still reached, in the same order and
     with the same traceback, and each masked sub-topology reads off the
-    run as before.  The masks' subsets are listed once, antichains outside
-    them are dropped, and the fitting placements are listed per (caps,
-    occupancy) word instead of per caps word; without masks none of this
-    runs.
+    run as before.  The masks' subsets are listed once (a mask inside one
+    listed before adds nothing and is skipped, so passing the largest
+    first lists only the maximal ones), antichains outside them are
+    dropped, and the fitting pass also drops the placements that would
+    leave them; without masks none of this runs.
 
     The result holds the final states in the last stage's insertion order:
     their distinct unit sums, unpacked in one numpy pass, and per state its
@@ -616,18 +618,18 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     slot_dtype = np.dtype(f"<u{next(b for b in (1, 2, 4, 8) if 8 * b >= sum_bits)}")
     sb = 8 * slot_dtype.itemsize
 
-    # With cover masks, ``inside`` holds every occupancy word inside one,
-    # and a placement's fit is listed per (caps, occupancy) word.
+    # With cover masks, ``inside`` holds every occupancy word inside one; a
+    # mask already inside adds nothing, so it is skipped.
     inside: set[int] | None = None
-    open_all = (1 << caps_bits) - 1
     if cover_masks:
         inside = {0}
         for cover in cover_masks:
+            if cover in inside:
+                continue
             sub = cover
             while sub:
                 inside.add(sub)
                 sub = (sub - 1) & cover
-        open_all |= occ_all << occ_shift
 
     # Per antichain: its nodes, their node mask, the mask of the paths it
     # covers, and the caps it spends (one unit in each covered path's slot).
@@ -684,29 +686,22 @@ def config_dp(table: _SolveTable, topology: Topology, *,
     explored = 1
     for g, deltas in enumerate(deltas_by_group):
         nxt: dict[int, tuple | None] = {}
-        # Caps word (with cover masks, caps and occupancy word) -> the
-        # deltas whose covered paths all have a unit left (and that leave
-        # the occupancy inside a mask); residual word -> the (delta,
-        # placement) pairs of those that also have the risk left on every
-        # node they touch.  Both keep delta order.
-        opened: dict[int, list] = {}
+        # Residual word -> the (delta, placement) pairs whose covered paths
+        # all have a unit left, that leave the occupancy inside a mask, and
+        # that have the risk left on every node they touch, in delta order.
         fitting: dict[int, list[tuple[int, tuple[tuple[int, str], ...]]]] = {}
         for key, chain in prev.items():
             word = key & low_all
             fits = fitting.get(word)
             if fits is None:
-                open_word = word & open_all
-                open_deltas = opened.get(open_word)
-                if open_deltas is None:
-                    open_paths = sum(1 << j for j in range(len(paths))
-                                     if open_word >> (j * cb) & slot_all)
-                    occ = open_word >> occ_shift
-                    open_deltas = opened[open_word] = [
-                        delta for delta in deltas if not delta[0] & ~open_paths
-                        and (inside is None or occ | delta[4] in inside)]
+                closed = ~sum(1 << j for j in range(len(paths))
+                              if word >> (j * cb) & slot_all)
+                occ = word >> occ_shift
                 left = [word >> shift & risk_all for shift in risk_shift]
                 fits = fitting[word] = []
-                for _covered, d, placement, need, _nodes in open_deltas:
+                for covered, d, placement, need, nodes in deltas:
+                    if covered & closed or (inside is not None and occ | nodes not in inside):
+                        continue
                     for i, share, first in need:
                         if not word & first:
                             d += first
@@ -861,21 +856,19 @@ def _covers(topologies: Sequence[Topology]) -> list[tuple[int, tuple[int, ...]]]
     return found
 
 
-def _union_star(topologies: Sequence[Topology], covers: Sequence[int]
+def _union_star(topologies: Sequence[Topology]
                 ) -> tuple[Topology, list[tuple[int, ...]], list[int]] | None:
-    """The one run a star solve's covers can share: when every topology is
-    a star (a root and leaves), there are at least two covers, and the
-    union star (the root and every leaf key, ascending) has at most
-    ``_UNION_STAR_NODES`` nodes, returns that star, each topology's
-    key-matched node map into it, and the node mask of each cover in
-    ``covers`` (topology indices); else None.
+    """The one run a star solve shares: when every topology is a star (a
+    root and leaves) and the union star (the root and every leaf key,
+    ascending) has at most ``_UNION_STAR_NODES`` nodes, returns that star,
+    each topology's key-matched node map into it, and the topologies' node
+    masks, largest first; else None.
 
     Every state of the union's run carries every union node, and the run
     holds the states of all covers at once, so a wide union costs more
     time and memory than its covers' runs one after another: the bound
     keeps such solves on their covers."""
-    if len(covers) < 2 or any(child.children for top in topologies
-                              for _key, child in top.children):
+    if any(child.children for top in topologies for _key, child in top.children):
         return None
     leaves = dict(child for top in topologies for child in top.children)
     if 1 + len(leaves) > _UNION_STAR_NODES:
@@ -883,7 +876,8 @@ def _union_star(topologies: Sequence[Topology], covers: Sequence[int]
     union = Topology(topologies[0].level, tuple(sorted(leaves.items())))
     row = {key: i for i, (key, _leaf) in enumerate(union.children, 1)}
     maps = [(0,) + tuple(row[key] for key, _leaf in top.children) for top in topologies]
-    return union, maps, [sum(1 << c for c in maps[ci]) for ci in covers]
+    return union, maps, [sum(1 << c for c in nodes)
+                         for nodes in sorted(maps, key=len, reverse=True)]
 
 
 #: The stages ``PtasDiagnostics.seconds`` times, in pipeline order.
@@ -935,9 +929,11 @@ class PtasDiagnostics:
     "greedy_probemax" or "terminal_bound"), or "fallback" when that
     estimate was not positive and 1.0 was used instead.  ``dp_runs``
     counts the configuration DP runs the solve made, failed runs included:
-    one over the union star when a star solve's covers share it (see
+    one over the union star of a star solve within the bound (see
     ``solve_ptas``); else, or after that run hit the state cap, one per
-    cover plus one per member of a cover whose run hit the state cap.
+    cover plus one per member of a cover whose run hit the state cap, where
+    a cover equal to the failed union star counts as hit without a run of
+    its own.
     ``states_explored`` counts the states of those runs.
     ``candidates`` (configurations kept) and ``materialized``
     (configurations exactly rescored, at most ``top_k`` per topology,
@@ -997,23 +993,26 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     and rescored, and the first strictly best exact value in enumeration
     order wins; the do-nothing policy wins ties.
 
-    The configuration DP runs once per cover (``_covers``): an enumerated
-    topology that no other enumerated topology extends by whole subtrees.
-    Every other topology is a member of one cover, and reads its ranked
-    candidates off the cover's run through its node map
+    A star solve (every topology a root and leaves, as always where
+    ``min(depth_limit, horizon) <= 2``) with a small union star
+    (``_union_star``) runs the DP once, on the root and every leaf key,
+    with the topologies' node masks: only states whose occupied nodes lie
+    inside one topology are kept, and those are the states the topologies'
+    own runs reach, in the same order and with the same tracebacks.  Every
+    topology reads itself off that run through its key-matched node map.
+    With one cover (a topology that extends every other) the union star
+    is that cover, and the run keeps every state of the cover's own run.
+
+    Every other solve, and a star solve whose union run hits the state
+    cap, runs the DP once per cover (``_covers``, timed under enumerate):
+    an enumerated topology that no other enumerated topology extends by
+    whole subtrees.  Every other topology is a member of one cover, and
+    reads its ranked candidates off the cover's run through its node map
     (``ConfigDpResult.project``), as its own run would give them.  If a
     cover's run hits the state cap, each of its members runs its own DP
-    and reads itself off it through the identity map.
-
-    A star solve (every topology a root and leaves, as always where
-    ``min(depth_limit, horizon) <= 2``) with several covers and a small
-    union star (``_union_star``) runs the DP once, on the root and every
-    leaf key, with the covers' node masks: only states whose occupied
-    nodes lie inside one cover are kept, and those are the states the
-    covers' own runs reach, in the same order and with the same
-    tracebacks.  Every topology reads itself off that run through its
-    key-matched node map.  If that run hits the state cap, the covers run
-    as above.
+    and reads itself off it through the identity map.  A cover equal to
+    the failed union star is not run again: its run would reach the same
+    states and fail at the same point, so it counts as hit.
 
     Every topology read off a run is read in two steps.  First each one
     projects its ranked candidates off the run (the rank stage).  Then the
@@ -1073,9 +1072,7 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
     topologies = enumerate_topologies(level_reach(instance), knobs.block_budget,
                                       depth_eff, start)
     diag.topologies = len(topologies)
-    members: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for ti, (ci, nodes) in enumerate(_covers(topologies)):
-        members.setdefault(ci, []).append((ti, nodes))
+    star = _union_star(topologies)
     lap("enumerate")
 
     def run(topo: Topology, cover_masks: Sequence[int] = ()) -> ConfigDpResult | None:
@@ -1122,10 +1119,15 @@ def solve_ptas(instance: Instance, knobs: PtasKnobs) -> PtasResult:
         lap("rescore")
         return True
 
-    star = _union_star(topologies, list(members))
     if star is None or not read(run(star[0], star[2]), list(enumerate(star[1]))):
+        members: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for ti, (ci, nodes) in enumerate(_covers(topologies)):
+            members.setdefault(ci, []).append((ti, nodes))
+        lap("enumerate")
+        # A cover equal to the failed union star would fail again: not run.
+        failed = None if star is None else star[0]
         for ci, group in members.items():
-            if read(run(topologies[ci]), group):
+            if topologies[ci] != failed and read(run(topologies[ci]), group):
                 continue
             # The cover hit the state cap: each other member runs its own DP.
             for ti, nodes in group:

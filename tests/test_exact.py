@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -105,15 +105,15 @@ def test_no_actions_returns_terminal():
 
 def test_start_level_parameter():
     inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))})], [0.0, 4.0], 1)
-    assert optimal_value(inst, 1) == pytest.approx(4.0, abs=1e-12)
-    assert optimal_value(inst, 0) == pytest.approx(2.0, abs=1e-12)
+    assert optimal_value(replace(inst, start_level=1)) == pytest.approx(4.0, abs=1e-12)
+    assert optimal_value(replace(inst, start_level=0)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_start_level_outside_the_levels_raises():
     inst = kernel([act("a", "g", {0: ((0, 0.5), (1, 0.5))})], [0.0, 4.0], 1)
     for start in (-1, 2):
         with pytest.raises(ParameterError):
-            optimal_value(inst, start)
+            replace(inst, start_level=start)
 
 
 def test_max_over_starts_monotone_terminal():
@@ -664,7 +664,7 @@ def test_a_stay_row_with_positive_profit_is_kept():
     move = act("b", "gb", {0: ((0, 0.5), (1, 0.5))})
     kernel_ = _check_against_reference(kernel([stay, move], [0.0, 2.0], 2, start_level=1))
     assert (kernel_.rows_swept, kernel_.rows_pruned) == (2, 0)
-    assert optimal_value(kernel([stay, move], [0.0, 2.0], 2), 1) == 2.25
+    assert optimal_value(kernel([stay, move], [0.0, 2.0], 2, start_level=1)) == 2.25
 
 
 def test_a_stay_row_with_zero_mass_entries_is_pruned():
@@ -704,7 +704,8 @@ def test_solve_returns_the_value_and_its_stats():
     value, stats = solve(inst)
     assert isinstance(stats, ExactStats)
     assert value == optimal_value(inst)
-    assert solve(inst, 5)[0] == optimal_value(inst, 5)
+    started = replace(inst, start_level=5)
+    assert solve(started)[0] == optimal_value(started)
     kernel_ = exact._Kernel(inst)
     groups, K = len(inst.groups()), len(inst.terminal)
     assert (stats.groups, stats.layers) == (groups, 5)
@@ -721,7 +722,7 @@ def test_solve_returns_the_value_and_its_stats():
     assert stats.peak_table_bytes == 8 * K * max(a + b for a, b in zip(held[1:], held))
     assert stats.seconds > 0.0
     with pytest.raises(ParameterError):
-        solve(inst, K)
+        solve(replace(inst, start_level=K))
 
 
 def test_solve_stats_on_a_horizon_zero_instance():

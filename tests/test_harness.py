@@ -732,6 +732,32 @@ def test_cli_baseline_sbk14(tmp_path, capsys):
     assert doc["sbk_value"] >= doc["skp_value"] / 4.0 - 1e-9
 
 
+@pytest.mark.parametrize("gen_args, values", [
+    # eps 0.3: sizes 0 and 1 on the 1/12 grid, the values of the 1/4 grid.
+    ([], (3.306884765625, 2.26171875)),
+    # eps 0.5: sizes on the 1/8 lattice, finer than eps^2.
+    (["--eps", "0.5", "--step", "0.125"], (3.3006591796875, 2.666015625)),
+    (["--eps", "0.5", "--step", "1.0"], (3.306884765625, 2.26171875)),
+])
+def test_cli_baseline_sbk14_on_generated_specs(tmp_path, capsys, gen_args, values):
+    path = tmp_path / "sbk.json"
+    assert main(["gen", "--kind", "sbk", "--n", "4", "--seed", "0", *gen_args,
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["baseline", "--in", str(path), "--algo", "sbk14"]) == 0
+    doc = cli_json(capsys)
+    assert (doc["skp_value"], doc["sbk_value"]) == values
+
+
+def test_cli_baseline_sbk14_past_the_level_cap_exits_3(tmp_path, capsys):
+    path = tmp_path / "sbk.json"
+    assert main(["gen", "--kind", "sbk", "--n", "4", "--seed", "0", "--eps", "0.01",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["baseline", "--in", str(path), "--algo", "sbk14"]) == 3
+    _one_error_line(capsys, "sbk14", str(problems.LEVEL_CAP))
+
+
 def test_cli_baseline_rejects_mismatched_input(tmp_path, capsys):
     spec = ProblemSpec("probemax", (pmf((1.0, 1.0)),), m=1)
     path = tmp_path / "pm.json"

@@ -1362,11 +1362,11 @@ def _per_topology_solve(inst, knobs):
 
 def _union_runs(inst, knobs, tops, dp_runs, states_explored):
     """``dp_runs`` and ``states_explored`` of the solve, given those of its
-    runs per cover: a star solve whose covers share a union star runs
-    ``config_dp`` once over it instead, and runs its covers after it only
-    when that run hits the state cap."""
-    covers = list(dict.fromkeys(ci for ci, _nodes in ptas._covers(tops)))
-    star = ptas._union_star(tops, covers)
+    runs per cover: a star solve within the union bound runs ``config_dp``
+    once over its union star instead, and runs its covers after it only
+    when that run hits the state cap.  A cover equal to the failed union
+    star is not run again: the union's failed run stands in for its own."""
+    star = ptas._union_star(tops)
     if star is None:
         return dp_runs, states_explored
     max_ref = estimate_max(inst, knobs.max_hint)
@@ -1374,6 +1374,8 @@ def _union_runs(inst, knobs, tops, dp_runs, states_explored):
     try:
         run = config_dp(table, star[0], state_cap=knobs.state_cap, cover_masks=star[2])
     except CapacityError as err:
+        if any(tops[ci] == star[0] for ci, _nodes in ptas._covers(tops)):
+            return dp_runs, states_explored
         return 1 + dp_runs, err.states_explored + states_explored
     return 1, run.states_explored
 
@@ -1835,7 +1837,7 @@ def test_every_topology_reads_off_the_union_run_as_off_its_own(monkeypatch):
     sizes = []
     for inst, knobs in _union_cases():
         table, tops, covers = _star_solve(inst, knobs)
-        star, maps, masks = ptas._union_star(tops, covers)
+        star, maps, masks = ptas._union_star(tops)
         union = config_dp(table, star, cover_masks=masks)
         if len(star.nodes) <= 8:
             assert union.states_explored < config_dp(table, star).states_explored
@@ -1887,8 +1889,8 @@ def test_a_union_run_at_the_state_cap_leaves_the_covers_to_finish(monkeypatch):
     # stops; the failed union run adds one run and its states.
     seen = set()
     for inst, knobs in [_ptas_wide(seed, 0) for seed in (0, 3)]:
-        table, tops, covers = _star_solve(inst, knobs)
-        star, _maps, masks = ptas._union_star(tops, covers)
+        table, tops, _ = _star_solve(inst, knobs)
+        star, _maps, masks = ptas._union_star(tops)
         for cap in (40, 160, 340):
             capped_knobs = dataclasses.replace(knobs, state_cap=cap)
             try:
@@ -1905,6 +1907,45 @@ def test_a_union_run_at_the_state_cap_leaves_the_covers_to_finish(monkeypatch):
             seen.add(want[-1] > 0)
     # Some covers stop too at the smaller caps, none at the larger.
     assert seen == {False, True}
+
+
+def test_one_cover_star_solves_run_the_union_without_listing_covers(monkeypatch):
+    # On ptas_e2e shapes every topology is a star inside one cover, which
+    # is the union star.  The solve runs one masked DP over it and never
+    # lists covers, and returns what the cover path returns.  Where that
+    # run stops at the state cap, the cover is not run again: its members
+    # run their own DPs, as on the cover path.
+    def no_covers(_topologies):
+        raise AssertionError("a star solve within the union bound lists no covers")
+
+    def fields(inst, knobs):
+        res = solve_ptas(inst, knobs)
+        diag = res.diagnostics
+        return (res.value, repr(res.tree), diag.best_topology, diag.best_surrogate,
+                diag.candidates, diag.materialized, diag.valued, diag.dp_runs,
+                diag.states_explored, diag.capacity_errors)
+
+    for seed, shape in enumerate(((5, 2, 4, 8), (6, 2, 4, 4), (8, 2, 4, 4), (7, 2, 4, 8))):
+        inst, knobs = _e2e_shaped(seed, *shape)
+        tops = enumerate_topologies(level_reach(inst), knobs.block_budget,
+                                    min(knobs.depth_limit, inst.horizon), inst.start_level)
+        (cover,) = {ci for ci, _nodes in ptas._covers(tops)}
+        assert tops[cover] == ptas._union_star(tops)[0]
+        for cap in (ptas.DEFAULT_STATE_CAP, 500):
+            capped = dataclasses.replace(knobs, state_cap=cap)
+            with monkeypatch.context() as patch:
+                patch.setattr(ptas, "_union_star", lambda *_args: None)
+                want = fields(inst, capped)
+            with monkeypatch.context() as patch:
+                if cap == ptas.DEFAULT_STATE_CAP:
+                    patch.setattr(ptas, "_covers", no_covers)
+                got = fields(inst, capped)
+            assert got == want
+            if cap == ptas.DEFAULT_STATE_CAP:
+                assert want[7] == 1 and want[-1] == 0
+            else:
+                # The union run stopped, and some members finished.
+                assert want[7] == len(tops) and 0 < want[-1] < len(tops)
 
 
 def _ladder_8_3():
