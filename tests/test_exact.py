@@ -1,6 +1,8 @@
 """Exact finite-horizon solver: oracle identities and state-space limits."""
 
+import itertools
 import math
+import random
 import sys
 import threading
 import time
@@ -31,6 +33,7 @@ from stochprobe import (
 from stochprobe import exact
 from stochprobe.exact import CELL_CAP, ExactStats, _Kernel, solve
 from stochprobe.harness import GenParams, gen_random, gen_random_kernel
+from stochprobe.harness.gen import stream
 from stochprobe.model import leaf_node
 
 from conftest import act, kernel
@@ -163,10 +166,17 @@ def test_horizon_far_beyond_recursion_limit():
     assert tree == PolicyNode("a", 0, 1, {1: leaf_node(1, 2)})
 
 
+def _climbers(profits):
+    """One single-action group per profit, each row one level up (level 12
+    stays), over 13 levels at horizon 24."""
+    acts = [act(f"a{i}", f"g{i}", {lvl: ((min(lvl + 1, 12), 1.0),) for lvl in range(13)},
+                profit=profit) for i, profit in enumerate(profits)]
+    return kernel(acts, [float(h) for h in range(13)], 24)
+
+
 def test_table_cap_raises_before_allocating():
-    acts = [act(f"a{i}", f"g{i}", {lvl: ((min(lvl + 1, 12), 1.0),) for lvl in range(13)})
-            for i in range(24)]
-    inst = kernel(acts, [float(h) for h in range(13)], 24)
+    # Distinct profits keep the 24 groups in 24 classes: 2^24 count vectors.
+    inst = _climbers([(i + 1) / 64 for i in range(24)])
     assert 13 * 2 ** 24 > CELL_CAP
     entries = dict(exact._SHAPES)
     tracemalloc.start()
@@ -182,6 +192,23 @@ def test_table_cap_raises_before_allocating():
     assert elapsed < 1.0
     assert peak < 1 << 20
     assert exact._SHAPES == entries
+
+
+def test_identical_groups_past_the_mask_cap_solve_as_one_class():
+    # The same 24 groups with equal rows are one class of 24: 25 count
+    # vectors of 13 levels, where their masks would pass CELL_CAP.
+    inst = _climbers([0.0] * 24)
+    value, stats = solve(inst)
+    assert 13 * 2 ** 24 > CELL_CAP
+    assert (stats.groups, stats.classes, stats.layers, stats.cells) == (24, 1, 25, 325)
+    assert value == max_over_starts(inst) == 12.0
+    # Each step takes the first unused group in action-list order; at level
+    # 12 staying ties the terminal payoff, which the policy takes.
+    tree, path = optimal_policy(inst), []
+    while tree.action is not None:
+        path.append((tree.action, tree.level))
+        (tree,) = tree.children.values()
+    assert path == [(f"a{i}", min(i, 12)) for i in range(24)]
 
 
 class _Reference:
@@ -360,23 +387,198 @@ def _sweep(kernel: _Kernel):
         yield table
 
 
+# --- the mask sweep from before classes of groups, kept verbatim (but for
+# its names) as the reference for the count-vector sweep: a state names
+# every used group in a bitmask, and the tables run over the masks.
+
+class _MaskShape:
+    """The mask layers ``0..depth`` of ``groups`` groups, and each block's
+    group flags and child columns found by a search, independently of the
+    solver's shapes."""
+
+    def __init__(self, groups, depth):
+        self.layers = _concatenated_layers(groups, depth)
+        self.bits = (np.int64(1) << np.arange(groups, dtype=np.int64))[:, None]
+        self.taken = None
+
+    def block(self, u, lo, stop):
+        masks = self.layers[u][lo:stop]
+        taken = (masks & self.bits) != 0
+        if u + 2 >= len(self.layers):
+            return taken, None
+        child = self.layers[u + 1]
+        columns = np.minimum(child.searchsorted(masks | self.bits), len(child) - 1)
+        return taken, columns.astype(np.int32)
+
+
+def _mask_kernel(inst):
+    """The solver's kernel with every group in a class of its own, read
+    through the names and mask layers the verbatim sweep expects; the
+    solver's shape cache is left as it was."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_signature", lambda rows: None)
+        patch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
+        kernel = exact._Kernel(inst)
+    assert kernel.sizes == (1,) * len(kernel.groups)
+    shape = _MaskShape(len(kernel.groups), kernel.depth)
+    return SimpleNamespace(**vars(kernel), pair_group=kernel.pair_class,
+                           row_group=kernel.row_class, mask_shape=shape)
+
+
+def _mask_tables(inst):
+    """Every layer's table from the verbatim mask sweep, bottom first."""
+    kernel = _mask_kernel(inst)
+    kernel.shape, kernel.layers = kernel.mask_shape, kernel.mask_shape.layers
+    with np.errstate(over="ignore", invalid="ignore"):
+        return list(_mask_sweep(kernel))
+
+
+def _mask_row_values(kernel: _Kernel, values: np.ndarray) -> np.ndarray:
+    """Every kept row's value, ``profit + sum_k p_k * child_k`` added in
+    outcome order, given a value block (pairs + 1, masks or 1)."""
+    pair, mass = kernel.terms[0]
+    q = values.take(pair, axis=0)
+    q *= mass
+    q += kernel.profit
+    for pair, mass in kernel.terms[1:]:
+        term = values.take(pair, axis=0)
+        term *= mass
+        q += term
+    return q
+
+
+def _mask_child_values(kernel: _Kernel, child: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The value block of some masks of a layer, given their child columns
+    (``columns``, groups x masks): row 0 is -0.0, and row 1 + i holds pair
+    i's child value for every mask."""
+    at = columns.take(kernel.pair_group, axis=0)
+    at += (kernel.pair_target * child.shape[1]).astype(np.int32)[:, None]
+    values = np.empty((len(at) + 1, columns.shape[1]))
+    values[0] = -0.0
+    child.ravel().take(at, out=values[1:], mode="clip")
+    return values
+
+
+def _mask_ranked(kernel: _Kernel, table: np.ndarray) -> None:
+    """Fill the layer above the bottom, ``table`` (levels x masks, the
+    terminal payoff in every cell), from each level's rows ranked once (see
+    the module docstring)."""
+    u, shape = kernel.depth - 1, kernel.shape
+    bottom = np.concatenate([[-0.0], kernel.terminal[kernel.pair_target, 0]])
+    same = _mask_row_values(kernel, bottom[:, None])[:, 0].tolist()
+    group = kernel.row_group.tolist()
+    chains = []
+    for level, floor, run in zip(kernel.levels.tolist(), kernel.floor[:, 0].tolist(),
+                                 kernel.runs):
+        # The rows that beat the floor (never a NaN), highest first with
+        # ties in row order, and the first of each group.
+        picks: dict[int, float] = {}
+        for r in sorted((r for r in range(run.start, run.stop) if same[r] > floor),
+                        key=lambda r: -same[r]):
+            picks.setdefault(group[r], same[r])
+        if picks:
+            chains.append((level, list(picks.items())[:u + 1]))
+    tested = sorted({g for _, picks in chains for g, _ in picks[:u]})
+    for lo in range(0, table.shape[1], exact._BLOCK_CELLS):
+        if shape.taken is not None:
+            taken = shape.taken[u][:, lo:lo + exact._BLOCK_CELLS]
+        else:
+            # Only the flags of the groups some level tests, one row each.
+            masks = kernel.layers[u][lo:lo + exact._BLOCK_CELLS]
+            taken = {g: (masks & (1 << g)) != 0 for g in tested}
+        for level, picks in chains:
+            # A mask holds u groups, so one of u + 1 picked groups is free.
+            v = picks[u][1] if len(picks) > u else table[level, lo:lo + exact._BLOCK_CELLS]
+            for g, q in reversed(picks[:u]):
+                v = np.where(taken[g], v, q)
+            table[level, lo:lo + exact._BLOCK_CELLS] = v
+
+
+def _mask_sweep(kernel: _Kernel):
+    """Yield the value table of every layer, bottom layer first, as a
+    (levels x masks) array whose columns follow the layer's masks.
+
+    Callers run the whole sweep under one ``np.errstate(over="ignore",
+    invalid="ignore")``, so a value past the float range becomes inf
+    without a warning, as it does in Python floats.  The setting is not
+    made in here: a generator's context stays entered across its yields,
+    so it would leak into the caller between them."""
+    terminal, levels, floor, runs = kernel.terminal, kernel.levels, kernel.floor, kernel.runs
+    layers, depth, shape = kernel.layers, kernel.depth, kernel.shape
+    G = len(kernel.groups)
+    signed_zeros = bool((floor < 0.0).any())
+    step = max(1, exact._BLOCK_CELLS // max(G, len(kernel.pair_group) + 1, len(kernel.row_group)))
+    # The bottom layer, the widest, is terminal in every column: it is kept
+    # as a read-only broadcast and never gathered from.
+    table = np.broadcast_to(terminal, (len(terminal), len(layers[depth])))
+    yield table
+    for u in range(depth - 1, -1, -1):
+        child, used = table, layers[u]
+        table = terminal.repeat(len(used), axis=1)
+        if u + 1 == depth:
+            _mask_ranked(kernel, table)
+            yield table
+            continue
+        for lo in range(0, len(used), step):
+            taken, columns = shape.block(u, lo, lo + step)
+            q = _mask_row_values(kernel, _mask_child_values(kernel, child, columns))
+            q = np.where(taken.take(kernel.row_group, axis=0), -np.inf, q)
+            best = np.empty((len(levels), taken.shape[1]))
+            for i, run in enumerate(runs):
+                np.fmax.reduce(q[run], axis=0, out=best[i])
+            if signed_zeros:
+                # max may return either zero; the sequential fold keeps the
+                # first, which only shows where it beats a negative floor.
+                tie = (best == 0.0) & (floor < 0.0)
+                for i in np.flatnonzero(tie.any(axis=1)):
+                    cols = np.flatnonzero(tie[i])
+                    run = q[runs[i], cols]
+                    best[i, cols] = run[(run == 0.0).argmax(axis=0), np.arange(len(cols))]
+            table[levels, lo:lo + taken.shape[1]] = np.where(best > floor, best, floor)
+        yield table
+
+
 def _reference_tables(inst):
-    """Every layer's table from the reference sweep, on the solver's masks."""
+    """Every layer's table from the reference sweep, on the mask layers."""
     kernel = exact._Kernel(inst)
-    return list(_sweep(SimpleNamespace(groups=kernel.groups, terminal=inst.terminal,
-                                       layers=kernel.layers, depth=kernel.depth)))
+    return list(_sweep(SimpleNamespace(
+        groups=kernel.groups, terminal=inst.terminal,
+        layers=_concatenated_layers(len(kernel.groups), kernel.depth), depth=kernel.depth)))
+
+
+def _on_masks(kernel, table, masks):
+    """A count-vector table read at each mask's vector: (levels x masks).
+
+    A swept layer must hold exactly the vectors of the masks, ascending;
+    the bottom one, terminal in every column, keeps only their number."""
+    place = kernel.shape.place[:, 0][kernel.group_class]
+    bits = (masks[:, None] >> np.arange(len(place), dtype=np.int64)) & 1
+    codes = bits @ place if len(place) else np.zeros(len(masks), dtype=np.int64)
+    vectors = np.unique(codes)
+    assert table.shape[1] == len(vectors)
+    u = int(bits[0].sum())
+    if u == kernel.depth:
+        return table[:, np.zeros(len(masks), dtype=np.intp)]
+    assert np.array_equal(kernel.layers[u], vectors)
+    return table[:, vectors.searchsorted(codes)]
 
 
 def _assert_tables_match_reference(inst):
-    """Every layer's table equals the reference bit for bit; returns the
-    number of rows the sweep pruned."""
+    """Every layer's table, read at each mask's vector, equals the reference
+    sweep's and the verbatim mask sweep's bit for bit; returns the number
+    of rows the sweep pruned."""
     kernel = exact._Kernel(inst)
-    tables = list(exact._sweep(kernel))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = list(exact._sweep(kernel))
     reference = _reference_tables(inst)
-    assert len(tables) == len(reference) == kernel.depth + 1
-    for table, want in zip(tables, reference):
-        assert table.shape == want.shape
-        assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
+    verbatim = _mask_tables(inst)
+    masks = _concatenated_layers(len(kernel.groups), kernel.depth)
+    assert len(tables) == len(reference) == len(verbatim) == kernel.depth + 1
+    for table, want, mask_table, used in zip(tables, reference, verbatim, masks[::-1]):
+        assert want.shape == mask_table.shape == (len(inst.terminal), len(used))
+        expanded = _on_masks(kernel, table, used)
+        assert np.array_equal(expanded.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(expanded.view(np.uint64), mask_table.view(np.uint64))
     return kernel.rows_pruned
 
 
@@ -389,15 +591,38 @@ def _probemax13(seed, n, m):
     return inst
 
 
+def _with_duplicates(base, seed):
+    """``base`` with copies of some of its groups, each a new group of the
+    same members' rows under new ids, and the action list shuffled."""
+    rng = random.Random(seed)
+    groups = base.groups()
+    extra = [ActionSpec(f"{spec.id}~{k}", f"{group}~{k}", spec.rows)
+             for k in range(1 + seed % 4) for group in [rng.choice(groups)]
+             for spec in base.actions if spec.group == group]
+    actions = [*base.actions, *extra]
+    rng.shuffle(actions)
+    return kernel(actions, base.terminal, base.horizon + 1 + seed % 3,
+                  seed % len(base.terminal))
+
+
+def _duplicate_cases():
+    """Random kernels with forced duplicate groups, some of several
+    members, some with missing rows."""
+    return [_with_duplicates(gen_random_kernel(seed, GenParams(
+        n=4 + seed % 4, levels=3 + seed % 4, q=5 + seed % 5, flat_bias=0.5 + 0.3 * (seed % 2))),
+        seed) for seed in range(16)]
+
+
 def _sweep_cases():
-    """Probemax cases first (six of them), then random kernels."""
+    """Probemax cases first (six of them), then random kernels, the last
+    ones with forced duplicate groups."""
     cases = [_probemax13(seed, n, m)
              for seed in (501, 502) for n, m in ((10, 3), (12, 4), (16, 4))]
     for seed in range(24):
         for bias in (0.5, 0.8):
             cases.append(gen_random_kernel(seed, GenParams(
                 n=5 + seed % 4, levels=3 + seed % 4, q=5 + seed % 5, flat_bias=bias)))
-    return cases
+    return cases + _duplicate_cases()[::4]
 
 
 def test_pruned_sweep_tables_match_the_reference_bit_for_bit():
@@ -417,7 +642,7 @@ def test_block_edges_inside_a_layer_keep_the_reference_tables(monkeypatch, cells
     # blocks and the last block of a layer is partial.
     monkeypatch.setattr(exact, "_BLOCK_CELLS", cells)
     cases = _sweep_cases()
-    assert max(len(layer) for layer in exact._Kernel(cases[5]).layers[:-1]) > cells
+    assert max(len(layer) for layer in exact._Kernel(cases[5]).layers) > cells
     for base in cases:
         exact._SHAPES.clear()
         for inst in (base, _flipped(base)):
@@ -461,15 +686,16 @@ def _cold(inst):
 
 
 def test_interleaved_instances_of_one_shape_match_cold_solves():
-    pairs = [(_probemax13(501, 16, 4), _probemax13(502, 16, 4))]
+    # Two Probemax instances whose groups fall into classes of the same
+    # sizes, (2, 2, 1, ..., 1).
+    pairs = [(_probemax13(505, 16, 4), _probemax13(506, 16, 4))]
     pairs.append((_flipped(pairs[0][0]), pairs[0][1]))
     base = gen_random_kernel(3, GenParams(n=6, levels=4, q=7))
     other = gen_random_kernel(4, GenParams(n=6, levels=4, q=7))
     pairs.append((base, kernel(other.actions, other.terminal, base.horizon)))
     for a, b in pairs:
         kernels = exact._Kernel(a), exact._Kernel(b)
-        assert (len(kernels[0].groups), kernels[0].depth) == (
-            len(kernels[1].groups), kernels[1].depth)
+        assert (kernels[0].sizes, kernels[0].depth) == (kernels[1].sizes, kernels[1].depth)
         assert not np.array_equal(kernels[0].profit, kernels[1].profit)
         want = {id(a): _cold(a), id(b): _cold(b)}
         exact._SHAPES.clear()
@@ -485,43 +711,70 @@ def test_interleaved_instances_of_one_shape_match_cold_solves():
 
 
 def test_cached_shape_arrays_are_read_only():
-    shape, _ = exact._shape(6, 4)
-    arrays = [*shape.layers, *shape.taken, *shape.columns]
-    assert len(arrays) == 5 + 4 + 3
-    for array in arrays:
-        with pytest.raises(ValueError):
-            array[0] = 1
+    for sizes in ((1,) * 6, (3, 2, 1)):
+        shape, _ = exact._shape(sizes, 4)
+        arrays = [shape.place, shape.radix, *shape.layers, *shape.taken, *shape.columns]
+        assert len(arrays) == 2 + 4 + 4 + 3
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+def _vector_codes(sizes, u):
+    """The codes of the count vectors of the classes that sum to ``u``,
+    ascending, by brute force; a class's place value is the product of
+    the digit bases below it."""
+    place = [math.prod(size + 1 for size in sizes[:c]) for c in range(len(sizes))]
+    return np.array(sorted(sum(d * p for d, p in zip(digits, place))
+                           for digits in itertools.product(*(range(s + 1) for s in sizes))
+                           if sum(digits) == u), dtype=np.int64)
+
+
+#: Class sizes with more than one group in some class, largest first.
+_CLASS_SIZES = [(2,), (3, 1), (2, 2, 1), (3, 3, 3), (4, 2, 2, 1, 1), (2, 2, 2, 2, 1, 1, 1),
+                (4, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)]
 
 
 @pytest.mark.parametrize("cells", [1, 7, 1 << 14])
 def test_cached_group_flags_and_child_columns_match_a_search(monkeypatch, cells):
     monkeypatch.setattr(exact, "_BLOCK_CELLS", cells)
-    for groups, depth in [(g, d) for g in range(8) for d in range(g + 1)] + [(20, 4), (63, 3)]:
+    shapes = [((1,) * g, d) for g in range(8) for d in range(g + 1)]
+    shapes += [((1,) * 20, 4), ((1,) * 63, 3), ((1,) * 63, 4)]
+    shapes += [(sizes, d) for sizes in _CLASS_SIZES for d in range(min(sum(sizes), 6) + 1)]
+    for sizes, depth in shapes:
         exact._SHAPES.clear()
-        shape, reused = exact._shape(groups, depth)
+        shape, reused = exact._shape(sizes, depth)
         assert not reused
-        assert len(shape.layers) == depth + 1
-        assert len(shape.taken) == depth and len(shape.columns) == max(depth - 1, 0)
-        for u, used in enumerate(shape.layers[:-1]):
-            bits = np.int64(1) << np.arange(groups, dtype=np.int64)
-            taken = (used & bits[:, None]) != 0
+        assert len(shape.layers) == len(shape.taken) == depth
+        assert len(shape.columns) == max(depth - 1, 0)
+        masks = _concatenated_layers(len(sizes), depth) if set(sizes) <= {1} else None
+        place, size = shape.place, shape.radix - 1
+        for u, used in enumerate(shape.layers):
+            want = masks[u] if masks is not None else _vector_codes(sizes, u)
+            assert np.array_equal(used, want)
+            digits = used // place % shape.radix
+            taken = digits == size
             assert np.array_equal(shape.taken[u], taken)
             if u + 1 == depth:
                 continue
-            columns = shape.columns[u]
-            assert columns.dtype == np.int32
-            assert ((0 <= columns) & (columns < len(shape.layers[u + 1]))).all()
+            columns, child = shape.columns[u], shape.layers[u + 1]
+            assert columns.dtype == (np.int16 if len(child) <= 1 << 15 else np.int32)
+            assert ((0 <= columns) & (columns < len(child))).all()
             free = ~taken
-            want = np.searchsorted(shape.layers[u + 1], (used | bits[:, None])[free])
+            want = np.searchsorted(child, (used + place)[free])
+            assert np.array_equal(child[want], (used + place)[free])
             assert np.array_equal(columns[free], want)
+    # Columns into a layer past 2^15 codes take int32.
+    assert exact._shape((1,) * 63, 4)[0].columns[2].dtype == np.int32
 
 
 def _searched_policy(instance):
     """``optimal_policy`` as it was before child columns were cached: one
-    search and one column read per (node, unused group)."""
-    kernel = exact._Kernel(instance)
-    tables = list(exact._sweep(kernel))[::-1]
-    layers, terminal = kernel.layers, instance.terminal
+    search and one column read per (node, unused group), in the tables of
+    the verbatim mask sweep."""
+    kernel = _mask_kernel(instance)
+    tables = _mask_tables(instance)[::-1]
+    layers, terminal = kernel.mask_shape.layers, instance.terminal
     holder = {}
     stack = [(holder, None, 0, instance.start_level, 0)]
     while stack:
@@ -561,32 +814,35 @@ def test_policy_trees_match_the_searched_columns():
 
 
 def test_shape_cache_is_bounded_in_bytes(monkeypatch):
-    for groups, depth in [(0, 0), (3, 1), (6, 4), (16, 4), (20, 6), (63, 3)]:
-        shape = exact._build(groups, depth)
-        arrays = [*shape.layers, *shape.taken, *shape.columns]
-        assert sum(a.nbytes for a in arrays) == exact._shape_bytes(groups, depth)
+    ones = [(0, 0), (3, 1), (6, 4), (16, 4), (20, 6), (63, 3), (63, 4)]
+    for sizes, depth in [((1,) * g, d) for g, d in ones] + [(s, 4) for s in _CLASS_SIZES]:
+        shape = exact._build(sizes, depth)
+        arrays = [shape.place, shape.radix, *shape.layers, *shape.taken, *shape.columns]
+        assert sum(a.nbytes for a in arrays) == exact._shape_bytes(sizes, depth)
+    a, b, c, d = ((1,) * 16, 4), ((1,) * 18, 5), ((1,) * 12, 3), ((1,) * 20, 6)
     monkeypatch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
-    monkeypatch.setattr(exact, "_SHAPE_BYTES",
-                        exact._shape_bytes(16, 4) + exact._shape_bytes(18, 5))
-    assert not exact._shape(16, 4)[1] and not exact._shape(18, 5)[1]
-    assert exact._shape(16, 4)[1]
+    monkeypatch.setattr(exact, "_SHAPE_BYTES", exact._shape_bytes(*a) + exact._shape_bytes(*b))
+    assert not exact._shape(*a)[1] and not exact._shape(*b)[1]
+    assert exact._shape(*a)[1]
     # A third shape drops the least recently used one.
-    assert not exact._shape(12, 3)[1]
-    assert list(exact._SHAPES) == [(16, 4), (12, 3)]
+    assert not exact._shape(*c)[1]
+    assert list(exact._SHAPES) == [a, c]
     # A shape past the budget alone is neither built nor cached.
     for _ in range(2):
-        shape, reused = exact._shape(20, 6)
+        shape, reused = exact._shape(*d)
         assert not reused and shape.taken is None and shape.columns is None
-    assert list(exact._SHAPES) == [(16, 4), (12, 3)]
+    assert list(exact._SHAPES) == [a, c]
 
 
 def test_threads_share_the_shape_cache_within_its_byte_budget(monkeypatch):
     shapes = [(6, 2), (8, 3), (10, 3), (12, 4)]
     insts = [_probemax13(510 + i, n, m) for i, (n, m) in enumerate(shapes)]
     want = [optimal_value(inst) for inst in insts]
+    keys = [(k.sizes, k.depth) for k in map(exact._Kernel, insts)]
+    assert len(set(keys)) == 4
     monkeypatch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
     # Room for about two of the four shapes, so threads keep evicting.
-    budget = exact._shape_bytes(12, 4) + exact._shape_bytes(10, 3)
+    budget = exact._shape_bytes(*keys[3]) + exact._shape_bytes(*keys[2])
     monkeypatch.setattr(exact, "_SHAPE_BYTES", budget)
     wrong, errors = [], []
 
@@ -634,11 +890,11 @@ def test_wide_few_level_shapes_past_the_budget_keep_their_memory_to_the_tables(m
     # temporaries.
     acts = [act(f"a{i}", f"g{i}", {0: ((0, 1.0),)}, profit=0.1 * (i + 1)) for i in range(20)]
     inst = kernel(acts, [0.0], 7)
-    layers = exact._mask_layers(20, 7)
+    layers = exact._frame((1,) * 20, 7)[0].layers
     held = 8 * (len(layers[6]) + len(layers[5]))
     want = optimal_value(inst)
     monkeypatch.setattr(exact, "_SHAPES", type(exact._SHAPES)())
-    monkeypatch.setattr(exact, "_SHAPE_BYTES", exact._shape_bytes(20, 7) - 1)
+    monkeypatch.setattr(exact, "_SHAPE_BYTES", exact._shape_bytes((1,) * 20, 7) - 1)
     tracemalloc.start()
     try:
         value = optimal_value(inst)
@@ -648,7 +904,7 @@ def test_wide_few_level_shapes_past_the_budget_keep_their_memory_to_the_tables(m
     assert value == want
     assert not exact._SHAPES
     assert peak < sum(layer.nbytes for layer in layers) + held + 16 * 8 * exact._BLOCK_CELLS
-    assert peak < exact._shape_bytes(20, 7)
+    assert peak < exact._shape_bytes((1,) * 20, 7)
 
 
 def _check_against_reference(inst):
@@ -709,7 +965,12 @@ def test_solve_returns_the_value_and_its_stats():
     kernel_ = exact._Kernel(inst)
     groups, K = len(inst.groups()), len(inst.terminal)
     assert (stats.groups, stats.layers) == (groups, 5)
-    assert stats.cells == sum(math.comb(groups, u) for u in range(5)) * K
+    # Cells count the distinct count vectors of the groups' classes.
+    classes = kernel_.group_class
+    assert stats.classes == len(set(classes)) < groups
+    assert stats.cells == K * sum(
+        len({tuple(sorted(classes[g] for g in used)) for used in itertools.combinations(
+            range(groups), u)}) for u in range(5))
     dominated = sum(row.profit <= 0.0 and row.support == ((level, 1.0),)
                     for spec in inst.actions for level, row in spec.rows.items())
     assert dominated > 0
@@ -732,7 +993,7 @@ def test_solve_stats_on_a_horizon_zero_instance():
     assert (stats.groups, stats.layers, stats.cells) == (1, 1, 2)
     assert (stats.rows_swept, stats.rows_pruned, stats.peak_table_bytes) == (1, 0, 16)
     assert [f.name for f in fields(ExactStats)] == [
-        "groups", "layers", "cells", "rows_swept", "rows_pruned", "peak_table_bytes",
+        "groups", "classes", "layers", "cells", "rows_swept", "rows_pruned", "peak_table_bytes",
         "seconds", "layer_seconds", "shape_reused"]
 
 
@@ -901,10 +1162,140 @@ def _concatenated_layers(groups, depth):
 
 
 def test_mask_layers_match_the_concatenated_reference():
+    # Classes of one group each: the codes are the masks.
     for groups, depth in [(g, d) for g in range(9) for d in range(g + 1)] + [(20, 6), (63, 2)]:
-        layers = exact._mask_layers(groups, depth)
+        layers = exact._frame((1,) * groups, depth + 1)[0].layers
         want = _concatenated_layers(groups, depth)
         assert len(layers) == len(want) == depth + 1
         for layer, ref in zip(layers, want):
             assert layer.dtype == ref.dtype == np.int64
             assert np.array_equal(layer, ref)
+
+
+# --- classes of interchangeable groups against the mask reference.
+
+def _assert_matches_masks(inst, recursion=False):
+    """Values, every layer table and the policy tree from several start
+    levels equal the mask references'; returns the kernel's class sizes."""
+    _assert_tables_match_reference(inst)
+    top = _mask_tables(inst)[-1][:, 0].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = exact._root(inst)[0]
+    assert np.array_equal(np.array(values).view(np.uint64), np.array(top).view(np.uint64))
+    for start in {0, inst.start_level, len(inst.terminal) - 1}:
+        started = kernel(inst.actions, inst.terminal, inst.horizon, start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert optimal_policy(started) == _searched_policy(started)
+        if recursion:
+            ref = _Reference(started)
+            assert optimal_value(started) == ref.value(1, start, ref.full)
+            assert _shape(optimal_policy(started)) == _shape(ref.policy(1, start, ref.full))
+    return exact._Kernel(inst).sizes
+
+
+def test_forced_duplicate_groups_match_the_mask_references():
+    seen = set()
+    for base in _duplicate_cases():
+        for inst in (base, _flipped(base)):
+            sizes = _assert_matches_masks(inst, recursion=len(inst.groups()) <= 9)
+            if len(sizes) < len(inst.groups()):
+                seen.add("merged")
+            if any(len(spec.rows) < len(inst.terminal) for spec in inst.actions):
+                seen.add("missing row")
+            if len(inst.groups()) < len(inst.actions):
+                seen.add("shared group")
+            if max(sizes) > 2:
+                seen.add("class of three")
+    assert seen == {"merged", "missing row", "shared group", "class of three"}
+
+
+def _bits(word):
+    """The float with the given 64-bit pattern."""
+    return np.array([word], dtype=np.uint64).view(float)[0].item()
+
+
+def test_rows_of_signed_zeros_never_merge():
+    # Into the +0.0 payoff of level 1, a +0.0 and a -0.0 profit are worth
+    # zeros of their own signs; zero masses of either sign sit in the rows.
+    rows = {0: ((1, 1.0),), 1: ((1, 0.5), (2, 0.5))}
+    acts = []
+    for k, zero in enumerate((0.0, -0.0, 0.0, -0.0)):
+        acts.append(act(f"p{k}", f"gp{k}", rows, profit=zero))
+        acts.append(act(f"m{k}", f"gm{k}", {2: ((2, 0.75), (0, zero), (1, 0.25))}))
+    for horizon in (1, 2, 3, 5):
+        inst = kernel(acts, [0.0, 0.0, 3.0], horizon)
+        sizes = _assert_matches_masks(inst, recursion=True)
+        assert sizes == (2, 2, 2, 2)
+    # The +0.0 groups, listed first, come first among classes of two.
+    assert exact._Kernel(inst).group_class == [0, 1, 2, 3, 0, 1, 2, 3]
+
+
+def test_nan_rows_merge_only_with_their_own_payload():
+    quiet, other = math.nan, _bits(0x7FF8000000000001)
+    assert math.isnan(other) and np.array([quiet, other]).view(np.uint64)[0] == 0x7FF8 << 48
+    acts = [act(f"n{k}", f"g{k}", {0: ((1, 0.5), (0, 0.5)), 1: ((0, 1.0),)}, profit=profit)
+            for k, profit in enumerate((quiet, 1.0, other, quiet, 1.0, other))]
+    with np.errstate(invalid="ignore"):
+        for horizon in (1, 2, 4):
+            inst = kernel(acts, [0.0, 2.0], horizon)
+            assert _assert_matches_masks(inst, recursion=True) == (2, 2, 2)
+            assert optimal_value(inst) == optimal_value(kernel(acts[1::3], [0.0, 2.0], horizon))
+
+
+def test_rows_with_numpy_numbers_keep_their_groups_alone():
+    # marshal writes plain ints and floats only; a group with a numpy
+    # number in its rows is a class of its own, and the values stay.
+    plain = [act(f"a{k}", f"g{k}", {0: ((1, 0.5), (0, 0.5))}, profit=0.5) for k in range(3)]
+    mixed = [*plain[:2], act("a2", "g2", {0: ((1, np.float64(0.5)), (0, 0.5))},
+                             profit=np.float64(0.5))]
+    for horizon in (1, 2, 3):
+        assert _assert_matches_masks(kernel(plain, [0.0, 2.0], horizon)) == (3,)
+        assert _assert_matches_masks(kernel(mixed, [0.0, 2.0], horizon)) == (2, 1)
+        assert optimal_value(kernel(mixed, [0.0, 2.0], horizon)) == optimal_value(
+            kernel(plain, [0.0, 2.0], horizon))
+
+
+def test_negative_terminal_floors_keep_every_group_alone():
+    # Equal groups merge unless some level with a kept row pays less than
+    # zero at the end; a negative payoff where no row acts does not count.
+    row = {0: ((1, 0.5), (2, 0.5)), 1: ((2, 1.0),)}
+    acts = [act(f"a{k}", f"g{k}", row, profit=-0.0 if k % 2 else 0.0) for k in range(6)]
+    for terminal, sizes in (([-1.0, -0.0, 1.0], (1,) * 6), ([0.0, -0.0, -1.0], (3, 3)),
+                            ([0.0, -2.0, 1.0], (1,) * 6)):
+        for horizon in (1, 2, 3, 7):
+            inst = kernel(acts, terminal, horizon)
+            assert _assert_matches_masks(inst, recursion=True) == sizes
+
+
+def test_a_negative_floor_keeps_the_first_zero_in_group_order():
+    # Into the -0.0 payoff of level 1, n is worth -0.0 and p1, p2 (equal
+    # rows) +0.0, and both zeros beat the -1.0 of level 0.  The fold over
+    # groups keeps n's zero; had p1 and p2 merged, their class of two would
+    # come first and give +0.0.
+    n = act("n", "gn", {0: ((1, 1.0),)}, profit=-0.0)
+    p1, p2 = (act(f"p{k}", f"gp{k}", {0: ((1, 1.0),)}, profit=0.0) for k in (1, 2))
+    for fillers in ([], _FILLERS):
+        for horizon in (1, 2, 3):
+            inst = kernel([n, p1, p2, *fillers], [-1.0, -0.0], horizon)
+            assert _assert_matches_masks(inst, recursion=True) == (1,) * (3 + len(fillers))
+            assert _sign(optimal_value(inst)) == -1.0
+            assert optimal_policy(inst).action == "n"
+
+
+def _exact_probemax(seed, index, n, m):
+    """Input ``index`` of the exact-probemax benchmark workload at ``seed``:
+    Probemax n/m on the 13-level greedy grid."""
+    child = int(stream(seed, "exact-probemax", index).integers(0, 2 ** 63))
+    spec = gen_random(child, GenParams(kind="probemax", n=n, m=m, support=3, levels=8, q=8,
+                                       step=1.0, eps=0.3))
+    return build_probemax(spec)[0]
+
+
+def test_exact_probemax_seed0_inputs_match_the_mask_reference():
+    rungs = ((16, 4), (18, 5), (20, 6))
+    merged = 0
+    for index in range(72):
+        inst = _exact_probemax(0, index, *rungs[index % 3])
+        sizes = _assert_matches_masks(inst)
+        merged += len(sizes) < len(inst.groups())
+    assert merged >= 60

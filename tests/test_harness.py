@@ -370,12 +370,13 @@ def test_cli_exact_prints_solver_stats(tmp_path, capsys):
                  "--out", str(spec_path)]) == 0
     assert main(["exact", "--in", str(spec_path)]) == 0
     doc = cli_json(capsys)
-    assert sorted(doc) == ["cells", "groups", "layer_seconds", "layers", "optimal_value",
-                           "peak_table_bytes", "rows_pruned", "rows_swept", "seconds",
-                           "shape_reused"]
+    assert sorted(doc) == ["cells", "classes", "groups", "layer_seconds", "layers",
+                           "optimal_value", "peak_table_bytes", "rows_pruned", "rows_swept",
+                           "seconds", "shape_reused"]
     # In-process, an earlier solve of the same shape may have cached it.
     assert isinstance(doc["shape_reused"], bool)
-    assert (doc["groups"], doc["layers"]) == (6, 4)
+    # Two of the six items have equal rows and share a class.
+    assert (doc["groups"], doc["classes"], doc["layers"]) == (6, 5, 4)
     assert len(doc["layer_seconds"]) == 3
     assert doc["rows_pruned"] > 0 and doc["rows_swept"] > 0
     assert doc["optimal_value"] == optimal_value(_load_kernel(str(spec_path)))
@@ -500,9 +501,10 @@ def test_cli_unknown_command_exits_2():
 
 
 def test_cli_capacity_overrun_exits_3(tmp_path, capsys):
-    # 24 groups, 13 levels, horizon 24: 13 * 2^24 table cells.
-    actions = [act(f"a{i}", f"g{i}", {lvl: ((min(lvl + 1, 12), 1.0),) for lvl in range(13)})
-               for i in range(24)]
+    # 24 groups with distinct profits, so 24 classes, 13 levels, horizon 24:
+    # 13 * 2^24 table cells.
+    actions = [act(f"a{i}", f"g{i}", {lvl: ((min(lvl + 1, 12), 1.0),) for lvl in range(13)},
+                   profit=(i + 1) / 64) for i in range(24)]
     inst = kernel(actions, [float(h) for h in range(13)], 24)
     path = tmp_path / "wide.json"
     path.write_text(serialize_instance(inst))
